@@ -14,7 +14,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     OracleDisagreement,
-    PropertyViolation,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "OracleDisagreement",
-    "PropertyViolation",
 ]

@@ -19,7 +19,3 @@ class AccuracyNotMet(ConvergenceError):
 
 class OracleDisagreement(ConvergenceError):
     """Two independent routes to the same quantity disagree beyond tolerance."""
-
-
-class PropertyViolation(RuntimeError):
-    """A mathematical property that was expected to hold numerically failed."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import entropy_best_constant
 from .errors import DomainError
-from .profiles import RadialProfile, entropy_integral, grad_energy, lp_norm, plogp
+from .profiles import RadialProfile, bump_basis, entropy_integral, grad_energy, lp_norm, plogp
 
 __all__ = [
     "entropy_deficit",
@@ -137,36 +137,6 @@ def log_norm_derivative(u: RadialProfile, p: float, dq: float) -> LogNormDerivat
     return LogNormDerivative(fd=fd, exact=exact, err=abs(fd - exact))
 
 
-def _log_bump_basis(u: RadialProfile, p: float, n_tests: int) -> list:
-    """Smooth bumps in log-radius, centered at mass quantiles of u^p.
-
-    Each test function is exp(-1/(1-x^2)) with x = (ln r - ln c)/w, so both
-    the bump and its radial derivative are available in closed form.
-    """
-    mass = u.cell_measure() * u.values ** p
-    cum = np.cumsum(mass)
-    if cum[-1] <= 0:
-        raise DomainError("profile carries no mass for the test basis")
-    cum /= cum[-1]
-    log_r = np.log(u.grid)
-    lo = float(np.interp(0.02, cum, log_r))
-    hi = float(np.interp(0.98, cum, log_r))
-    centers = np.linspace(lo, hi, n_tests)
-    width = 1.6 * (hi - lo) / max(n_tests - 1, 1)
-    basis = []
-    for c in centers:
-        x = (log_r - c) / width
-        inside = np.abs(x) < 1.0
-        v = np.zeros_like(log_r)
-        dv = np.zeros_like(log_r)
-        xs = x[inside]
-        v[inside] = np.exp(-1.0 / (1.0 - xs**2))
-        # d/dr = (dv/dx) / (r * width)
-        dv[inside] = v[inside] * (-2.0 * xs / (1.0 - xs**2) ** 2) / (u.grid[inside] * width)
-        basis.append((v, dv))
-    return basis
-
-
 @dataclass(frozen=True)
 class PdeResidualReport:
     """Weak residual of the limiting PDE over a fixed bump test basis."""
@@ -213,8 +183,18 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit", n_tests: int = 12) -
     u_pm1 = u.values ** (p - 1.0)
     log_term = u_pm1 * p * np.log(u.values)
 
+    # bumps in log-radius, centered between the 2% and 98% mass quantiles of u^p
+    cum = np.cumsum(mw * u.values**p)
+    if cum[-1] <= 0:
+        raise DomainError("profile carries no mass for the test basis")
+    cum /= cum[-1]
+    log_r = np.log(u.grid)
+    lo = float(np.interp(0.02, cum, log_r))
+    hi = float(np.interp(0.98, cum, log_r))
+    width = 1.6 * (hi - lo) / (int(n_tests) - 1)
+
     grad_terms, mass_terms, rhs_terms = [], [], []
-    for v, dv in _log_bump_basis(u, p, int(n_tests)):
+    for v, dv in bump_basis(log_r, np.linspace(lo, hi, int(n_tests)), width, jacobian=u.grid):
         grad_terms.append(float(np.sum(mw * flux * dv)))
         mass_terms.append(float(np.sum(mw * u_pm1 * v)))
         rhs_terms.append(-inv_k * float(np.sum(mw * (u_pm1 + (p / n) * log_term) * v)))

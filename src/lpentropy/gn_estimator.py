@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
 from .errors import DomainError
-from .profiles import RadialProfile, lp_norm, radial_derivative
+from .profiles import RadialProfile, derivative_matrix, lp_norm
 from .special_fn import log_gamma, sphere_area, stretched_exp_moment
 
 __all__ = [
@@ -119,20 +119,25 @@ def _ln_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def _rational_k_floor(params: InequalityParams, s: float) -> float:
-    # decay needed for all three integrals of u = (1+r^s)^{-k} to converge
+def _carries_q_norm(theta: float) -> bool:
+    # at the Sobolev endpoint r = p* (theta = 1, up to the rounding of the
+    # exponent formula) the q-norm enters the quotient with exponent 0
+    return abs(theta - 1.0) > 1e-9
+
+
+def _rational_k_floor(params: InequalityParams, theta: float, s: float) -> float:
+    # decay needed for the integrals of u = (1+r^s)^{-k} in the quotient to converge
     n, p = params.n, params.p
-    return max(
-        n / (s * params.q),
-        n / (s * params.r),
-        (n + (s - 1.0) * p) / (s * p) - 1.0,
-    )
+    floor = max(n / (s * params.r), (n + (s - 1.0) * p) / (s * p) - 1.0)
+    if _carries_q_norm(theta):
+        floor = max(floor, n / (s * params.q))
+    return floor
 
 
 def _ln_quotient_rational(params: InequalityParams, theta: float, s: float, k: float) -> float:
     # u(r) = (1 + r^s)^{-k}; all norms reduce to beta-function moments.
     n, p = params.n, params.p
-    if s <= 0 or k <= _rational_k_floor(params, s):
+    if s <= 0 or k <= _rational_k_floor(params, theta, s):
         raise DomainError("rational trial profile decays too slowly to be admissible")
     ln_w = math.log(sphere_area(n))
 
@@ -148,11 +153,10 @@ def _ln_quotient_rational(params: InequalityParams, theta: float, s: float, k: f
         + p * math.log(k * s)
         + ln_moment(n - 1.0 + (s - 1.0) * p, (k + 1.0) * p)
     )
-    return (
-        (p / theta) * ln_norm(params.r)
-        - ln_grad
-        - (p * (1.0 - theta) / theta) * ln_norm(params.q)
-    )
+    value = (p / theta) * ln_norm(params.r) - ln_grad
+    if _carries_q_norm(theta):
+        value -= (p * (1.0 - theta) / theta) * ln_norm(params.q)
+    return value
 
 
 def _scan_stretched(params: InequalityParams, theta: float) -> tuple:
@@ -176,7 +180,7 @@ def _scan_rational(params: InequalityParams, theta: float) -> tuple:
     best = -math.inf
     best_sk = (2.0, 1.0)
     for s in np.linspace(1.0, 4.0, 13):
-        k_lo = _rational_k_floor(params, s)
+        k_lo = _rational_k_floor(params, theta, s)
         for k in np.geomspace(k_lo * 1.05 + 0.02, (k_lo + 1.0) * 25.0, 17):
             try:
                 v = _ln_quotient_rational(params, theta, s, k)
@@ -208,39 +212,6 @@ def _scan_rational(params: InequalityParams, theta: float) -> tuple:
 # discretized ascent
 
 
-def fd_matrix(grid: np.ndarray) -> sparse.csr_matrix:
-    """Sparse matrix form of the radial finite-difference derivative.
-
-    Satisfies (fd_matrix(g) @ u) == radial_derivative(g, u) for every u,
-    which is what lets the ascent compute adjoint gradients of the
-    gradient-energy term.
-    """
-    m = len(grid)
-    h = np.diff(grid)
-    rows, cols, data = [], [], []
-
-    def put(i, j, c):
-        rows.append(i)
-        cols.append(j)
-        data.append(c)
-
-    h1, h2 = h[:-1], h[1:]
-    for i in range(1, m - 1):
-        a, b = h1[i - 1], h2[i - 1]
-        put(i, i - 1, -b / (a * (a + b)))
-        put(i, i, (b - a) / (a * b))
-        put(i, i + 1, a / (b * (a + b)))
-    a, b = h[0], h[1]
-    put(0, 0, -(2 * a + b) / (a * (a + b)))
-    put(0, 1, (a + b) / (a * b))
-    put(0, 2, -a / (b * (a + b)))
-    a, b = h[-1], h[-2]
-    put(m - 1, m - 1, (2 * a + b) / (a * (a + b)))
-    put(m - 1, m - 2, -(a + b) / (a * b))
-    put(m - 1, m - 3, a / (b * (a + b)))
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
-
-
 def _seed_profile(params: InequalityParams, family: str, info: dict, n_nodes: int) -> RadialProfile:
     n = params.n
     if family == "stretched_exp":
@@ -267,8 +238,8 @@ def _seed_profile(params: InequalityParams, family: str, info: dict, n_nodes: in
 def _ascent(u0: RadialProfile, params: InequalityParams, theta: float, max_iters: int):
     p, q, r = params.p, params.q, params.r
     mw = u0.cell_measure()
-    mat = fd_matrix(u0.grid)
-    mat_t = mat.T.tocsr()
+    mat = derivative_matrix(u0.grid)
+    mat_t = mat.T
     floor = np.maximum(mw, 1e-3 * float(mw.mean()))
 
     def ln_q(vals: np.ndarray):
@@ -380,9 +351,9 @@ def estimate_gn_constant(
     gain = ascent_val - family_values[seed_name]
 
     best_family = max(family_values, key=family_values.get)
-    best_params = dict(seed_info) if best_family != "rational" else dict(info_rat)
-    if best_family == "stretched_exp":
-        best_params = dict(info_str)
+    best_params = dict(
+        {"stretched_exp": info_str, "rational": info_rat, "ascent": seed_info}[best_family]
+    )
     return GNEstimate(
         value=family_values[best_family],
         best_family=best_family,

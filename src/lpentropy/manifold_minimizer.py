@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .constants import InequalityParams, derived_exponents, entropy_best_constan
 from .errors import DomainError
 from .gn_estimator import estimate_gn_constant
 from .manifold_geometry import ManifoldModel
+from .profiles import bump_basis, derivative_matrix
 from .special_fn import sphere_area
 
 __all__ = [
@@ -83,18 +85,18 @@ class SymmetricManifoldProfile:
     def periodic(self) -> bool:
         return self.model.kind == "torus"
 
+    @cached_property
+    def derivative_operator(self):
+        """Sparse second-order derivative D in the coordinate; D.T is its adjoint."""
+        return derivative_matrix(self.grid, self.model.scale if self.periodic else None)
+
     def coordinate_derivative(self, values=None) -> np.ndarray:
         v = self.values if values is None else np.asarray(values, dtype=float)
-        if self.periodic:
-            h = self.grid[1] - self.grid[0]
-            return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
-        # uniform grid on [0, pi]: centered interior, one-sided second-order ends
-        h = self.grid[1] - self.grid[0]
-        out = np.empty_like(v)
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        return out
+        # D annihilates constants only up to rounding, which |u'|^{p-1}
+        # amplifies as p -> 1; differentiating v - v[0] instead (the same in
+        # exact arithmetic, so D.T stays the adjoint) keeps the derivative
+        # of a constant profile exactly zero
+        return self.derivative_operator @ (v - v[0])
 
     def gradient_magnitude(self, values=None) -> np.ndarray:
         d = self.coordinate_derivative(values)
@@ -264,6 +266,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     u = np.maximum(base.values * (1.0 + 0.25 * bump / max(np.max(np.abs(bump)), 1e-12)), 0.0)
 
     floor = np.maximum(w, 1e-3 * float(np.mean(w)))
+    adjoint = base.derivative_operator.T
 
     def objective(vals: np.ndarray):
         grad_p, mass_p, mass_q, energy = _raw_terms(base, p, q, C, vals)
@@ -290,23 +293,8 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         du = base.coordinate_derivative(u)
         metric = 1.0 / model.scale if model.kind == "sphere" else 1.0
         flux = w * np.sign(du) * np.abs(du * metric) ** (p - 1.0) * metric
-        if base.periodic:
-            h = base.grid[1] - base.grid[0]
-            d_adj = (np.roll(flux, 1) - np.roll(flux, -1)) / (2.0 * h)
-        else:
-            h = base.grid[1] - base.grid[0]
-            d_adj = np.zeros_like(flux)
-            # adjoint of the finite-difference matrix used in coordinate_derivative
-            d_adj[:-2] += -flux[1:-1] / (2.0 * h)
-            d_adj[2:] += flux[1:-1] / (2.0 * h)
-            d_adj[0] += -3.0 * flux[0] / (2.0 * h)
-            d_adj[1] += 4.0 * flux[0] / (2.0 * h)
-            d_adj[2] += -flux[0] / (2.0 * h)
-            d_adj[-1] += 3.0 * flux[-1] / (2.0 * h)
-            d_adj[-2] += -4.0 * flux[-1] / (2.0 * h)
-            d_adj[-3] += flux[-1] / (2.0 * h)
         g = (
-            (p * d_adj + C * p * w * u ** (p - 1.0)) / energy
+            (p * (adjoint @ flux) + C * p * w * u ** (p - 1.0)) / energy
             + kappa * q * (w * u ** (q - 1.0)) / mass_q
             - (1.0 + q * kappa / p) * p * (w * u ** (p - 1.0)) / mass_p
         )
@@ -358,26 +346,6 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     )
 
 
-def _bump_basis(grid: np.ndarray, periodic: bool, span: float, n_tests: int) -> list:
-    """Smooth bumps spread across the coordinate domain."""
-    centers = np.linspace(0.12 * span, 0.88 * span, n_tests)
-    width = 1.4 * (centers[1] - centers[0]) if n_tests > 1 else 0.3 * span
-    basis = []
-    for c in centers:
-        delta = grid - c
-        if periodic:
-            delta = (delta + span / 2.0) % span - span / 2.0
-        x = delta / width
-        inside = np.abs(x) < 1.0
-        v = np.zeros_like(grid)
-        dv = np.zeros_like(grid)
-        xs = x[inside]
-        v[inside] = np.exp(-1.0 / (1.0 - xs**2))
-        dv[inside] = v[inside] * (-2.0 * xs / (1.0 - xs**2) ** 2) / width
-        basis.append((v, dv))
-    return basis
-
-
 def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: float,
                             nu: float = None, energy_weight: float = None,
                             qnorm_weight: float = None, n_tests: int = 10) -> float:
@@ -393,9 +361,12 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     metric = 1.0 / u.model.scale if u.model.kind == "sphere" else 1.0
     du = u.coordinate_derivative() * metric
     flux = np.sign(du) * np.abs(du) ** (p - 1.0)
+    # smooth bumps spread across the coordinate domain
     span = math.pi if u.model.kind == "sphere" else u.model.scale
+    centers = np.linspace(0.12 * span, 0.88 * span, n_tests)
+    width = 1.4 * (centers[1] - centers[0]) if n_tests > 1 else 0.3 * span
     resid, scales = [], []
-    for v, dv in _bump_basis(u.grid, u.periodic, span, n_tests):
+    for v, dv in bump_basis(u.grid, centers, width, period=span if u.periodic else None):
         t_grad = energy_weight * float(np.sum(w * flux * dv * metric))
         t_mass = energy_weight * C * float(np.sum(w * u.values ** (p - 1.0) * v))
         t_q = ((1.0 - theta) / theta) * qnorm_weight * float(

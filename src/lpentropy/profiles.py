@@ -12,10 +12,18 @@ construction makes the rule exact for constants, so summing the weights
 recovers int_0^{r_M} r^{n-1} dr to machine precision, and it converges
 at second order for smooth integrands under grid refinement.
 
-Gradients of sampled profiles are always taken by centered second-order
-finite differences on the nonuniform grid (one-sided at the ends); the
-analytic derivative of the extremal family is reserved for the
-closed-form oracle route in extremal_integrals.
+This module is also the package's one finite-difference layer.  Gradients
+of sampled profiles are always taken by the three-point second-order
+stencil on the nonuniform grid: centered in the interior, one-sided at
+the ends, or centered everywhere on a periodic grid.  Its weights are
+written once (_centered_coefficients, _one_sided_coefficients) and used
+twice: radial_derivative applies them by array slices, derivative_matrix
+assembles them into a sparse matrix D whose transpose D.T is the exact
+discrete adjoint that the gradient ascent and the manifold minimizer
+need.  bump_basis supplies the smooth compactly supported test functions
+of the weak-form residuals.  The analytic derivative of the extremal
+family is reserved for the closed-form oracle route in
+extremal_integrals.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError, OracleDisagreement
 from .special_fn import sphere_area, stretched_exp_moment
@@ -37,12 +46,13 @@ __all__ = [
     "lp_norm",
     "grad_energy",
     "entropy_integral",
-    "weighted_moment",
     "extremal_spec",
     "extremal_profile",
     "extremal_integrals",
     "random_stretched_mixture",
     "radial_derivative",
+    "derivative_matrix",
+    "bump_basis",
     "plogp",
 ]
 
@@ -70,36 +80,103 @@ def plogp(u: np.ndarray, p: float) -> np.ndarray:
     return p * safe**p * np.log(safe)
 
 
+def _centered_coefficients(hm, hp) -> tuple:
+    """Weights on (u_{i-1}, u_i, u_{i+1}) of the three-point derivative at x_i.
+
+    hm = x_i - x_{i-1} and hp = x_{i+1} - x_i; second order on any grid.
+    """
+    return -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))
+
+
+def _one_sided_coefficients(h1, h2) -> tuple:
+    """Weights on (u_0, u_1, u_2) of the three-point derivative at x_0.
+
+    h1 = x_1 - x_0 and h2 = x_2 - x_1 are signed steps into the grid, so
+    the same weights serve the left end (steps > 0) and the right end
+    (nodes taken from the last one inwards, steps < 0).
+    """
+    return (
+        -(2 * h1 + h2) / (h1 * (h1 + h2)),
+        (h1 + h2) / (h1 * h2),
+        -h1 / (h2 * (h1 + h2)),
+    )
+
+
 def radial_derivative(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Second-order finite-difference derivative on a nonuniform grid.
 
     Three-point centered stencil in the interior, three-point one-sided
-    stencils at both ends.
+    stencils at both ends; equal to derivative_matrix(grid) @ values.
     """
     r, u = grid, values
     if len(r) < 3:
         raise DomainError("need at least 3 grid nodes for a second-order derivative")
     du = np.empty_like(u)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    du[1:-1] = (
-        -hp / (hm * (hm + hp)) * u[:-2]
-        + (hp - hm) / (hm * hp) * u[1:-1]
-        + hm / (hp * (hm + hp)) * u[2:]
-    )
-    h1, h2 = r[1] - r[0], r[2] - r[1]
-    du[0] = (
-        -(2 * h1 + h2) / (h1 * (h1 + h2)) * u[0]
-        + (h1 + h2) / (h1 * h2) * u[1]
-        - h1 / (h2 * (h1 + h2)) * u[2]
-    )
-    g1, g2 = r[-1] - r[-2], r[-2] - r[-3]
-    du[-1] = (
-        (2 * g1 + g2) / (g1 * (g1 + g2)) * u[-1]
-        - (g1 + g2) / (g1 * g2) * u[-2]
-        + g1 / (g2 * (g1 + g2)) * u[-3]
-    )
+    a, b, c = _centered_coefficients(r[1:-1] - r[:-2], r[2:] - r[1:-1])
+    du[1:-1] = a * u[:-2] + b * u[1:-1] + c * u[2:]
+    a, b, c = _one_sided_coefficients(r[1] - r[0], r[2] - r[1])
+    du[0] = a * u[0] + b * u[1] + c * u[2]
+    a, b, c = _one_sided_coefficients(r[-2] - r[-1], r[-3] - r[-2])
+    du[-1] = a * u[-1] + b * u[-2] + c * u[-3]
     return du
+
+
+def derivative_matrix(grid: np.ndarray, period: float = None) -> sparse.csr_matrix:
+    """The stencil of radial_derivative as a sparse (CSR) matrix D.
+
+    Row i holds the three stencil weights in the order radial_derivative
+    sums them, so D @ u reproduces it exactly, and D.T is the exact
+    adjoint.  With a period the grid samples one period [x_0, x_0 + period)
+    and every node gets the centered stencil, wrapping across the seam.
+    """
+    x = np.asarray(grid, dtype=float)
+    m = len(x)
+    if m < 3:
+        raise DomainError("need at least 3 grid nodes for a second-order derivative")
+    nodes = np.arange(m)
+    if period is None:
+        h = np.diff(x)
+        cols = np.stack([nodes - 1, nodes, nodes + 1], axis=1)
+        cols[0], cols[-1] = (0, 1, 2), (m - 1, m - 2, m - 3)
+        data = np.empty((m, 3))
+        data[1:-1] = np.stack(_centered_coefficients(h[:-1], h[1:]), axis=1)
+        data[0] = _one_sided_coefficients(h[0], h[1])
+        data[-1] = _one_sided_coefficients(-h[-1], -h[-2])
+    else:
+        h = np.diff(x, append=x[0] + period)
+        cols = np.stack([nodes - 1, nodes, nodes + 1], axis=1) % m
+        data = np.stack(_centered_coefficients(np.roll(h, 1), h), axis=1)
+    return sparse.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, 3 * m + 1, 3)), shape=(m, m)
+    )
+
+
+def bump_basis(coord: np.ndarray, centers, width: float, jacobian=1.0,
+               period: float = None) -> list:
+    """Smooth compactly supported test bumps and their derivatives.
+
+    For each center c the bump is v = exp(-1/(1-x^2)) on |x| < 1, with
+    x = (coord - c)/width (the difference wrapped into one period when a
+    period is given), and zero elsewhere.  Returns one (v, dv) pair per
+    center, where dv = (dv/dcoord) / jacobian is the derivative in the
+    variable t with dt/dcoord = jacobian (jacobian = r for coord = ln r).
+    """
+    coord = np.asarray(coord, dtype=float)
+    jac = np.broadcast_to(np.asarray(jacobian, dtype=float), coord.shape)
+    basis = []
+    for c in centers:
+        delta = coord - c
+        if period is not None:
+            delta = (delta + period / 2.0) % period - period / 2.0
+        x = delta / width
+        inside = np.abs(x) < 1.0
+        v = np.zeros_like(coord)
+        dv = np.zeros_like(coord)
+        xs = x[inside]
+        v[inside] = np.exp(-1.0 / (1.0 - xs**2))
+        dv[inside] = v[inside] * (-2.0 * xs / (1.0 - xs**2) ** 2) / (jac[inside] * width)
+        basis.append((v, dv))
+    return basis
 
 
 def _measure_weights(grid: np.ndarray, n: int) -> np.ndarray:
@@ -215,15 +292,6 @@ def entropy_integral(u: RadialProfile, p: float) -> float:
     if not p >= 1:
         raise DomainError(f"entropy_integral requires p >= 1, got {p}")
     return float(np.sum(u.cell_measure() * plogp(u.values, p)))
-
-
-def weighted_moment(u: RadialProfile, p: float, k: float) -> float:
-    """int u^p |x|^k dx."""
-    if not p >= 1:
-        raise DomainError(f"weighted_moment requires p >= 1, got {p}")
-    if k < 0:
-        raise DomainError(f"weighted_moment requires k >= 0, got {k}")
-    return float(np.sum(u.cell_measure() * u.values**p * u.grid**k))
 
 
 @dataclass(frozen=True)

@@ -1,48 +1,25 @@
-"""Gamma-family special functions and semi-infinite quadrature.
+"""Gamma-family special functions.
 
 Everything downstream (best constants, extremal normalizations, moment
 oracles) reduces to log-gamma evaluations, so the accuracy contract here
 is deliberately strict: at least 13 significant digits on the positive
 real axis.  Values that would overflow in linear scale are assembled in
-log space and exponentiated once at the end.
+log space and exponentiated once at the end.  The closed forms are
+checked in the test suite against an independent adaptive quadrature
+oracle that the library itself does not need.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
-from scipy.integrate import quad
-
-from .errors import AccuracyNotMet, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "Accuracy",
     "log_gamma",
     "sphere_area",
     "stretched_exp_moment",
-    "semi_infinite_integral",
 ]
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Target accuracy for adaptive quadrature.
-
-    rel_tol / abs_tol mirror the usual epsrel/epsabs pair; max_subdivisions
-    caps the interval count of the adaptive subdivision.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("Accuracy tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be a positive integer")
 
 
 def log_gamma(x: float) -> float:
@@ -83,32 +60,3 @@ def stretched_exp_moment(m: float, s: float, c: float) -> float:
     k = (m + 1.0) / s
     return math.exp(log_gamma(k) - math.log(s) - k * math.log(c))
 
-
-def semi_infinite_integral(f: Callable[[float], float], accuracy: Accuracy = Accuracy()) -> float:
-    """Adaptive quadrature of f over (0, inf).
-
-    The half line is mapped to (0, 1) by r = t/(1-t) (Jacobian 1/(1-t)^2)
-    and the transformed integrand is fed to an adaptive Gauss-Kronrod
-    rule.  Raises AccuracyNotMet if the error estimate still exceeds the
-    Accuracy contract after max_subdivisions intervals.
-    """
-
-    def g(t: float) -> float:
-        om = 1.0 - t
-        r = t / om
-        return f(r) / (om * om)
-
-    val, err = quad(
-        g,
-        0.0,
-        1.0,
-        epsabs=accuracy.abs_tol,
-        epsrel=accuracy.rel_tol,
-        limit=accuracy.max_subdivisions,
-    )
-    if err > max(accuracy.abs_tol, accuracy.rel_tol * abs(val)) * 10.0:
-        raise AccuracyNotMet(
-            f"semi-infinite quadrature error estimate {err:.3e} exceeds target "
-            f"(value {val:.6e}, rel_tol {accuracy.rel_tol}, abs_tol {accuracy.abs_tol})"
-        )
-    return val

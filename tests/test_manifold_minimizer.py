@@ -24,10 +24,13 @@ TORUS3 = ManifoldModel.torus(3, side=2.0)
 
 def test_constant_profile_exactness():
     for model in (SPHERE3, TORUS3):
-        for p in (1.5, 2.0):
+        for p in (1.1, 1.5, 2.0):
             u = constant_profile(model, p, n_nodes=250)
             assert u.lp_norm(p) == pytest.approx(1.0, abs=1e-14)
             assert float(np.sum(u.weights)) == pytest.approx(model.volume, rel=1e-13)
+            # no rounding dust for |u'|^{p-1} to amplify: constants are critical
+            assert not np.any(u.coordinate_derivative())
+            assert euler_lagrange_residual(u, p, 1.0, 1.0) < 1e-12
 
 
 def test_profile_validation():

@@ -8,6 +8,8 @@ import pytest
 from lpentropy.errors import DomainError, OracleDisagreement
 from lpentropy.profiles import (
     RadialProfile,
+    bump_basis,
+    derivative_matrix,
     entropy_integral,
     extremal_integrals,
     extremal_profile,
@@ -65,6 +67,49 @@ def test_radial_derivative_second_order():
         errs.append(err)
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8  # second-order scheme halves the step, quarters the error
+
+
+def test_derivative_matrix_matches_vector_form():
+    rng = np.random.default_rng(3)
+    grid = np.sort(rng.uniform(0.05, 8.0, 500))
+    mat = derivative_matrix(grid)
+    vals = np.cos(grid) + 0.3 * grid
+    assert np.array_equal(mat @ vals, radial_derivative(grid, vals))
+    # bit-for-bit equality also needs the stencil summed in the same order
+    for _ in range(20):
+        vals = rng.standard_normal(len(grid))
+        assert np.array_equal(mat @ vals, radial_derivative(grid, vals))
+
+
+def test_periodic_derivative_matrix():
+    side = 6.0
+    errs = []
+    for m in (200, 400):
+        x = np.linspace(0.0, side, m, endpoint=False)
+        f = 2.0 + np.sin(2.0 * math.pi * x / side)
+        d = derivative_matrix(x, period=side) @ f
+        rolled = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * (x[1] - x[0]))
+        assert np.max(np.abs(d - rolled)) <= 1e-12 * np.max(np.abs(rolled))
+        exact = (2.0 * math.pi / side) * np.cos(2.0 * math.pi * x / side)
+        errs.append(np.max(np.abs(d - exact)))
+    assert 3.2 < errs[0] / errs[1] < 4.8
+
+
+def test_bump_basis_derivatives_second_order():
+    """Closed-form bump derivatives against a central difference of v."""
+    side = 5.0
+    log_errs, periodic_errs = [], []
+    for m in (1000, 2000):
+        r = np.geomspace(1e-3, 50.0, m)
+        (v, dv), = bump_basis(np.log(r), [0.5], 1.5, jacobian=r)
+        log_errs.append(np.max(np.abs(radial_derivative(r, v) - dv)))
+        # centered near the seam, so the bump wraps around the period
+        x = np.linspace(0.0, side, m // 4, endpoint=False)
+        (v, dv), = bump_basis(x, [0.3], 1.5, period=side)
+        assert v[-1] > 0.1
+        periodic_errs.append(np.max(np.abs(derivative_matrix(x, period=side) @ v - dv)))
+    for errs in (log_errs, periodic_errs):
+        assert 3.2 < errs[0] / errs[1] < 4.8
 
 
 def test_extremal_profile_is_normalized():
