@@ -5,6 +5,10 @@ configuration and the result, so runs are reproducible and diffable.  Exit
 codes: 0 success, 1 domain error (bad parameters or profiles), 2 failed
 convergence or internal cross-check, 3 failed property expectation
 (e.g. --expect), 64 usage error.
+
+Each handler imports the library modules it runs, and nothing above the
+handlers imports numpy or scipy: parsing, --help, --version and the
+closed-form `constants` subcommand start without either.
 """
 
 from __future__ import annotations
@@ -14,37 +18,13 @@ import csv
 import json
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import (
-    InequalityParams,
-    derived_exponents,
-    dpd_parameters,
-    entropy_best_constant,
-    sobolev_bound_constant,
-)
 from .errors import ConvergenceError, DomainError
-from .euclidean_inequalities import entropy_deficit, limit_pde_residual
-from .gn_estimator import estimate_gn_constant, limit_scan
-from .hypercontractivity import (
-    bakry_integrals,
-    curvature_second_constant_bound,
-    torus_heat_norm,
-    ultracontractivity_check,
-)
-from .manifold_geometry import ManifoldModel, fit_expansion, lower_bound_witness
-from .manifold_minimizer import gn_functional, infimum_scan, minimize_gn_functional
-from .profiles import (
-    RadialProfile,
-    entropy_integral,
-    extremal_integrals,
-    extremal_profile,
-    extremal_spec,
-    grad_energy,
-    lp_norm,
-)
+
+if TYPE_CHECKING:
+    from .manifold_geometry import ManifoldModel
 
 _EXIT_DOMAIN = 1
 _EXIT_CONVERGENCE = 2
@@ -69,6 +49,8 @@ def _float_list(text: str) -> list:
 
 
 def _model_from(args) -> ManifoldModel:
+    from .manifold_geometry import ManifoldModel
+
     if args.model == "sphere":
         return ManifoldModel.sphere(args.n, args.scale)
     return ManifoldModel.torus(args.n, args.scale)
@@ -91,6 +73,8 @@ def _emit(command: str, args, result: dict) -> None:
 
 
 def _jsonable(obj):
+    import numpy as np
+
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -112,6 +96,14 @@ def _write_rows(path: str, rows) -> None:
 
 
 def _cmd_constants(args) -> int:
+    from .constants import (
+        InequalityParams,
+        derived_exponents,
+        dpd_parameters,
+        entropy_best_constant,
+        sobolev_bound_constant,
+    )
+
     result = {"entropy_constant": entropy_best_constant(args.n, args.p)}
     if args.p < args.n:
         result["sobolev_constant"] = sobolev_bound_constant(args.n, args.p)
@@ -132,6 +124,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .constants import entropy_best_constant
+    from .profiles import extremal_integrals, extremal_spec
+
     spec = extremal_spec(args.n, args.p, args.b)
     integrals = extremal_integrals(args.n, args.p, args.b, n_nodes=args.n_nodes)
     a0 = entropy_best_constant(args.n, args.p)
@@ -147,6 +142,9 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_deficit(args) -> int:
+    from .euclidean_inequalities import entropy_deficit, limit_pde_residual
+    from .profiles import RadialProfile, entropy_integral, extremal_profile, grad_energy, lp_norm
+
     if args.profile is not None:
         u = RadialProfile.from_csv(args.profile, dimension=args.n)
     else:
@@ -165,6 +163,9 @@ def _cmd_deficit(args) -> int:
 
 
 def _cmd_gn_estimate(args) -> int:
+    from .constants import InequalityParams
+    from .gn_estimator import estimate_gn_constant
+
     params = InequalityParams(n=args.n, p=args.p, q=args.q, r=args.r)
     est = estimate_gn_constant(params, n_nodes=args.n_nodes, ascent_iters=args.ascent_iters)
     _emit("gn-estimate", args, est.as_dict())
@@ -172,6 +173,8 @@ def _cmd_gn_estimate(args) -> int:
 
 
 def _cmd_gn_limit(args) -> int:
+    from .gn_estimator import limit_scan
+
     rows = limit_scan(args.n, args.p, args.q_list, n_nodes=args.n_nodes,
                       ascent_iters=args.ascent_iters)
     if args.out:
@@ -181,6 +184,8 @@ def _cmd_gn_limit(args) -> int:
 
 
 def _cmd_bubble(args) -> int:
+    from .manifold_geometry import fit_expansion
+
     model = _model_from(args)
     report = fit_expansion(model, args.p, args.b, delta=args.delta,
                            eps_grid=args.eps_grid, n_nodes=args.n_nodes)
@@ -191,6 +196,8 @@ def _cmd_bubble(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .manifold_geometry import lower_bound_witness
+
     model = _model_from(args)
     report = lower_bound_witness(model, args.p, args.a_const, args.b_const,
                                  eps_grid=args.eps_grid, b=args.b,
@@ -207,6 +214,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    import numpy as np
+
+    from .manifold_minimizer import gn_functional, minimize_gn_functional
+
     model = _model_from(args)
     res = minimize_gn_functional(model, args.p, args.q, args.C,
                                  n_nodes=args.n_nodes, max_iters=args.max_iters,
@@ -226,6 +237,8 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_nu_scan(args) -> int:
+    from .manifold_minimizer import infimum_scan
+
     model = _model_from(args)
     rows = infimum_scan(model, args.p, args.q_list, args.C,
                         n_nodes=args.n_nodes, max_iters=args.max_iters, seed=args.seed)
@@ -236,6 +249,8 @@ def _cmd_nu_scan(args) -> int:
 
 
 def _cmd_hc(args) -> int:
+    from .hypercontractivity import bakry_integrals, ultracontractivity_check
+
     if args.t_grid is not None:
         report = ultracontractivity_check(args.n, args.A, args.B, args.t_grid,
                                           slack=args.slack)
@@ -252,6 +267,9 @@ def _cmd_hc(args) -> int:
 
 
 def _cmd_heat_norm(args) -> int:
+    from .hypercontractivity import curvature_second_constant_bound, torus_heat_norm
+    from .manifold_geometry import ManifoldModel
+
     report = torus_heat_norm(args.n, args.scale, args.t)
     result = report.as_dict()
     result["curvature_bound_B"] = curvature_second_constant_bound(

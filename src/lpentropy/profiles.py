@@ -31,13 +31,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError, OracleDisagreement
 from .special_fn import sphere_area, stretched_exp_moment
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "RadialProfile",
@@ -129,6 +131,10 @@ def derivative_matrix(grid: np.ndarray, period: float = None) -> sparse.csr_matr
     adjoint.  With a period the grid samples one period [x_0, x_0 + period)
     and every node gets the centered stencil, wrapping across the seam.
     """
+    # imported here, the one user of scipy in this module, so that profiles
+    # and the CLI subcommands built on it alone load numpy without scipy
+    from scipy import sparse
+
     x = np.asarray(grid, dtype=float)
     m = len(x)
     if m < 3:
@@ -267,7 +273,8 @@ class RadialProfile:
                     raise DomainError(
                         f"bad profile row at line {lineno} of {path}: {row!r}"
                     ) from None
-        arr = np.array(rows, dtype=float)
+        # (0, 2) for a header-only file, which then fails the node count
+        arr = np.array(rows, dtype=float).reshape(-1, 2)
         return RadialProfile(arr[:, 0], arr[:, 1], dimension)
 
 

@@ -6,6 +6,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from lpentropy.constants import entropy_best_constant
 from lpentropy.profiles import extremal_profile
 
@@ -16,6 +18,28 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
     )
+
+
+def run_fresh(code):
+    """Run `code` in a fresh interpreter; return the JSON it prints last."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def main_in_fresh_process(*argv):
+    """cli.main(argv) in a fresh interpreter: (exit code, modules then loaded)."""
+    code, modules = run_fresh(f"""
+import contextlib, io, json, sys
+from lpentropy import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main({list(argv)!r})
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+""")
+    return code, set(modules)
 
 
 def test_constants_document():
@@ -97,6 +121,15 @@ def test_deficit_missing_profile_file(tmp_path):
                   "--profile", str(tmp_path / "nowhere.csv"))
     assert res.returncode == 1
     assert "input error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_deficit_header_only_profile(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("r,u\n")
+    res = run_cli("deficit", "--n", "3", "--p", "2", "--profile", str(path))
+    assert res.returncode == 1
+    assert "domain error" in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -194,3 +227,58 @@ def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
     assert res.stdout.strip()
+
+
+# Import budget: each subcommand loads only what it runs.  These guard the
+# cold start against a stray module-level import of numpy or scipy.
+
+
+def test_constants_imports_neither_numpy_nor_scipy():
+    code, modules = main_in_fresh_process("constants", "--n", "3", "--p", "2",
+                                          "--q", "1.5", "--r", "2", "--s", "2.1")
+    assert code == 0
+    assert "numpy" not in modules
+    assert "scipy" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("extremal", "--n", "3", "--p", "2", "--n-nodes", "300000"),
+    ("deficit", "--n", "3", "--p", "2", "--n-nodes", "20000", "--pde-residual"),
+])
+def test_radial_subcommands_import_no_scipy(argv):
+    code, modules = main_in_fresh_process(*argv)
+    assert code == 0
+    assert "numpy" in modules
+    assert "scipy" not in modules
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("--help",), 0),
+    (("--version",), 0),
+    (("constants", "--n", "3", "--p", "2", "--bogus", "1"), 64),
+])
+def test_parsing_imports_no_numpy(argv, exit_code):
+    code, modules = main_in_fresh_process(*argv)
+    assert code == exit_code
+    assert "numpy" not in modules
+
+
+def test_profiles_loads_scipy_sparse_on_first_use():
+    before, after, is_csr, adjoint_gap = run_fresh("""
+import json, sys
+import numpy as np
+from lpentropy.profiles import derivative_matrix
+before = "scipy" in sys.modules
+grid = np.sort(np.random.default_rng(5).uniform(0.05, 8.0, 200))
+mat = derivative_matrix(grid)
+from scipy import sparse
+v = np.random.default_rng(6).standard_normal(len(grid))
+dense = mat.toarray().T @ v
+gap = float(np.max(np.abs(mat.T @ v - dense)) / np.max(np.abs(dense)))
+print(json.dumps([before, "scipy.sparse" in sys.modules,
+                  isinstance(mat, sparse.csr_matrix), gap]))
+""")
+    assert not before
+    assert after
+    assert is_csr
+    assert adjoint_gap <= 1e-14
