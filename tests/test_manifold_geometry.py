@@ -1,21 +1,26 @@
 """Model manifolds, bubbles, curvature expansions, witness scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from lpentropy.constants import entropy_best_constant
 from lpentropy.errors import AccuracyNotMet, DomainError
 from lpentropy.manifold_geometry import (
     BubbleSpec,
     ManifoldModel,
+    _cutoff,
+    _cutoff_derivative,
     bubble_integrals,
     fit_expansion,
     geodesic_density,
     lower_bound_witness,
 )
-from lpentropy.profiles import extremal_spec
+from lpentropy.profiles import extremal_spec, plogp
+from lpentropy.special_fn import sphere_area
 
 
 def test_model_properties():
@@ -81,6 +86,55 @@ def test_bubble_grid_resolution_guard():
     spec = BubbleSpec(model=sph, base=base, delta=1.0, eps=0.05)
     with pytest.raises(AccuracyNotMet):
         bubble_integrals(spec, n_nodes=200)
+
+
+def _whole_array_bubble(spec, n_nodes):
+    """Reference: whole-array trapezoid in r plus the analytic head [0, r_0]."""
+    n, p, eps = spec.model.dimension, spec.base.p, spec.eps
+    r = np.geomspace(eps * 1e-7, spec.delta, n_nodes)
+    area = sphere_area(n) * r ** (n - 1) * geodesic_density(spec.model, r)
+    eta = _cutoff(r, spec.delta)
+    core = spec.base.value(r / eps)
+    u = eta * eps ** (-n / p) * core
+    du = (_cutoff_derivative(r, spec.delta) * core
+          + eta * spec.base.derivative(r / eps) / eps) * eps ** (-n / p)
+    head = area[0] * r[0] / n
+    return (
+        float(trapezoid(area * u**p, r)) + head * u[0] ** p,
+        float(trapezoid(area * plogp(u, p), r)) + head * plogp(u[:1], p)[0],
+        float(trapezoid(area * np.abs(du) ** p, r)) + head * abs(du[0]) ** p,
+    )
+
+
+def test_blocked_bubble_quadrature_matches_whole_array():
+    """Blocked sums against the whole-array rule around the 8 192-node block."""
+    cases = (
+        (ManifoldModel.sphere(3), 2.0, 1.0, 0.05),
+        (ManifoldModel.torus(3, side=2.0), 1.5, 0.9, 0.01),
+        (ManifoldModel.sphere(4, radius=2.0), 2.5, 1.5, 0.02),
+    )
+    for model, p, delta, eps in cases:
+        spec = BubbleSpec(model=model, base=extremal_spec(model.dimension, p, 1.0),
+                          delta=delta, eps=eps)
+        for n_nodes in (5000, 8192, 8193, 8194, 3 * 8192 + 17):
+            bi = bubble_integrals(spec, n_nodes=n_nodes, error_estimate=False)
+            expected = _whole_array_bubble(spec, n_nodes)
+            got = (bi.mass_p, bi.entropy, bi.grad_p)
+            for name, g, e in zip(("mass_p", "entropy", "grad_p"), got, expected):
+                assert g == pytest.approx(e, rel=1e-14), (model.kind, n_nodes, name)
+
+
+def test_bubble_integrals_memory_peak():
+    """A 200k-node bubble holds at most four grid-sized arrays at once."""
+    spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1.0),
+                      delta=1.0, eps=0.02)
+    tracemalloc.start()
+    try:
+        bubble_integrals(spec, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 200_000 * 8
 
 
 def test_sphere_expansion_coefficients():

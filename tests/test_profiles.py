@@ -1,6 +1,7 @@
 """Radial profiles: quadrature weights, derivatives, extremal integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,41 @@ def test_route_disagreement_is_detected():
     # a deliberately starved grid cannot hit an absurdly tight tolerance
     with pytest.raises(OracleDisagreement):
         extremal_integrals(3, 1.5, 1.0, n_nodes=5_000, check_tol=1e-12)
+
+
+def test_blocked_quadrature_matches_whole_array():
+    """The blocked quadrature route against the whole-array RadialProfile sums.
+
+    Node counts around the 8 192-node block: below one block, exactly one,
+    one and two past it (a one-node tail needs two nodes of left overlap for
+    the end stencil), and several blocks with a short tail.  Only the
+    summation order differs, so the sums agree to 1e-14 relative.
+    """
+    for n, p, b in ((3, 2.0, 1.0), (3, 1.5, 0.7), (4, 2.5, 1.3)):
+        for n_nodes in (3, 5000, 8192, 8193, 8194, 3 * 8192 + 17):
+            u = extremal_profile(n, p, b, n_nodes=n_nodes)
+            mw, r2 = u.cell_measure(), u.grid**2
+            expected = {
+                "entropy": entropy_integral(u, p),
+                "grad_energy": grad_energy(u, p),
+                "mass_moment2": float(np.sum(mw * u.values**p * r2)),
+                "grad_moment2": float(np.sum(mw * np.abs(u.derivative()) ** p * r2)),
+                "entropy_moment2": float(np.sum(mw * plogp(u.values, p) * r2)),
+            }
+            got = extremal_integrals(n, p, b, n_nodes=n_nodes, check_tol=math.inf)
+            for key, val in expected.items():
+                assert got.quadrature[key] == pytest.approx(val, rel=1e-14), (n_nodes, key)
+
+
+def test_extremal_integrals_memory_peak():
+    """The 800k-node quadrature holds at most four grid-sized arrays at once."""
+    tracemalloc.start()
+    try:
+        extremal_integrals(3, 2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 800_000 * 8
 
 
 def test_plogp_underflow_guard():
