@@ -216,7 +216,7 @@ def _cmd_witness(args) -> int:
 def _cmd_minimize(args) -> int:
     import numpy as np
 
-    from .manifold_minimizer import gn_functional, minimize_gn_functional
+    from .manifold_minimizer import constant_profile, gn_functional, minimize_gn_functional
 
     model = _model_from(args)
     res = minimize_gn_functional(model, args.p, args.q, args.C,
@@ -225,8 +225,8 @@ def _cmd_minimize(args) -> int:
     result = res.as_dict()
     intq = float(np.sum(res.profile.weights * res.profile.values**args.q))
     result["identity_gap"] = abs(res.qnorm_weight * intq - res.value)
-    result["constant_value"] = gn_functional(res.profile.with_values(
-        np.full_like(res.profile.values, model.volume ** (-1.0 / args.p))), args.p, args.q, args.C)
+    result["constant_value"] = gn_functional(constant_profile(model, args.p, args.n_nodes),
+                                             args.p, args.q, args.C)
     if args.out:
         _write_rows(args.out, [
             {"coordinate": float(x), "u": float(v)}

@@ -1,8 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types and the result-record base shared across the package.
 
-The CLI maps these onto process exit codes, so library code should raise
-the most specific type that applies rather than bare ValueError.
+The CLI maps the exceptions onto process exit codes, so library code
+should raise the most specific type that applies rather than bare
+ValueError.
 """
+
+
+class Record:
+    """Base of the frozen result dataclasses whose JSON form is their fields."""
+
+    def as_dict(self) -> dict:
+        # imported here so that --help and --version load no more modules
+        import dataclasses
+
+        return dataclasses.asdict(self)
 
 
 class DomainError(ValueError):

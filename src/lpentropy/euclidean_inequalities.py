@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import entropy_best_constant
-from .errors import DomainError
+from .errors import DomainError, Record
 from .profiles import RadialProfile, bump_basis, entropy_integral, grad_energy, lp_norm, plogp
 
 __all__ = [
@@ -138,7 +138,7 @@ def log_norm_derivative(u: RadialProfile, p: float, dq: float) -> LogNormDerivat
 
 
 @dataclass(frozen=True)
-class PdeResidualReport:
+class PdeResidualReport(Record):
     """Weak residual of the limiting PDE over a fixed bump test basis."""
 
     residual: float
@@ -146,15 +146,6 @@ class PdeResidualReport:
     c_fitted: bool
     per_test: tuple
     scale: float
-
-    def as_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "c_value": self.c_value,
-            "c_fitted": self.c_fitted,
-            "per_test": list(self.per_test),
-            "scale": self.scale,
-        }
 
 
 def limit_pde_residual(u: RadialProfile, p: float, C="fit", n_tests: int = 12) -> PdeResidualReport:

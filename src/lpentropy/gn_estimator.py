@@ -14,8 +14,10 @@ maximizes the quotient
 over two closed-form trial families (stretched exponentials and rational
 bumps, both reduced to gamma/beta moments) and then runs a projected
 gradient ascent on a discretized radial profile seeded by the best family
-member.  Every reported value is a certified lower bound up to quadrature
-error; none can exceed the sharp constant by more than that error.
+member, by the package's one Armijo driver (profiles._projected_descent)
+applied to -ln Q.  Every reported value is a certified lower bound up to
+quadrature error; none can exceed the sharp constant by more than that
+error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy import optimize
 
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
 from .errors import DomainError
-from .profiles import RadialProfile, derivative_matrix, lp_norm
+from .profiles import RadialProfile, _projected_descent, derivative_matrix, lp_norm
 from .special_fn import log_gamma, sphere_area, stretched_exp_moment
 
 __all__ = [
@@ -236,13 +238,14 @@ def _seed_profile(params: InequalityParams, family: str, info: dict, n_nodes: in
 
 
 def _ascent(u0: RadialProfile, params: InequalityParams, theta: float, max_iters: int):
+    # ascent on ln Q run as descent on -ln Q; negation is exact, so the
+    # iterates are those of an ascent written out directly
     p, q, r = params.p, params.q, params.r
     mw = u0.cell_measure()
     mat = derivative_matrix(u0.grid)
     mat_t = mat.T
-    floor = np.maximum(mw, 1e-3 * float(mw.mean()))
 
-    def ln_q(vals: np.ndarray):
+    def neg_ln_q(vals: np.ndarray):
         du = mat @ vals
         grad_p = float(np.sum(mw * np.abs(du) ** p))
         mr = float(np.sum(mw * vals**r))
@@ -254,41 +257,21 @@ def _ascent(u0: RadialProfile, params: InequalityParams, theta: float, max_iters
             - math.log(grad_p)
             - (p * (1.0 - theta) / theta) * math.log(mq) / q
         )
-        return val, (du, grad_p, mr, mq)
+        return -val, (du, grad_p, mr, mq)
 
-    u = u0.values.copy()
-    u /= lp_norm(u0, q)
-    cur, cache = ln_q(u)
-    if cur is None:
-        raise DomainError("ascent seed profile is degenerate")
-    step = 1.0
-    iters_done = 0
-    for _ in range(max_iters):
+    def neg_gradient(vals: np.ndarray, cache) -> np.ndarray:
         du, grad_p, mr, mq = cache
         flux = mw * np.sign(du) * np.abs(du) ** (p - 1.0)
-        g = (
-            (p / theta) * (mw * u ** (r - 1.0)) / mr
+        return -(
+            (p / theta) * (mw * vals ** (r - 1.0)) / mr
             - p * (mat_t @ flux) / grad_p
-            - (p * (1.0 - theta) / theta) * (mw * u ** (q - 1.0)) / mq
+            - (p * (1.0 - theta) / theta) * (mw * vals ** (q - 1.0)) / mq
         )
-        d = g / floor
-        slope = float(np.dot(g, d))
-        if slope <= 0:
-            break
-        moved = False
-        for _ in range(30):
-            cand = np.maximum(u + step * d, 0.0)
-            val, new_cache = ln_q(cand)
-            if val is not None and val >= cur + 1e-4 * step * slope:
-                u, cur, cache = cand, val, new_cache
-                step *= 1.8
-                moved = True
-                break
-            step *= 0.5
-        iters_done += 1
-        if not moved or step < 1e-18:
-            break
-    return math.exp(cur), u0.with_values(u), iters_done
+
+    _, neg_val, iters = _projected_descent(
+        neg_ln_q, neg_gradient, u0.values / lp_norm(u0, q), mw, max_iters, armijo=1e-4
+    )
+    return math.exp(-neg_val), iters
 
 
 @dataclass(frozen=True)
@@ -344,7 +327,7 @@ def estimate_gn_constant(
     else:
         seed_name, seed_info = "rational", info_rat
 
-    ascent_val, _, iters = _ascent(
+    ascent_val, iters = _ascent(
         _seed_profile(params, seed_name, seed_info, n_nodes), params, theta, ascent_iters
     )
     family_values["ascent"] = ascent_val

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import AccuracyNotMet, DomainError, OracleDisagreement
+from .errors import AccuracyNotMet, DomainError, OracleDisagreement, Record
 from .manifold_geometry import ManifoldModel
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HCReport:
+class HCReport(Record):
     """One evaluation of the hypercontractivity integrals."""
 
     p_from: float
@@ -56,20 +56,6 @@ class HCReport:
     in_range: bool
     passed: bool
     quad_error: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "p_from": self.p_from,
-            "q_to": self.q_to,
-            "lam": self.lam,
-            "t": self.t,
-            "t_closed": self.t_closed,
-            "m": self.m,
-            "bound_rhs": self.bound_rhs,
-            "in_range": self.in_range,
-            "passed": self.passed,
-            "quad_error": dict(self.quad_error),
-        }
 
 
 def _variance_floor(p_from: float, q_to: float) -> float:
@@ -162,19 +148,12 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
 
 
 @dataclass(frozen=True)
-class UltraReport:
+class UltraReport(Record):
     """Heat-bound comparison across a grid of contraction times."""
 
     rows: tuple
     all_pass_in_range: bool
     slack: float
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "all_pass_in_range": self.all_pass_in_range,
-            "slack": self.slack,
-        }
 
 
 def ultracontractivity_check(n: int, a_const: float, b_const: float, t_grid,
@@ -210,7 +189,7 @@ def ultracontractivity_check(n: int, a_const: float, b_const: float, t_grid,
 
 
 @dataclass(frozen=True)
-class HeatNormReport:
+class HeatNormReport(Record):
     """On-diagonal heat kernel of a flat cubic torus at time t."""
 
     value: float
@@ -219,38 +198,44 @@ class HeatNormReport:
     terms: int
     long_time_limit: float
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "gaussian_factor": self.gaussian_factor,
-            "lattice_factor": self.lattice_factor,
-            "terms": self.terms,
-            "long_time_limit": self.long_time_limit,
-        }
-
 
 def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     """k_t(x, x) on the torus of side L: (4 pi t)^{-n/2} ( sum_j e^{-(jL)^2/4t} )^n.
 
     The lattice sum is truncated once a term drops below 1e-18; for small
     t the value approaches the Euclidean kernel, for large t it tends to
-    1/volume.
+    1/volume.  By Poisson summation the lattice sum equals
+    (sqrt(4 pi t)/L) sum_k e^{-4 pi^2 k^2 t/L^2}; once every k != 0 term of
+    that dual sum is below the same cutoff, the value is 1/volume to double
+    precision and is returned as such, with terms = 0 and the lattice
+    factor k_t / gaussian (infinite where that ratio overflows).
     """
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")
     if side <= 0 or t <= 0:
         raise DomainError("need side > 0 and t > 0")
+    if not (math.isfinite(side) and math.isfinite(t)):
+        raise DomainError(f"need finite side and t, got side={side}, t={t}")
+    gauss = (4.0 * math.pi * t) ** (-0.5 * n)
+    limit = side ** (-float(n))
     # terms below 1e-18 cannot move the sum at double precision
+    if 4.0 * math.pi**2 * t / (side * side) > math.log(1e18):
+        return HeatNormReport(
+            value=limit,
+            gaussian_factor=gauss,
+            lattice_factor=limit / gauss if gauss > 0 else math.inf,
+            terms=0,
+            long_time_limit=limit,
+        )
     j_max = int(math.ceil(math.sqrt(4.0 * t * math.log(1e18)) / side))
     j = np.arange(1, j_max + 1)
     s = 1.0 + 2.0 * float(np.sum(np.exp(-((j * side) ** 2) / (4.0 * t))))
-    gauss = (4.0 * math.pi * t) ** (-0.5 * n)
     return HeatNormReport(
         value=gauss * s**n,
         gaussian_factor=gauss,
         lattice_factor=s**n,
         terms=j_max,
-        long_time_limit=side ** (-float(n)),
+        long_time_limit=limit,
     )
 
 

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from .constants import entropy_best_constant
-from .errors import AccuracyNotMet, DomainError
+from .errors import AccuracyNotMet, DomainError, Record
 from .profiles import ExtremalSpec, _blocked_sums, extremal_integrals, extremal_spec, plogp
 from .special_fn import sphere_area
 
@@ -161,7 +161,7 @@ def _cutoff_derivative(r: np.ndarray, delta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BubbleIntegrals:
+class BubbleIntegrals(Record):
     """Mass, entropy, and gradient integrals of one bubble, with error estimates."""
 
     mass_p: float
@@ -169,15 +169,6 @@ class BubbleIntegrals:
     grad_p: float
     eps: float
     errors: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "mass_p": self.mass_p,
-            "entropy": self.entropy,
-            "grad_p": self.grad_p,
-            "eps": self.eps,
-            "errors": dict(self.errors),
-        }
 
 
 def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
@@ -255,7 +246,7 @@ def _wls(x: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> tuple:
 
 
 @dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(Record):
     """Fitted curvature coefficients of the bubble expansions vs closed forms."""
 
     fits: dict
@@ -263,15 +254,6 @@ class ExpansionReport:
     eps_window: tuple
     reference: dict
     warnings: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "fits": {k: dict(v) for k, v in self.fits.items()},
-            "rows": [dict(r) for r in self.rows],
-            "eps_window": list(self.eps_window),
-            "reference": dict(self.reference),
-            "warnings": list(self.warnings),
-        }
 
 
 def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
@@ -373,7 +355,7 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
 
 
 @dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Bubble scan showing whether a candidate entropy inequality fails."""
 
     violated: bool
@@ -381,15 +363,6 @@ class WitnessReport:
     margin: float
     asymptote: float
     rows: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "violated": self.violated,
-            "eps_star": self.eps_star,
-            "margin": self.margin,
-            "asymptote": self.asymptote,
-            "rows": [dict(r) for r in self.rows],
-        }
 
 
 def lower_bound_witness(model: ManifoldModel, p: float, a_const: float, b_const: float,

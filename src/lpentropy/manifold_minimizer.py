@@ -22,7 +22,9 @@ Profiles are restricted to the symmetric class depending on one
 coordinate: the polar angle on the sphere, one periodic coordinate on
 the torus.  The optimizer is a projected gradient descent on the
 scale-invariant extension of ln J_q, preconditioned by the volume
-weights, with the exact constant profile always kept as a candidate.
+weights, with the exact constant profile always kept as a candidate.  It
+runs the package's one Armijo driver, profiles._projected_descent, which
+the Gagliardo-Nirenberg ascent of gn_estimator shares.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .constants import InequalityParams, derived_exponents, entropy_best_constan
 from .errors import DomainError
 from .gn_estimator import estimate_gn_constant
 from .manifold_geometry import ManifoldModel
-from .profiles import bump_basis, derivative_matrix
+from .profiles import _projected_descent, bump_basis, derivative_matrix
 from .special_fn import sphere_area
 
 __all__ = [
@@ -235,9 +237,11 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
 
     Projected gradient descent on ln J_q extended scale-invariantly (the
     Euler identity makes the extended gradient tangent to the constraint),
-    preconditioned by the volume weights, with Armijo backtracking.  The
-    exact constant profile solves the discrete optimality system and is
-    always kept as a candidate, so the returned value never exceeds it.
+    preconditioned by the volume weights, with Armijo backtracking
+    (profiles._projected_descent), each accepted point rescaled back to
+    unit Lp norm.  The exact constant profile solves the discrete
+    optimality system and is always kept as a candidate, so the returned
+    value never exceeds it.
     """
     n = model.dimension
     theta, kappa = _exponents(n, p, q)
@@ -265,11 +269,11 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         bump += rng.normal(0, 1.0 / k) * np.cos(math.pi * k * x + rng.uniform(0, 2 * math.pi))
     u = np.maximum(base.values * (1.0 + 0.25 * bump / max(np.max(np.abs(bump)), 1e-12)), 0.0)
 
-    floor = np.maximum(w, 1e-3 * float(np.mean(w)))
     adjoint = base.derivative_operator.T
+    metric = 1.0 / model.scale if model.kind == "sphere" else 1.0
 
     def objective(vals: np.ndarray):
-        grad_p, mass_p, mass_q, energy = _raw_terms(base, p, q, C, vals)
+        _, mass_p, mass_q, energy = _raw_terms(base, p, q, C, vals)
         if mass_p <= 0 or mass_q <= 0 or energy <= 0:
             return None, None
         val = (
@@ -277,58 +281,34 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
             + kappa * math.log(mass_q)
             - (1.0 + q * kappa / p) * math.log(mass_p)
         )
-        return val, (grad_p, mass_p, mass_q, energy)
+        return val, (mass_p, mass_q, energy)
+
+    def gradient(vals: np.ndarray, cache) -> np.ndarray:
+        mass_p, mass_q, energy = cache
+        du = base.coordinate_derivative(vals)
+        flux = w * np.sign(du) * np.abs(du * metric) ** (p - 1.0) * metric
+        return (
+            (p * (adjoint @ flux) + C * p * w * vals ** (p - 1.0)) / energy
+            + kappa * q * (w * vals ** (q - 1.0)) / mass_q
+            - (1.0 + q * kappa / p) * p * (w * vals ** (p - 1.0)) / mass_p
+        )
 
     def norm_p(vals: np.ndarray) -> np.ndarray:
         return vals / float(np.sum(w * vals**p)) ** (1.0 / p)
 
-    u = norm_p(u)
-    cur, cache = objective(u)
-    if cur is None:
-        raise DomainError("seed profile is degenerate")
-    step = 1.0
-    iters = 0
-    for _ in range(max_iters):
-        grad_p_val, mass_p, mass_q, energy = cache
-        du = base.coordinate_derivative(u)
-        metric = 1.0 / model.scale if model.kind == "sphere" else 1.0
-        flux = w * np.sign(du) * np.abs(du * metric) ** (p - 1.0) * metric
-        g = (
-            (p * (adjoint @ flux) + C * p * w * u ** (p - 1.0)) / energy
-            + kappa * q * (w * u ** (q - 1.0)) / mass_q
-            - (1.0 + q * kappa / p) * p * (w * u ** (p - 1.0)) / mass_p
-        )
-        d = -g / floor
-        slope = float(np.dot(g, d))
-        gnorm = float(np.max(np.abs(g / floor)))
-        if gnorm < gtol or slope >= 0:
-            break
-        moved = False
-        for _ in range(30):
-            cand = np.maximum(u + step * d, 0.0)
-            val, new_cache = objective(cand)
-            if val is not None and val <= cur + 0.25 * step * slope:
-                u = norm_p(cand)
-                cur, cache = objective(u)
-                step *= 1.8
-                moved = True
-                break
-            step *= 0.5
-        iters += 1
-        if not moved or step < 1e-18:
-            break
+    u, _, iters = _projected_descent(objective, gradient, norm_p(u), w, max_iters,
+                                     armijo=0.25, gtol=gtol, retract=norm_p)
 
     descent = base.with_values(u)
     v_descent = gn_functional(descent, p, q, C)
-    const = constant_profile(model, p, n_nodes)
-    v_const = gn_functional(const, p, q, C)
+    v_const = gn_functional(base, p, q, C)
     # the constant solves the discrete optimality system exactly, so when
     # the descent value only ties it (discretization-level difference),
     # the constant is the better-certified minimizer
     if v_descent < v_const - 1e-8 * max(1.0, abs(v_const)):
         best, used_const = descent, False
     else:
-        best, used_const = const, True
+        best, used_const = base, True
 
     a_q, b_q, nu, _ = _weights_for(best, p, q, C, kappa)
     resid = euler_lagrange_residual(best, p, q, C, nu=nu, energy_weight=a_q, qnorm_weight=b_q)
@@ -355,6 +335,9 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     is the self-consistent choice for a claimed minimizer.
     """
     theta, kappa = _exponents(u.model.dimension, p, q)
+    if not (n_tests >= 1 and float(n_tests).is_integer()):
+        raise DomainError(f"need at least 1 test function, got {n_tests}")
+    n_tests = int(n_tests)
     if nu is None or energy_weight is None or qnorm_weight is None:
         energy_weight, qnorm_weight, nu, _ = _weights_for(u, p, q, C, kappa)
     w = u.weights

@@ -20,10 +20,11 @@ written once (_centered_coefficients, _one_sided_coefficients) and used
 twice: radial_derivative applies them by array slices, derivative_matrix
 assembles them into a sparse matrix D whose transpose D.T is the exact
 discrete adjoint that the gradient ascent and the manifold minimizer
-need.  bump_basis supplies the smooth compactly supported test functions
-of the weak-form residuals.  The analytic derivative of the extremal
-family is reserved for the closed-form oracle route in
-extremal_integrals.
+need.  Both of those optimizers run the one Armijo projected-gradient
+driver, _projected_descent.  bump_basis supplies the smooth compactly
+supported test functions of the weak-form residuals.  The analytic
+derivative of the extremal family is reserved for the closed-form oracle
+route in extremal_integrals.
 
 Large-grid integrals (the quadrature route of extremal_integrals and the
 bubble integrals of manifold_geometry) are summed block by block by
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import DomainError, OracleDisagreement
+from .errors import DomainError, OracleDisagreement, Record
 from .special_fn import sphere_area, stretched_exp_moment
 
 if TYPE_CHECKING:
@@ -216,6 +217,54 @@ def _blocked_sums(m: int, terms) -> tuple:
         hi = min(stop + 1, m)
         partials.append([float(np.sum(t[start - lo:stop - lo])) for t in terms(lo, hi)])
     return tuple(math.fsum(column) for column in zip(*partials))
+
+
+def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: float,
+                       gtol: float = 0.0, retract=None) -> tuple:
+    """Armijo projected-gradient descent over u >= 0; returns (u, value, iterations).
+
+    objective(u) returns (value, cache), or (None, None) where the value is
+    undefined; gradient(u, cache) is the gradient of the value at u.  The
+    direction is -gradient / max(w, 1e-3 mean w), so nodes of negligible
+    weight cannot take huge steps.  Each trial point is projected onto
+    u >= 0; an accepted trial grows the next step by 1.8, a rejected one
+    halves it, for at most 30 trials.  retract, if given, maps an accepted
+    point back onto the constraint set and the value is taken there.  The
+    descent stops when the preconditioned gradient's sup-norm falls below
+    gtol, when the direction no longer descends, when a line search fails,
+    when the step falls below 1e-18, or after max_iters iterations; the
+    count includes a final failed line search.
+    """
+    floor = np.maximum(weights, 1e-3 * float(np.mean(weights)))
+    cur, cache = objective(u)
+    if cur is None:
+        raise DomainError("seed profile is degenerate")
+    step = 1.0
+    iters = 0
+    for _ in range(max_iters):
+        g = gradient(u, cache)
+        d = -g / floor
+        slope = float(np.dot(g, d))
+        if slope >= 0 or (gtol > 0 and float(np.max(np.abs(d))) < gtol):
+            break
+        moved = False
+        for _ in range(30):
+            cand = np.maximum(u + step * d, 0.0)
+            val, new_cache = objective(cand)
+            if val is not None and val <= cur + armijo * step * slope:
+                if retract is None:
+                    u, cur, cache = cand, val, new_cache
+                else:
+                    u = retract(cand)
+                    cur, cache = objective(u)
+                step *= 1.8
+                moved = True
+                break
+            step *= 0.5
+        iters += 1
+        if not moved or step < 1e-18:
+            break
+    return u, cur, iters
 
 
 def _measure_weights(grid: np.ndarray, n: int) -> np.ndarray:
@@ -410,7 +459,7 @@ def _extremal_grid(spec: ExtremalSpec, n_nodes: int, r_min: float) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class ExtremalIntegrals:
+class ExtremalIntegrals(Record):
     """The five saturation integrals of a normalized extremal profile.
 
     entropy          int u0^p ln(u0^p) dx
@@ -431,17 +480,6 @@ class ExtremalIntegrals:
     entropy_moment2: float
     quadrature: dict
     max_rel_difference: float
-
-    def as_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "grad_energy": self.grad_energy,
-            "mass_moment2": self.mass_moment2,
-            "grad_moment2": self.grad_moment2,
-            "entropy_moment2": self.entropy_moment2,
-            "quadrature": dict(self.quadrature),
-            "max_rel_difference": self.max_rel_difference,
-        }
 
 
 def extremal_integrals(

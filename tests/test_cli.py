@@ -223,6 +223,18 @@ def test_heat_norm_document():
     assert doc["result"]["curvature_bound_B"] == 0.0
 
 
+def test_heat_norm_outside_input_exit_codes():
+    for scale, t in (("1", "nan"), ("1", "inf"), ("nan", "0.01")):
+        res = run_cli("heat-norm", "--n", "2", "--scale", scale, "--t", t)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("domain error: ")
+    res = run_cli("heat-norm", "--n", "3", "--scale", "1", "--t", "1e300")
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout)["result"]
+    assert result["terms"] == 0
+    assert result["value"] == pytest.approx(result["long_time_limit"], rel=1e-12)
+
+
 def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0

@@ -165,6 +165,25 @@ def test_heat_norm_validation():
         torus_heat_norm(2, -1.0, 0.1)
     with pytest.raises(DomainError):
         torus_heat_norm(2, 1.0, 0.0)
+    for side, t in ((1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1)):
+        with pytest.raises(DomainError):
+            torus_heat_norm(2, side, t)
+
+
+def test_heat_norm_huge_time_skips_the_image_sum():
+    # past 4 pi^2 t / L^2 = ln 1e18 the Poisson-dual sum is 1 to double
+    # precision, so no images are summed and the value is 1/volume
+    for n in (1, 2, 3):
+        for t in (1e13, 1e300):
+            rep = torus_heat_norm(n, 2.0, t)
+            assert rep.terms == 0
+            assert rep.value == pytest.approx(rep.long_time_limit, rel=1e-12)
+    # just below the switch the image sum still runs, and agrees with it
+    t_switch = math.log(1e18) * 4.0 / (4.0 * math.pi**2)
+    below, above = torus_heat_norm(2, 2.0, 0.999 * t_switch), torus_heat_norm(2, 2.0, t_switch * 1.001)
+    assert below.terms > 0 and above.terms == 0
+    assert below.value == pytest.approx(0.25, rel=1e-14)
+    assert above.lattice_factor == pytest.approx(above.value / above.gaussian_factor, rel=1e-15)
 
 
 def test_curvature_bound():

@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpentropy.errors import DomainError, OracleDisagreement
 from lpentropy.profiles import (
     RadialProfile,
+    _projected_descent,
     bump_basis,
     derivative_matrix,
     entropy_integral,
@@ -291,3 +294,90 @@ def test_entropy_dilation_covariance():
         ul = RadialProfile(u.grid / lam, lam ** (3 / 2.0) * u.values, 3)
         gap = entropy_integral(ul, 2.0) - base - 3 * math.log(lam)
         assert abs(gap) <= 1e-8
+
+
+def _quadratic(a, c):
+    """f(u) = sum a (u - c)^2 / 2, its gradient, and a log of every iterate.
+
+    The driver calls the gradient once per iteration, at the accepted
+    iterate, so the log holds the iterates and their values in order.
+    """
+    log = []
+
+    def objective(u):
+        val = 0.5 * float(np.sum(a * (u - c) ** 2))
+        return val, val
+
+    def gradient(u, val):
+        log.append((u.copy(), val))
+        return a * (u - c)
+
+    return objective, gradient, log
+
+
+def _preconditioned_gradient_norm(a, c, w, u):
+    floor = np.maximum(w, 1e-3 * float(np.mean(w)))
+    return float(np.max(np.abs(a * (u - c) / floor)))
+
+
+def test_projected_descent_diagonal_quadratic():
+    # the projected minimizer c has three coordinates on the bound u = 0
+    a = np.array([1.0, 3.0, 0.5, 2.0, 4.0, 1.5])
+    c = np.array([1.0, 0.0, 0.3, 0.0, 0.0, 0.8])
+    w = np.array([1.0, 0.5, 2.0, 1.0, 0.7, 1.2])
+    u0 = np.full(6, 2.0)
+    objective, gradient, log = _quadratic(a, c)
+    u, val, iters = _projected_descent(objective, gradient, u0, w, 10_000, armijo=0.25,
+                                       gtol=1e-9)
+    values = [v for _, v in log]
+    assert all(np.all(x >= 0.0) for x, _ in log)
+    assert any(np.any(x == 0.0) for x, _ in log)  # the projection was active
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    # stopped on gtol: at the first iterate whose gradient is below it
+    norms = [_preconditioned_gradient_norm(a, c, w, x) for x, _ in log]
+    assert norms[-1] < 1e-9 <= min(norms[:-1])
+    assert np.array_equal(log[-1][0], u)
+    assert iters < 10_000
+    assert len(log) == iters + 1  # one gradient per iteration plus the stopping one
+    assert val == objective(u)[0]
+    assert np.max(np.abs(u - c)) < 1e-8
+
+    # max_iters caps the count
+    objective, gradient, log = _quadratic(a, c)
+    _, _, iters = _projected_descent(objective, gradient, u0, w, 3, armijo=0.25, gtol=1e-9)
+    assert iters == 3
+    assert len(log) == 3
+
+
+def test_projected_descent_degenerate_seed():
+    with pytest.raises(DomainError, match="seed profile is degenerate"):
+        _projected_descent(lambda u: (None, None), None, np.ones(4), np.ones(4), 10, 1e-4)
+
+
+@st.composite
+def _diagonal_quadratics(draw):
+    m = draw(st.integers(2, 10))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=m, max_size=m)))
+
+    return vec(1.0, 4.0), vec(-2.0, 2.0), vec(0.5, 2.0), vec(0.0, 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_diagonal_quadratics())
+def test_projected_descent_property(quadratic):
+    a, c, w, u0 = quadratic
+    for target in (c, np.maximum(c, 0.0)):
+        objective, gradient, log = _quadratic(a, target)
+        u, val, iters = _projected_descent(objective, gradient, u0, w, 5000, armijo=1e-4,
+                                           gtol=1e-9)
+        values = [v for _, v in log]
+        assert all(np.all(x >= 0.0) for x, _ in log)
+        assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+        assert val <= objective(u0)[0]
+        assert iters <= 5000
+    # with every target coordinate >= 0 the gradient vanishes at the
+    # projected minimizer, so the descent reaches it and stops on gtol
+    assert _preconditioned_gradient_norm(a, target, w, u) < 1e-9
+    assert np.max(np.abs(u - target)) < 1e-8
