@@ -69,7 +69,24 @@ def _emit(command: str, args, result: dict) -> None:
         "config": config,
         "result": result,
     }
-    print(json.dumps(doc, indent=2, sort_keys=True, default=_jsonable))
+    print(json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False,
+                     default=_jsonable))
+
+
+def _finite(obj):
+    """obj with every infinite or NaN float replaced by None (JSON null).
+
+    Strict JSON has no Infinity or NaN; an unbounded parameter (hc's
+    default --q-to) or an undefined entry (witness eps_star without a
+    violation) is written as null instead.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _jsonable(obj):

@@ -268,7 +268,7 @@ def _ascent(u0: RadialProfile, params: InequalityParams, theta: float, max_iters
             - (p * (1.0 - theta) / theta) * (mw * vals ** (q - 1.0)) / mq
         )
 
-    _, neg_val, iters = _projected_descent(
+    _, neg_val, iters, _ = _projected_descent(
         neg_ln_q, neg_gradient, u0.values / lp_norm(u0, q), mw, max_iters, armijo=1e-4
     )
     return math.exp(-neg_val), iters

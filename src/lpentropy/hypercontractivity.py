@@ -194,7 +194,7 @@ class HeatNormReport(Record):
 
     value: float
     gaussian_factor: float
-    lattice_factor: float
+    lattice_factor: float | None
     terms: int
     long_time_limit: float
 
@@ -208,7 +208,8 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     (sqrt(4 pi t)/L) sum_k e^{-4 pi^2 k^2 t/L^2}; once every k != 0 term of
     that dual sum is below the same cutoff, the value is 1/volume to double
     precision and is returned as such, with terms = 0 and the lattice
-    factor k_t / gaussian (infinite where that ratio overflows).
+    factor k_t / gaussian, or None once the Gaussian factor underflows and
+    that ratio leaves the float range.
     """
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")
@@ -220,10 +221,11 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     limit = side ** (-float(n))
     # terms below 1e-18 cannot move the sum at double precision
     if 4.0 * math.pi**2 * t / (side * side) > math.log(1e18):
+        ratio = limit / gauss if gauss > 0 else math.inf
         return HeatNormReport(
             value=limit,
             gaussian_factor=gauss,
-            lattice_factor=limit / gauss if gauss > 0 else math.inf,
+            lattice_factor=ratio if math.isfinite(ratio) else None,
             terms=0,
             long_time_limit=limit,
         )

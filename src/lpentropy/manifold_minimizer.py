@@ -24,7 +24,12 @@ the torus.  The optimizer is a projected gradient descent on the
 scale-invariant extension of ln J_q, preconditioned by the volume
 weights, with the exact constant profile always kept as a candidate.  It
 runs the package's one Armijo driver, profiles._projected_descent, which
-the Gagliardo-Nirenberg ascent of gn_estimator shares.
+the Gagliardo-Nirenberg ascent of gn_estimator shares.  A retraction
+rescales each accepted trial to unit Lp norm.  Because ln J_q is
+0-homogeneous, the rescaled point has the trial's value, and its sums and
+derivative are the trial's times powers of the scale, so the retraction
+hands the descent a cache valid at the rescaled point: the objective is
+evaluated once per line-search trial and never after a rescaling.
 """
 
 from __future__ import annotations
@@ -100,12 +105,6 @@ class SymmetricManifoldProfile:
         # of a constant profile exactly zero
         return self.derivative_operator @ (v - v[0])
 
-    def gradient_magnitude(self, values=None) -> np.ndarray:
-        d = self.coordinate_derivative(values)
-        if self.model.kind == "sphere":
-            return np.abs(d) / self.model.scale
-        return np.abs(d)
-
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":
         return SymmetricManifoldProfile(
             model=self.model, grid=self.grid, values=values, weights=self.weights
@@ -162,12 +161,18 @@ def _exponents(n: int, p: float, q: float) -> tuple:
 
 def _raw_terms(u: SymmetricManifoldProfile, p: float, q: float, C: float,
                values=None) -> tuple:
+    """(int |grad u|^p, int u^p, int u^q, energy, du) at u, or at values on u's grid.
+
+    du is the coordinate derivative, returned for gradients to reuse.
+    """
     vals = u.values if values is None else values
     w = u.weights
-    grad_p = float(np.sum(w * u.gradient_magnitude(values) ** p))
-    mass_p = float(np.sum(w * vals**p))
-    mass_q = float(np.sum(w * vals**q))
-    return grad_p, mass_p, mass_q, grad_p + C * mass_p
+    du = u.coordinate_derivative(values)
+    grad = np.abs(du) / u.model.scale if u.model.kind == "sphere" else np.abs(du)
+    grad_p = float(np.add.reduce(w * grad**p))
+    mass_p = float(np.add.reduce(w * vals**p))
+    mass_q = float(np.add.reduce(w * vals**q))
+    return grad_p, mass_p, mass_q, grad_p + C * mass_p, du
 
 
 def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> float:
@@ -175,7 +180,7 @@ def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> 
     theta, kappa = _exponents(u.model.dimension, p, q)
     if C < 0:
         raise DomainError(f"require C >= 0, got {C}")
-    grad_p, mass_p, mass_q, energy = _raw_terms(u, p, q, C)
+    _, mass_p, mass_q, energy, _ = _raw_terms(u, p, q, C)
     if mass_p <= 0:
         raise DomainError("profile has zero Lp mass")
     if energy == 0.0:
@@ -193,12 +198,16 @@ class MinimizeResult:
 
     value is nu = J_q at the returned profile; energy_weight and
     qnorm_weight are the Lagrange-type weights A_q and B_q, satisfying
-    qnorm_weight * int u^q = value up to floating point.
+    qnorm_weight * int u^q = value up to floating point.  stop_reason is
+    why the descent stopped (profiles._projected_descent), or "exact" at
+    C = 0, where no descent runs; converged means the descent met its
+    gradient tolerance or the value is exact.
     """
 
     value: float
     profile: SymmetricManifoldProfile
     iterations: int
+    stop_reason: str
     el_residual: float
     energy_weight: float
     qnorm_weight: float
@@ -207,10 +216,16 @@ class MinimizeResult:
     q: float
     C: float
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("gtol", "exact")
+
     def as_dict(self) -> dict:
         return {
             "value": self.value,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
+            "converged": self.converged,
             "el_residual": self.el_residual,
             "energy_weight": self.energy_weight,
             "qnorm_weight": self.qnorm_weight,
@@ -223,7 +238,7 @@ class MinimizeResult:
 
 def _weights_for(u: SymmetricManifoldProfile, p: float, q: float, C: float,
                  kappa: float) -> tuple:
-    grad_p, mass_p, mass_q, energy = _raw_terms(u, p, q, C)
+    _, _, mass_q, energy, _ = _raw_terms(u, p, q, C)
     a_q = mass_q**kappa
     b_q = energy * mass_q ** (kappa - 1.0)
     nu = energy * mass_q**kappa
@@ -239,9 +254,13 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     Euler identity makes the extended gradient tangent to the constraint),
     preconditioned by the volume weights, with Armijo backtracking
     (profiles._projected_descent), each accepted point rescaled back to
-    unit Lp norm.  The exact constant profile solves the discrete
-    optimality system and is always kept as a candidate, so the returned
-    value never exceeds it.
+    unit Lp norm by a retraction that rescales the trial's cached sums and
+    derivative instead of evaluating the objective again.  The exact
+    constant profile solves the discrete optimality system and is always
+    kept as a candidate, so the returned value never exceeds it.  The
+    result's stop_reason says why the descent stopped; it has converged
+    only on "gtol" (the preconditioned gradient fell below gtol).  C = 0
+    returns the exact infimum 0 at the constant with stop_reason "exact".
     """
     n = model.dimension
     theta, kappa = _exponents(n, p, q)
@@ -254,7 +273,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         const = constant_profile(model, p, n_nodes)
         mass_q = float(np.sum(const.weights * const.values**q))
         return MinimizeResult(
-            value=0.0, profile=const, iterations=0, el_residual=0.0,
+            value=0.0, profile=const, iterations=0, stop_reason="exact", el_residual=0.0,
             energy_weight=mass_q**kappa, qnorm_weight=0.0,
             used_constant=True, p=p, q=q, C=C,
         )
@@ -273,7 +292,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     metric = 1.0 / model.scale if model.kind == "sphere" else 1.0
 
     def objective(vals: np.ndarray):
-        _, mass_p, mass_q, energy = _raw_terms(base, p, q, C, vals)
+        _, mass_p, mass_q, energy, du = _raw_terms(base, p, q, C, vals)
         if mass_p <= 0 or mass_q <= 0 or energy <= 0:
             return None, None
         val = (
@@ -281,11 +300,10 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
             + kappa * math.log(mass_q)
             - (1.0 + q * kappa / p) * math.log(mass_p)
         )
-        return val, (mass_p, mass_q, energy)
+        return val, (mass_p, mass_q, energy, du)
 
     def gradient(vals: np.ndarray, cache) -> np.ndarray:
-        mass_p, mass_q, energy = cache
-        du = base.coordinate_derivative(vals)
+        mass_p, mass_q, energy, du = cache
         flux = w * np.sign(du) * np.abs(du * metric) ** (p - 1.0) * metric
         return (
             (p * (adjoint @ flux) + C * p * w * vals ** (p - 1.0)) / energy
@@ -293,11 +311,18 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
             - (1.0 + q * kappa / p) * p * (w * vals ** (p - 1.0)) / mass_p
         )
 
-    def norm_p(vals: np.ndarray) -> np.ndarray:
-        return vals / float(np.sum(w * vals**p)) ** (1.0 / p)
+    def retract(vals: np.ndarray, cache) -> tuple:
+        # the objective is 0-homogeneous, so scaling by 1/s keeps its value,
+        # and each cached term scales by s to the power of its degree; s is
+        # the norm computed from the same sum as a fresh normalization, so
+        # the retracted point is that normalization to the bit
+        mass_p, mass_q, energy, du = cache
+        s = mass_p ** (1.0 / p)
+        return vals / s, (1.0, mass_q / s**q, energy / s**p, du / s)
 
-    u, _, iters = _projected_descent(objective, gradient, norm_p(u), w, max_iters,
-                                     armijo=0.25, gtol=gtol, retract=norm_p)
+    seed_u = u / float(np.add.reduce(w * u**p)) ** (1.0 / p)
+    u, _, iters, reason = _projected_descent(objective, gradient, seed_u, w, max_iters,
+                                             armijo=0.25, gtol=gtol, retract=retract)
 
     descent = base.with_values(u)
     v_descent = gn_functional(descent, p, q, C)
@@ -316,6 +341,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         value=nu,
         profile=best,
         iterations=iters,
+        stop_reason=reason,
         el_residual=resid,
         energy_weight=a_q,
         qnorm_weight=b_q,
@@ -387,6 +413,8 @@ def infimum_scan(model: ManifoldModel, p: float, q_values, C: float,
                 "nu": res.value,
                 "el_residual": res.el_residual,
                 "iterations": res.iterations,
+                "stop_reason": res.stop_reason,
+                "converged": res.converged,
                 "used_constant": res.used_constant,
                 "constant_value": gn_functional(constant_profile(model, p, n_nodes), p, float(q), C),
                 "inv_entropy_constant": inv_entropy,

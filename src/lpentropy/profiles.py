@@ -221,19 +221,28 @@ def _blocked_sums(m: int, terms) -> tuple:
 
 def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: float,
                        gtol: float = 0.0, retract=None) -> tuple:
-    """Armijo projected-gradient descent over u >= 0; returns (u, value, iterations).
+    """Armijo projected-gradient descent over u >= 0.
 
-    objective(u) returns (value, cache), or (None, None) where the value is
-    undefined; gradient(u, cache) is the gradient of the value at u.  The
-    direction is -gradient / max(w, 1e-3 mean w), so nodes of negligible
-    weight cannot take huge steps.  Each trial point is projected onto
-    u >= 0; an accepted trial grows the next step by 1.8, a rejected one
-    halves it, for at most 30 trials.  retract, if given, maps an accepted
-    point back onto the constraint set and the value is taken there.  The
-    descent stops when the preconditioned gradient's sup-norm falls below
-    gtol, when the direction no longer descends, when a line search fails,
-    when the step falls below 1e-18, or after max_iters iterations; the
-    count includes a final failed line search.
+    Returns (u, value, iterations, stop_reason).  objective(u) returns
+    (value, cache), or (None, None) where the value is undefined;
+    gradient(u, cache) is the gradient of the value at u.  The direction is
+    -gradient / max(w, 1e-3 mean w), so nodes of negligible weight cannot
+    take huge steps.  Each trial point is projected onto u >= 0; an
+    accepted trial grows the next step by 1.8, a rejected one halves it,
+    for at most 30 trials.
+
+    retract, if given, is retract(cand, cache) -> (u, cache): it maps an
+    accepted trial back onto the constraint set and returns a cache valid
+    at the retracted point, built from the trial's cache.  The objective
+    must then be 0-homogeneous (invariant under the retraction), so the
+    trial's value is kept and the objective is evaluated once per trial
+    and never at a retracted point.
+
+    stop_reason is "gtol" when the preconditioned gradient's sup-norm
+    falls below gtol, "no_descent" when the direction no longer descends,
+    "line_search" when 30 trials fail, "step_floor" when the step falls
+    below 1e-18, and "max_iters" after max_iters iterations; the count
+    includes a final failed line search.
     """
     floor = np.maximum(weights, 1e-3 * float(np.mean(weights)))
     cur, cache = objective(u)
@@ -241,30 +250,37 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
         raise DomainError("seed profile is degenerate")
     step = 1.0
     iters = 0
+    reason = "max_iters"
     for _ in range(max_iters):
         g = gradient(u, cache)
         d = -g / floor
         slope = float(np.dot(g, d))
-        if slope >= 0 or (gtol > 0 and float(np.max(np.abs(d))) < gtol):
+        if gtol > 0 and float(np.max(np.abs(d))) < gtol:
+            reason = "gtol"
+            break
+        if slope >= 0:
+            reason = "no_descent"
             break
         moved = False
         for _ in range(30):
             cand = np.maximum(u + step * d, 0.0)
             val, new_cache = objective(cand)
             if val is not None and val <= cur + armijo * step * slope:
-                if retract is None:
-                    u, cur, cache = cand, val, new_cache
-                else:
-                    u = retract(cand)
-                    cur, cache = objective(u)
+                u, cur, cache = cand, val, new_cache
+                if retract is not None:
+                    u, cache = retract(u, cache)
                 step *= 1.8
                 moved = True
                 break
             step *= 0.5
         iters += 1
-        if not moved or step < 1e-18:
+        if not moved:
+            reason = "line_search"
             break
-    return u, cur, iters
+        if step < 1e-18:
+            reason = "step_floor"
+            break
+    return u, cur, iters, reason
 
 
 def _measure_weights(grid: np.ndarray, n: int) -> np.ndarray:

@@ -20,6 +20,14 @@ def run_cli(*argv):
     )
 
 
+def strict_json(text):
+    """Parse text as strict JSON, which has no Infinity or NaN."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_fresh(code):
     """Run `code` in a fresh interpreter; return the JSON it prints last."""
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -184,6 +192,7 @@ def test_minimize_with_profile_output(tmp_path):
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     result = doc["result"]
+    assert (result["stop_reason"], result["converged"]) == ("max_iters", False)
     assert result["identity_gap"] < 1e-10 * max(1.0, result["value"])
     assert abs(result["constant_value"] - (2 * math.pi**2) ** (2.0 / 3.0)) < 1e-10
     assert result["value"] <= result["constant_value"] * (1 + 1e-12)
@@ -233,6 +242,27 @@ def test_heat_norm_outside_input_exit_codes():
     result = json.loads(res.stdout)["result"]
     assert result["terms"] == 0
     assert result["value"] == pytest.approx(result["long_time_limit"], rel=1e-12)
+
+
+def test_output_is_strict_json():
+    # heat-norm past the Gaussian underflow, hc with its unbounded default
+    # --q-to, an hc path with no heat bound, a witness scan that finds no
+    # violation: each has a non-finite entry, written as null
+    cases = [
+        (("heat-norm", "--n", "3", "--scale", "1", "--t", "1e300"),
+         lambda r: r["lattice_factor"]),
+        (("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5"),
+         lambda r: r["q_to"]),
+        (("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5",
+          "--p-from", "1.5", "--q-to", "3"), lambda r: r["bound_rhs"]),
+        (("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const",
+          str(entropy_best_constant(3, 2.0)), "--b-const", "1", "--eps-grid", "0.02,0.05",
+          "--n-nodes", "20000"), lambda r: r["eps_star"]),
+    ]
+    for argv, entry in cases:
+        res = run_cli(*argv)
+        assert res.returncode == 0, res.stderr
+        assert entry(strict_json(res.stdout)["result"]) is None
 
 
 def test_version_flag():

@@ -178,6 +178,12 @@ def test_heat_norm_huge_time_skips_the_image_sum():
             rep = torus_heat_norm(n, 2.0, t)
             assert rep.terms == 0
             assert rep.value == pytest.approx(rep.long_time_limit, rel=1e-12)
+            # the ratio value / Gaussian is reported while it is a float
+            if rep.gaussian_factor > 0 and math.isfinite(rep.value / rep.gaussian_factor):
+                assert rep.lattice_factor == rep.value / rep.gaussian_factor
+            else:
+                assert rep.lattice_factor is None
+    assert torus_heat_norm(3, 2.0, 1e300).lattice_factor is None
     # just below the switch the image sum still runs, and agrees with it
     t_switch = math.log(1e18) * 4.0 / (4.0 * math.pi**2)
     below, above = torus_heat_norm(2, 2.0, 0.999 * t_switch), torus_heat_norm(2, 2.0, t_switch * 1.001)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lpentropy import manifold_minimizer
 from lpentropy.constants import entropy_best_constant
 from lpentropy.errors import DomainError
 from lpentropy.manifold_geometry import ManifoldModel
@@ -100,6 +101,51 @@ def test_minimize_zero_constant():
     assert res.el_residual == 0.0
     assert res.qnorm_weight == 0.0
     assert res.used_constant
+    assert (res.stop_reason, res.converged) == ("exact", True)
+
+
+def test_stop_reason_is_reported():
+    capped = minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=64, max_iters=20)
+    assert capped.iterations == 20
+    assert (capped.stop_reason, capped.converged) == ("max_iters", False)
+    # a tolerance the seed already meets stops before the first step
+    loose = minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=64, gtol=1e6)
+    assert (loose.iterations, loose.stop_reason, loose.converged) == (0, "gtol", True)
+    for res in (capped, loose):
+        record = res.as_dict()
+        assert (record["stop_reason"], record["converged"]) == (res.stop_reason, res.converged)
+
+
+@pytest.mark.parametrize("model, p, q, C", [(SPHERE3, 2.0, 1.9, 4.0),
+                                            (ManifoldModel.torus(3, side=6.0), 1.5, 1.2, 5.0)])
+def test_retracted_cache_matches_a_fresh_evaluation(monkeypatch, model, p, q, C):
+    # the retraction rescales the trial's cached sums and derivative instead
+    # of evaluating the objective at the rescaled point; check that the two
+    # agree at every accepted step of a short run
+    descent = manifold_minimizer._projected_descent
+    checked = []
+
+    def spy(objective, gradient, u, weights, max_iters, armijo, gtol=0.0, retract=None):
+        def checked_retract(cand, cache):
+            u_new, cache_new = retract(cand, cache)
+            value, fresh = objective(u_new)
+            assert value == pytest.approx(objective(cand)[0], rel=1e-13, abs=0.0)
+            assert cache_new[0] == 1.0
+            assert fresh[0] == pytest.approx(1.0, rel=1e-13, abs=0.0)
+            for got, want in zip(cache_new[1:3], fresh[1:3]):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            # the fresh derivative differences values of order 1 with stencil
+            # weights of order 1/h, so its own rounding is about 1e-14
+            assert float(np.max(np.abs(cache_new[3] - fresh[3]))) <= 1e-13
+            checked.append(value)
+            return u_new, cache_new
+
+        return descent(objective, gradient, u, weights, max_iters, armijo, gtol=gtol,
+                       retract=checked_retract)
+
+    monkeypatch.setattr(manifold_minimizer, "_projected_descent", spy)
+    res = minimize_gn_functional(model, p, q, C, n_nodes=200, max_iters=300)
+    assert len(checked) == res.iterations == 300
 
 
 def test_infimum_linear_while_constant_wins():
@@ -172,3 +218,4 @@ def test_infimum_scan_rows():
             1.0 / entropy_best_constant(3, 2.0), rel=1e-13
         )
         assert row["inv_estimated_constant"] > 0
+        assert (row["stop_reason"], row["converged"]) == ("max_iters", False)

@@ -1,6 +1,7 @@
 """Radial profiles: quadrature weights, derivatives, extremal integrals."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -327,8 +328,8 @@ def test_projected_descent_diagonal_quadratic():
     w = np.array([1.0, 0.5, 2.0, 1.0, 0.7, 1.2])
     u0 = np.full(6, 2.0)
     objective, gradient, log = _quadratic(a, c)
-    u, val, iters = _projected_descent(objective, gradient, u0, w, 10_000, armijo=0.25,
-                                       gtol=1e-9)
+    u, val, iters, reason = _projected_descent(objective, gradient, u0, w, 10_000,
+                                               armijo=0.25, gtol=1e-9)
     values = [v for _, v in log]
     assert all(np.all(x >= 0.0) for x, _ in log)
     assert any(np.any(x == 0.0) for x, _ in log)  # the projection was active
@@ -336,6 +337,7 @@ def test_projected_descent_diagonal_quadratic():
     # stopped on gtol: at the first iterate whose gradient is below it
     norms = [_preconditioned_gradient_norm(a, c, w, x) for x, _ in log]
     assert norms[-1] < 1e-9 <= min(norms[:-1])
+    assert reason == "gtol"
     assert np.array_equal(log[-1][0], u)
     assert iters < 10_000
     assert len(log) == iters + 1  # one gradient per iteration plus the stopping one
@@ -344,9 +346,51 @@ def test_projected_descent_diagonal_quadratic():
 
     # max_iters caps the count
     objective, gradient, log = _quadratic(a, c)
-    _, _, iters = _projected_descent(objective, gradient, u0, w, 3, armijo=0.25, gtol=1e-9)
-    assert iters == 3
+    _, _, iters, reason = _projected_descent(objective, gradient, u0, w, 3, armijo=0.25,
+                                             gtol=1e-9)
+    assert (iters, reason) == (3, "max_iters")
     assert len(log) == 3
+
+
+def test_projected_descent_retraction_reuses_the_trial():
+    # f(u) = ln(sum a u^2) - 2 ln(sum b u) is 0-homogeneous, minimal on the
+    # ray through b / a; the retraction rescales to unit Euclidean norm and
+    # rescales the trial's sums with it
+    a = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+    b = np.array([1.0, 0.5, 2.0, 1.0, 0.2])
+    events = []
+
+    def objective(u):
+        events.append(("objective", u))
+        cache = (float(np.sum(a * u**2)), float(np.sum(b * u)), float(np.sum(u**2)))
+        return math.log(cache[0]) - 2.0 * math.log(cache[1]), cache
+
+    def gradient(u, cache):
+        events.append(("gradient", u))
+        return 2.0 * a * u / cache[0] - 2.0 * b / cache[1]
+
+    def retract(cand, cache):
+        events.append(("retract", cand))
+        s = math.sqrt(cache[2])
+        return cand / s, (cache[0] / s**2, cache[1] / s, 1.0)
+
+    # the value stalls at rounding level once the gradient is near sqrt(eps)
+    u, val, iters, reason = _projected_descent(objective, gradient, np.ones(5), np.ones(5),
+                                               10_000, armijo=0.25, gtol=1e-6, retract=retract)
+    # one evaluation for the seed, then per iteration the gradient, one
+    # evaluation per line-search trial, and the retraction of the last
+    # (accepted) trial; no evaluation ever follows a retraction
+    trace = "".join(kind[0].upper() for kind, _ in events)
+    assert re.fullmatch(r"O(GO+R)*G", trace), trace
+    assert trace.count("R") == iters and reason == "gtol"
+    for (kind, x), (prev_kind, prev_x) in zip(events[1:], events):
+        if kind == "retract":
+            assert prev_kind == "objective" and x is prev_x
+    assert float(np.linalg.norm(u)) == pytest.approx(1.0, abs=1e-15)
+    best = b / a / np.linalg.norm(b / a)
+    assert np.max(np.abs(u - best)) < 1e-6
+    # the kept trial value is the value at the retracted point
+    assert val == pytest.approx(objective(u)[0], abs=1e-14)
 
 
 def test_projected_descent_degenerate_seed():
@@ -370,8 +414,8 @@ def test_projected_descent_property(quadratic):
     a, c, w, u0 = quadratic
     for target in (c, np.maximum(c, 0.0)):
         objective, gradient, log = _quadratic(a, target)
-        u, val, iters = _projected_descent(objective, gradient, u0, w, 5000, armijo=1e-4,
-                                           gtol=1e-9)
+        u, val, iters, reason = _projected_descent(objective, gradient, u0, w, 5000,
+                                                   armijo=1e-4, gtol=1e-9)
         values = [v for _, v in log]
         assert all(np.all(x >= 0.0) for x, _ in log)
         assert all(later <= earlier for earlier, later in zip(values, values[1:]))
@@ -380,4 +424,5 @@ def test_projected_descent_property(quadratic):
     # with every target coordinate >= 0 the gradient vanishes at the
     # projected minimizer, so the descent reaches it and stops on gtol
     assert _preconditioned_gradient_norm(a, target, w, u) < 1e-9
+    assert reason == "gtol"
     assert np.max(np.abs(u - target)) < 1e-8
