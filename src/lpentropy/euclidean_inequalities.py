@@ -14,6 +14,13 @@ residual for the limiting nonlinear PDE
     Delta_p u + C u^{p-1} = K^{-1} ( u^{p-1} + (p/n) u^{p-1} ln u^p ),
 
 with Delta_p u = -div(|grad u|^{p-2} grad u).
+
+Every integral here is summed block by block over the profile's grid by
+profiles._profile_sums, so no call allocates a float array the size of the
+grid, apart from the cumulative mass and the log-radius that place the
+residual's test window.  A normalized profile is never built: the
+integrands divide each block's values by the norm.  The weak residual
+evaluates its bump test functions on each block's slice of the grid.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from .constants import entropy_best_constant
 from .errors import DomainError, Record
-from .profiles import RadialProfile, bump_basis, entropy_integral, grad_energy, lp_norm, plogp
+from .profiles import RadialProfile, _profile_sums, bump_basis, lp_norm, plogp, radial_derivative
 
 __all__ = [
     "entropy_deficit",
@@ -45,18 +52,19 @@ def _check_p_range(u: RadialProfile, p: float) -> int:
     return n
 
 
-def _normalized(u: RadialProfile, p: float, renormalize: bool) -> RadialProfile:
+def _normalizer(u: RadialProfile, p: float, renormalize: bool) -> float:
+    """The divisor of u's values that gives unit L^p norm: ||u||_p, or 1.0."""
     norm = lp_norm(u, p)
     if norm <= 0 or not math.isfinite(norm):
         raise DomainError("profile has zero or non-finite Lp mass")
     if renormalize:
-        return u.with_values(u.values / norm)
+        return norm
     if abs(norm - 1.0) > 1e-8:
         raise DomainError(
             f"profile is not Lp-normalized (||u||_p = {norm!r}); "
             "pass renormalize=True to rescale"
         )
-    return u
+    return 1.0
 
 
 def entropy_deficit(u: RadialProfile, p: float, renormalize: bool = True) -> float:
@@ -66,13 +74,18 @@ def entropy_deficit(u: RadialProfile, p: float, renormalize: bool = True) -> flo
     any member of the extremal family vanishes regardless of its rate b.
     """
     n = _check_p_range(u, p)
-    un = _normalized(u, p, renormalize)
-    grad = grad_energy(un, p)
+    norm = _normalizer(u, p, renormalize)
+
+    def terms(mw, r, v, dv):
+        v = v / norm
+        return mw * np.abs(radial_derivative(r, v)) ** p, mw * plogp(v, p)
+
+    grad, entropy = _profile_sums(u, terms)
     # exactly constant values leave only finite-difference dust in grad,
     # so catch that case by inspection rather than by thresholding
-    if grad <= 0 or np.ptp(un.values) == 0:
+    if grad <= 0 or np.ptp(u.values) == 0:
         raise DomainError("profile has zero gradient energy; deficit undefined")
-    return (n / p) * math.log(entropy_best_constant(n, p) * grad) - entropy_integral(un, p)
+    return (n / p) * math.log(entropy_best_constant(n, p) * grad) - entropy
 
 
 def holder_interpolation_gap(u: RadialProfile, p: float, q: float) -> float:
@@ -101,10 +114,15 @@ def embedding_entropy_slack(u: RadialProfile, p: float, renormalize: bool = True
     Returns RHS - LHS.
     """
     n = _check_p_range(u, p)
-    un = _normalized(u, p, renormalize)
+    norm = _normalizer(u, p, renormalize)
     p_star = n * p / (n - p)
-    rhs = n * math.log(lp_norm(un, p_star))
-    return rhs - entropy_integral(un, p)
+
+    def terms(mw, r, v, dv):
+        v = v / norm
+        return mw * v**p_star, mw * plogp(v, p)
+
+    mass_star, entropy = _profile_sums(u, terms)
+    return n * math.log(mass_star ** (1.0 / p_star)) - entropy
 
 
 @dataclass(frozen=True)
@@ -125,15 +143,16 @@ def log_norm_derivative(u: RadialProfile, p: float, dq: float) -> LogNormDerivat
     The one-sided difference carries an O(dq) error, so err = |fd - exact|
     should shrink linearly as dq is halved.
     """
-    if not p > 1:
-        raise DomainError(f"require p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise DomainError(f"require a finite p > 1, got {p}")
     if not 0 < dq < p - 1:
         raise DomainError(f"require 0 < dq < p - 1, got dq={dq}")
-    norm_p = lp_norm(u, p)
-    norm_m = lp_norm(u, p - dq)
-    fd = math.log(norm_p / norm_m) / dq
-    un = u.with_values(u.values / norm_p)
-    exact = entropy_integral(un, p) / (p * p)
+    p_m = p - dq
+    mass_p, mass_m = _profile_sums(u, lambda mw, r, v, dv: (mw * v**p, mw * v**p_m))
+    norm_p = mass_p ** (1.0 / p)
+    fd = math.log(norm_p / mass_m ** (1.0 / p_m)) / dq
+    (entropy,) = _profile_sums(u, lambda mw, r, v, dv: (mw * plogp(v / norm_p, p),))
+    exact = entropy / (p * p)
     return LogNormDerivative(fd=fd, exact=exact, err=abs(fd - exact))
 
 
@@ -160,48 +179,58 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit", n_tests: int = 12) -
     C may be a number or "fit", in which case the scalar minimizing the
     l2 norm of (r_1, ..., r_K) is used (the residual is linear in C).
     The returned residual is normalized by the size of the individual
-    terms, so values near 1 mean "not remotely a solution".
+    terms, so values near 1 mean "not remotely a solution".  The bumps
+    are evaluated block by block on the slices of profiles._profile_sums.
     """
     n = _check_p_range(u, p)
     if np.any(u.values <= 0):
         raise DomainError("limit_pde_residual requires a strictly positive profile")
-    if int(n_tests) != n_tests or n_tests < 3:
-        raise DomainError(f"need at least 3 test functions, got {n_tests}")
+    if not (math.isfinite(n_tests) and int(n_tests) == n_tests and n_tests >= 3):
+        raise DomainError(f"need a whole number of at least 3 test functions, got {n_tests}")
+    fitted = isinstance(C, str)
+    if fitted and C != "fit":
+        raise DomainError(f"C must be a number or 'fit', got {C!r}")
+    if not fitted and not math.isfinite(float(C)):
+        raise DomainError(f"C must be finite, got {C!r}")
     inv_k = 1.0 / entropy_best_constant(n, p)
-    mw = u.cell_measure()
-    du = u.derivative()
-    flux = np.sign(du) * np.abs(du) ** (p - 1.0)
-    u_pm1 = u.values ** (p - 1.0)
-    log_term = u_pm1 * p * np.log(u.values)
 
     # bumps in log-radius, centered between the 2% and 98% mass quantiles of u^p
-    cum = np.cumsum(mw * u.values**p)
+    mass = u.cell_measure()
+    mass *= u.values**p
+    cum = np.cumsum(mass)
+    del mass
     if cum[-1] <= 0:
         raise DomainError("profile carries no mass for the test basis")
     cum /= cum[-1]
     log_r = np.log(u.grid)
     lo = float(np.interp(0.02, cum, log_r))
     hi = float(np.interp(0.98, cum, log_r))
+    del cum, log_r
+    centers = np.linspace(lo, hi, int(n_tests))
     width = 1.6 * (hi - lo) / (int(n_tests) - 1)
 
-    grad_terms, mass_terms, rhs_terms = [], [], []
-    for v, dv in bump_basis(log_r, np.linspace(lo, hi, int(n_tests)), width, jacobian=u.grid):
-        grad_terms.append(float(np.sum(mw * flux * dv)))
-        mass_terms.append(float(np.sum(mw * u_pm1 * v)))
-        rhs_terms.append(-inv_k * float(np.sum(mw * (u_pm1 + (p / n) * log_term) * v)))
-    grad_t = np.array(grad_terms)
-    mass_t = np.array(mass_terms)
-    rhs_t = np.array(rhs_terms)
+    def terms(mw, r, v, dv):
+        # each weight is the left factor of its integrands (mw * flux * dv,
+        # mw * u_pm1 * v, ...), which keeps the bits of the whole-array products
+        u_pm1 = v ** (p - 1.0)
+        grad_w = mw * (np.sign(dv) * np.abs(dv) ** (p - 1.0))
+        mass_w = mw * u_pm1
+        rhs_w = mw * (u_pm1 + (p / n) * (u_pm1 * p * np.log(v)))
+        for b, db in bump_basis(np.log(r), centers, width, jacobian=r):
+            yield grad_w * db
+            yield mass_w * b
+            yield rhs_w * b
+
+    sums = _profile_sums(u, terms, derivative=True)
+    # contiguous copies: np.dot on strided views may sum in another order
+    grad_t, mass_t, rhs_t = (np.array(sums[k::3]) for k in range(3))
+    rhs_t = -inv_k * rhs_t
 
     base = grad_t + rhs_t
-    if isinstance(C, str):
-        if C != "fit":
-            raise DomainError(f"C must be a number or 'fit', got {C!r}")
+    if fitted:
         c_val = -float(np.dot(base, mass_t) / np.dot(mass_t, mass_t))
-        fitted = True
     else:
         c_val = float(C)
-        fitted = False
     res = base + c_val * mass_t
     scale_vec = np.abs(grad_t) + abs(c_val) * np.abs(mass_t) + np.abs(rhs_t)
     scale = float(np.linalg.norm(scale_vec))

@@ -30,7 +30,7 @@ from scipy import optimize
 
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
 from .errors import DomainError
-from .profiles import RadialProfile, _projected_descent, derivative_matrix, lp_norm
+from .profiles import RadialProfile, _profile_sums, _projected_descent, derivative_matrix, lp_norm
 from .special_fn import log_gamma, sphere_area, stretched_exp_moment
 
 __all__ = [
@@ -69,11 +69,12 @@ def gn_quotient(u: RadialProfile, params: InequalityParams) -> GNQuotientReport:
             f"profile dimension {u.dimension} does not match params n={params.n}"
         )
     theta = _theta_or_raise(params)
-    p = params.p
-    norm_r = lp_norm(u, params.r)
-    norm_q = lp_norm(u, params.q)
-    mw = u.cell_measure()
-    grad_p = float(np.sum(mw * np.abs(u.derivative()) ** p))
+    p, q, r = params.p, params.q, params.r
+    mass_r, mass_q, grad_p = _profile_sums(
+        u, lambda mw, x, v, dv: (mw * v**r, mw * v**q, mw * np.abs(dv) ** p), derivative=True
+    )
+    norm_r = mass_r ** (1.0 / r)
+    norm_q = mass_q ** (1.0 / q)
     if grad_p <= 0:
         raise DomainError("profile has zero gradient energy; quotient undefined")
     if norm_r <= 0 or norm_q <= 0:

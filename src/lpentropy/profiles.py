@@ -26,12 +26,18 @@ supported test functions of the weak-form residuals.  The analytic
 derivative of the extremal family is reserved for the closed-form oracle
 route in extremal_integrals.
 
-Large-grid integrals (the quadrature route of extremal_integrals and the
-bubble integrals of manifold_geometry) are summed block by block by
-_blocked_sums: the integrand is evaluated on 8 192-node slices of the grid
-with one node of overlap on each side, so the weights and the stencil of
-every kept node are those of the whole-array rule, and no temporary the
-size of the grid is allocated.  Only the order of summation differs.
+Large-grid integrals are summed block by block by _blocked_sums: the
+integrand is evaluated on 8 192-node slices of the grid with one node of
+overlap on each side, so the weights and the stencil of every kept node
+are those of the whole-array rule, and no temporary the size of the grid
+is allocated.  Only the order of summation differs, so a grid of at most
+8 192 nodes, one block, gives the whole-array sums bit for bit.  The
+quadrature route of extremal_integrals and the bubble integrals of
+manifold_geometry build their slices themselves; every integral of a
+RadialProfile (lp_norm, grad_energy, entropy_integral, and the deficits,
+quotients and weak residuals built on them) goes through _profile_sums,
+which hands the callback each block's cell measure, grid, values and
+stencil derivative.
 """
 
 from __future__ import annotations
@@ -219,6 +225,27 @@ def _blocked_sums(m: int, terms) -> tuple:
     return tuple(math.fsum(column) for column in zip(*partials))
 
 
+def _profile_sums(u: RadialProfile, terms, derivative: bool = False) -> tuple:
+    """Sums over the nodes of u of the arrays that terms returns, block by block.
+
+    terms(mw, r, v, dv) gets one _blocked_sums slice of the profile: the
+    cell measure mw (as RadialProfile.cell_measure), the grid r, the values
+    v and, if derivative is set, the stencil derivative dv of v on the
+    slice (else None); it returns an iterable of weighted integrands of the
+    slice's length.  Each element is computed as on the whole arrays.
+    """
+    om = sphere_area(u.dimension)
+    k = u.dimension - 1
+
+    def block(lo: int, hi: int):
+        r = u.grid[lo:hi]
+        v = u.values[lo:hi]
+        dv = radial_derivative(r, v) if derivative else None
+        return terms(om * u.weights[lo:hi] * r**k, r, v, dv)
+
+    return _blocked_sums(len(u.grid), block)
+
+
 def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: float,
                        gtol: float = 0.0, retract=None) -> tuple:
     """Armijo projected-gradient descent over u >= 0.
@@ -291,12 +318,20 @@ def _measure_weights(grid: np.ndarray, n: int) -> np.ndarray:
     node.  Exact for f = const by telescoping.
     """
     r = grid
-    cell = (r[1:] ** n - r[:-1] ** n) / n
+    # in place, at most three grid-sized arrays at once; each element is
+    # computed as in (r[1:]**n - r[:-1]**n) / n * 0.5 and measure / r**(n-1)
+    cell = r**n
+    half = cell[1:] - cell[:-1]
+    del cell
+    half /= n
+    half *= 0.5
     measure = np.zeros_like(r)
-    measure[:-1] += 0.5 * cell
-    measure[1:] += 0.5 * cell
+    measure[:-1] += half
+    measure[1:] += half
+    del half
     measure[0] += r[0] ** n / n
-    return measure / r ** (n - 1)
+    measure /= r ** (n - 1)
+    return measure
 
 
 @dataclass(frozen=True)
@@ -315,7 +350,7 @@ class RadialProfile:
             raise DomainError("grid and values must be 1-D arrays of equal length")
         if len(grid) < 3:
             raise DomainError("a profile needs at least 3 nodes")
-        if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+        if not (grid[0] > 0 and np.all(grid[1:] > grid[:-1])):
             raise DomainError("grid must be positive and strictly increasing")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise DomainError("values must be finite and nonnegative")
@@ -376,27 +411,30 @@ class RadialProfile:
         return RadialProfile(arr[:, 0], arr[:, 1], dimension)
 
 
+def _check_exponent(name: str, p: float) -> None:
+    if not 1 <= p < math.inf:
+        raise DomainError(f"{name} requires a finite p >= 1, got {p}")
+
+
 def lp_norm(u: RadialProfile, p: float) -> float:
     """||u||_p over R^n by the profile's quadrature rule."""
-    if not p >= 1:
-        raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    total = float(np.sum(u.cell_measure() * u.values**p))
+    _check_exponent("lp_norm", p)
+    (total,) = _profile_sums(u, lambda mw, r, v, dv: (mw * v**p,))
     return total ** (1.0 / p)
 
 
 def grad_energy(u: RadialProfile, p: float) -> float:
     """int |grad u|^p dx with the gradient by finite differences."""
-    if not p >= 1:
-        raise DomainError(f"grad_energy requires p >= 1, got {p}")
-    du = u.derivative()
-    return float(np.sum(u.cell_measure() * np.abs(du) ** p))
+    _check_exponent("grad_energy", p)
+    (total,) = _profile_sums(u, lambda mw, r, v, dv: (mw * np.abs(dv) ** p,), derivative=True)
+    return total
 
 
 def entropy_integral(u: RadialProfile, p: float) -> float:
     """int u^p ln(u^p) dx with the 0 ln 0 = 0 convention."""
-    if not p >= 1:
-        raise DomainError(f"entropy_integral requires p >= 1, got {p}")
-    return float(np.sum(u.cell_measure() * plogp(u.values, p)))
+    _check_exponent("entropy_integral", p)
+    (total,) = _profile_sums(u, lambda mw, r, v, dv: (mw * plogp(v, p),))
+    return total
 
 
 @dataclass(frozen=True)
@@ -588,5 +626,16 @@ def random_stretched_mixture(
         (math.log(max(c[i], 1.0) / TAIL_CUTOFF) / bb[i]) ** (1.0 / ss[i]) for i in range(2)
     )
     grid = np.geomspace(DEFAULT_R_MIN, r_max, int(n_nodes))
-    values = c[0] * np.exp(-bb[0] * grid ** ss[0]) + c[1] * np.exp(-bb[1] * grid ** ss[1])
+
+    def component(i: int) -> np.ndarray:
+        # c_i exp(-b_i r^{s_i}) in one buffer; the products commute exactly,
+        # so the bits are those of the expression written out
+        t = grid ** ss[i]
+        t *= -bb[i]
+        np.exp(t, out=t)
+        t *= c[i]
+        return t
+
+    values = component(0)
+    values += component(1)
     return RadialProfile(grid, values, int(n))

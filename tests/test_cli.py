@@ -154,6 +154,14 @@ def test_deficit_with_pde_residual():
     assert abs(rep["c_value"]) < 1e-4
 
 
+def test_deficit_non_finite_c_exit_code():
+    res = run_cli("deficit", "--n", "3", "--p", "2", "--n-nodes", "2000", "--pde-residual",
+                  "--C", "inf")
+    assert res.returncode == 1
+    assert "domain error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_gn_limit_csv(tmp_path):
     out = tmp_path / "rows.csv"
     res = run_cli("gn-limit", "--n", "3", "--p", "2", "--q-list", "1.7,1.9",

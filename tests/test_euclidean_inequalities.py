@@ -1,9 +1,11 @@
 """Entropy deficit, interpolation gaps, and the limiting PDE residual."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from whole_array import BLOCK_SIZES, agrees
 
 from lpentropy.constants import entropy_best_constant
 from lpentropy.errors import DomainError
@@ -16,9 +18,12 @@ from lpentropy.euclidean_inequalities import (
 )
 from lpentropy.profiles import (
     RadialProfile,
+    bump_basis,
     extremal_profile,
     extremal_spec,
     lp_norm,
+    plogp,
+    radial_derivative,
     random_stretched_mixture,
 )
 
@@ -113,6 +118,8 @@ def test_log_norm_derivative_two_routes():
         log_norm_derivative(u, 2.0, 1.5)
     with pytest.raises(DomainError):
         log_norm_derivative(u, 2.0, 0.0)
+    with pytest.raises(DomainError):
+        log_norm_derivative(u, math.inf, 1.0)
 
 
 def test_limit_pde_extremal_solves_at_special_rate():
@@ -160,3 +167,109 @@ def test_limit_pde_domain():
         limit_pde_residual(u, 2.0, "minimize")
     with pytest.raises(DomainError):
         limit_pde_residual(u, 2.0, "fit", n_tests=2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            limit_pde_residual(u, 2.0, "fit", n_tests=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            limit_pde_residual(u, 2.0, bad)
+
+
+def _whole_array_functionals(u, p, dq):
+    """deficit, embedding slack and the two log-norm derivatives, each from
+    whole-array sums over an explicitly normalized copy of the values."""
+    n, mw = u.dimension, u.cell_measure()
+    p_star = n * p / (n - p)
+    norm = float(np.sum(mw * u.values**p)) ** (1.0 / p)
+    v = u.values / norm
+    grad = float(np.sum(mw * np.abs(radial_derivative(u.grid, v)) ** p))
+    entropy = float(np.sum(mw * plogp(v, p)))
+    norm_m = float(np.sum(mw * u.values ** (p - dq))) ** (1.0 / (p - dq))
+    return {
+        "deficit": (n / p) * math.log(entropy_best_constant(n, p) * grad) - entropy,
+        "slack": n * math.log(float(np.sum(mw * v**p_star)) ** (1.0 / p_star)) - entropy,
+        "fd": math.log(norm / norm_m) / dq,
+        "exact": entropy / (p * p),
+    }
+
+
+def _whole_array_pde(u, p, C, n_tests=12):
+    """The weak residual from whole-array bumps: (residual, c, per_test, scale)."""
+    n, mw, du = u.dimension, u.cell_measure(), u.derivative()
+    cum = np.cumsum(mw * u.values**p)
+    cum /= cum[-1]
+    log_r = np.log(u.grid)
+    lo = float(np.interp(0.02, cum, log_r))
+    hi = float(np.interp(0.98, cum, log_r))
+    width = 1.6 * (hi - lo) / (n_tests - 1)
+    flux = np.sign(du) * np.abs(du) ** (p - 1.0)
+    u_pm1 = u.values ** (p - 1.0)
+    source = u_pm1 + (p / n) * (u_pm1 * p * np.log(u.values))
+    bumps = bump_basis(log_r, np.linspace(lo, hi, n_tests), width, jacobian=u.grid)
+    grad_t = np.array([float(np.sum(mw * flux * dv)) for v, dv in bumps])
+    mass_t = np.array([float(np.sum(mw * u_pm1 * v)) for v, dv in bumps])
+    inv_k = 1.0 / entropy_best_constant(n, p)
+    rhs_t = np.array([-inv_k * float(np.sum(mw * source * v)) for v, dv in bumps])
+    base = grad_t + rhs_t
+    c = -float(np.dot(base, mass_t) / np.dot(mass_t, mass_t)) if C == "fit" else C
+    res = base + c * mass_t
+    scale = float(np.linalg.norm(np.abs(grad_t) + abs(c) * np.abs(mass_t) + np.abs(rhs_t)))
+    return float(np.linalg.norm(res)) / scale, c, tuple(res), scale
+
+
+def test_functionals_match_whole_array():
+    """The blocked deficit, slack and log-norm derivative against whole-array
+    sums: bit for bit on one block, to 1e-14 relative past it."""
+    for n, p in PAIRS:
+        dq = 0.01 * (p - 1.0)
+        for n_nodes in BLOCK_SIZES:
+            u = random_stretched_mixture(n, np.random.default_rng(n_nodes + n), n_nodes=n_nodes)
+            expected = _whole_array_functionals(u, p, dq)
+            lnd = log_norm_derivative(u, p, dq)
+            got = {
+                "deficit": entropy_deficit(u, p),
+                "slack": embedding_entropy_slack(u, p),
+                "fd": lnd.fd,
+                "exact": lnd.exact,
+            }
+            for key, val in expected.items():
+                # fd divides the log of a norm ratio near 1 by dq
+                tol = 1e-15 / dq if key == "fd" else 1e-14
+                assert agrees(got[key], val, n_nodes, tol), (key, n, p, n_nodes)
+
+
+def test_limit_pde_residual_matches_whole_array():
+    """The blocked weak residual against whole-array bumps, fitted and fixed C."""
+    for n, p in PAIRS:
+        for n_nodes in BLOCK_SIZES:
+            u = random_stretched_mixture(n, np.random.default_rng(n_nodes + n), n_nodes=n_nodes)
+            for C in ("fit", 0.3):
+                rep = limit_pde_residual(u, p, C)
+                residual, c, per_test, scale = _whole_array_pde(u, p, C)
+                assert agrees(rep.residual, residual, n_nodes), (n, p, n_nodes, C)
+                assert agrees(rep.c_value, c, n_nodes, 1e-14), (n, p, n_nodes, C)
+                assert agrees(rep.scale, scale, n_nodes), (n, p, n_nodes, C)
+                for got, val in zip(rep.per_test, per_test, strict=True):
+                    assert agrees(got, val, n_nodes, 1e-14 * scale), (n, p, n_nodes, C)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deficit_memory_peak():
+    """On a 200k-node profile the deficit allocates less than one grid-sized array."""
+    u = random_stretched_mixture(3, np.random.default_rng(1))
+    assert _peak_bytes(lambda: entropy_deficit(u, 2.0)) <= 200_000 * 8
+
+
+def test_limit_pde_residual_memory_peak():
+    """On a 200k-node profile the residual holds the cumulative mass and the
+    log-radius of its test window, and block-sized arrays besides."""
+    u = random_stretched_mixture(3, np.random.default_rng(1))
+    assert _peak_bytes(lambda: limit_pde_residual(u, 2.0)) <= 3 * 200_000 * 8

@@ -1,7 +1,10 @@
 """Interpolation-constant estimator: families, ascent, limits."""
 
+import math
+
 import numpy as np
 import pytest
+from whole_array import BLOCK_SIZES, agrees
 
 from lpentropy.constants import (
     InequalityParams,
@@ -114,3 +117,27 @@ def test_ascent_does_not_lose_ground():
     # quadrature offsets aside, the ascent must not fall below its seed
     assert est.ascent_gain > -1e-3
     assert est.ascent_iterations > 0
+
+
+def test_quotient_matches_whole_array():
+    """The blocked quotient against whole-array sums: bit for bit on one
+    block, to 1e-14 relative past it."""
+    params = InequalityParams(n=3, p=2.0, q=1.8, r=2.4)
+    p, q, r = params.p, params.q, params.r
+    for n_nodes in BLOCK_SIZES:
+        u = random_stretched_mixture(3, np.random.default_rng(n_nodes), n_nodes=n_nodes)
+        mw = u.cell_measure()
+        norm_r = float(np.sum(mw * u.values**r)) ** (1.0 / r)
+        norm_q = float(np.sum(mw * u.values**q)) ** (1.0 / q)
+        grad_p = float(np.sum(mw * np.abs(u.derivative()) ** p))
+        rep = gn_quotient(u, params)
+        theta = rep.theta
+        expected = math.exp(
+            (p / theta) * math.log(norm_r)
+            - math.log(grad_p)
+            - (p * (1.0 - theta) / theta) * math.log(norm_q)
+        )
+        assert agrees(rep.norm_r, norm_r, n_nodes), n_nodes
+        assert agrees(rep.norm_q, norm_q, n_nodes), n_nodes
+        assert agrees(rep.grad_norm, grad_p ** (1.0 / p), n_nodes), n_nodes
+        assert agrees(rep.quotient, expected, n_nodes), n_nodes

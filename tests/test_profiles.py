@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from whole_array import BLOCK_SIZES, agrees
 
 from lpentropy.errors import DomainError, OracleDisagreement
 from lpentropy.profiles import (
     RadialProfile,
+    _measure_weights,
     _projected_descent,
     bump_basis,
     derivative_matrix,
@@ -163,16 +165,41 @@ def test_blocked_quadrature_matches_whole_array():
         for n_nodes in (3, 5000, 8192, 8193, 8194, 3 * 8192 + 17):
             u = extremal_profile(n, p, b, n_nodes=n_nodes)
             mw, r2 = u.cell_measure(), u.grid**2
+            gp = np.abs(u.derivative()) ** p
             expected = {
-                "entropy": entropy_integral(u, p),
-                "grad_energy": grad_energy(u, p),
+                "entropy": float(np.sum(mw * plogp(u.values, p))),
+                "grad_energy": float(np.sum(mw * gp)),
                 "mass_moment2": float(np.sum(mw * u.values**p * r2)),
-                "grad_moment2": float(np.sum(mw * np.abs(u.derivative()) ** p * r2)),
+                "grad_moment2": float(np.sum(mw * gp * r2)),
                 "entropy_moment2": float(np.sum(mw * plogp(u.values, p) * r2)),
             }
             got = extremal_integrals(n, p, b, n_nodes=n_nodes, check_tol=math.inf)
             for key, val in expected.items():
                 assert got.quadrature[key] == pytest.approx(val, rel=1e-14), (n_nodes, key)
+
+
+def test_profile_integrals_match_whole_array():
+    """lp_norm, grad_energy and entropy_integral, summed block by block,
+    against the whole-array sums: bit for bit on one block, to 1e-14 past it."""
+    for n, p in PAIRS:
+        for n_nodes in BLOCK_SIZES:
+            u = random_stretched_mixture(n, np.random.default_rng(n_nodes), n_nodes=n_nodes)
+            mw = u.cell_measure()
+            expected = {
+                lp_norm: float(np.sum(mw * u.values**p)) ** (1.0 / p),
+                grad_energy: float(np.sum(mw * np.abs(u.derivative()) ** p)),
+                entropy_integral: float(np.sum(mw * plogp(u.values, p))),
+            }
+            for fn, val in expected.items():
+                assert agrees(fn(u, p), val, n_nodes), (fn.__name__, n, p, n_nodes)
+
+
+def test_profile_integrals_reject_non_finite_exponents():
+    u = extremal_profile(3, 2.0, 1.0, n_nodes=500)
+    for fn in (lp_norm, grad_energy, entropy_integral):
+        for p in (math.inf, -math.inf, math.nan, 0.5):
+            with pytest.raises(DomainError):
+                fn(u, p)
 
 
 def test_extremal_integrals_memory_peak():
@@ -246,6 +273,44 @@ def test_mixture_seeding_and_positivity():
     norm = lp_norm(u1, 2.0)
     assert math.isfinite(norm) and norm > 0
     assert u1.values[-1] < 1e-15  # decays to the tail cutoff
+
+
+def test_mixture_matches_written_out_expression():
+    """The in-place construction gives the bits of the expression written out."""
+    for n, seed in ((3, 0), (3, 1), (4, 2)):
+        u = random_stretched_mixture(n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.2, 2.0, size=2)
+        bb = rng.uniform(0.3, 3.0, size=2)
+        ss = rng.uniform(1.0, 4.0, size=2)
+        g = u.grid
+        expected = c[0] * np.exp(-bb[0] * g ** ss[0]) + c[1] * np.exp(-bb[1] * g ** ss[1])
+        assert np.array_equal(u.values, expected)
+
+
+def test_measure_weights_match_written_out_expression():
+    """The in-place weight rule gives the bits of the expression written out."""
+    grids = (np.geomspace(1e-6, 30.0, 200_000), np.array([0.1, 0.4, 2.0]),
+             np.sort(np.random.default_rng(4).uniform(0.01, 9.0, 5000)))
+    for n in (2, 3, 4, 7):
+        for r in grids:
+            cell = (r[1:] ** n - r[:-1] ** n) / n
+            measure = np.zeros_like(r)
+            measure[:-1] += 0.5 * cell
+            measure[1:] += 0.5 * cell
+            measure[0] += r[0] ** n / n
+            assert np.array_equal(_measure_weights(r, n), measure / r ** (n - 1))
+
+
+def test_mixture_memory_peak():
+    """A 200k-node mixture: its grid, values and weights plus a temporary or two."""
+    tracemalloc.start()
+    try:
+        random_stretched_mixture(3, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 200_000 * 8
 
 
 def test_entropy_and_grad_consistency():
