@@ -231,25 +231,18 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    import numpy as np
-
-    from .manifold_minimizer import constant_profile, gn_functional, minimize_gn_functional
+    from .manifold_minimizer import minimize_gn_functional
 
     model = _model_from(args)
     res = minimize_gn_functional(model, args.p, args.q, args.C,
                                  n_nodes=args.n_nodes, max_iters=args.max_iters,
                                  seed=args.seed)
-    result = res.as_dict()
-    intq = float(np.sum(res.profile.weights * res.profile.values**args.q))
-    result["identity_gap"] = abs(res.qnorm_weight * intq - res.value)
-    result["constant_value"] = gn_functional(constant_profile(model, args.p, args.n_nodes),
-                                             args.p, args.q, args.C)
     if args.out:
         _write_rows(args.out, [
             {"coordinate": float(x), "u": float(v)}
             for x, v in zip(res.profile.grid, res.profile.values)
         ])
-    _emit("minimize", args, result)
+    _emit("minimize", args, res.as_dict())
     return 0
 
 

@@ -67,6 +67,15 @@ def _variance_floor(p_from: float, q_to: float) -> float:
     return max(h(p_from), hi)
 
 
+def _check_args(n: int, a_const: float, b_const: float, slack: float) -> None:
+    if int(n) != n or n < 1:
+        raise DomainError(f"dimension must be a positive integer, got {n}")
+    if not (0 < a_const < math.inf and 0 <= b_const < math.inf):
+        raise DomainError(f"need finite A > 0 and B >= 0, got ({a_const}, {b_const})")
+    if not 0 <= slack < math.inf:
+        raise DomainError(f"need a finite slack >= 0, got {slack}")
+
+
 def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
                     p_from: float = 1.0, q_to: float = math.inf,
                     slack: float = 0.05) -> HCReport:
@@ -77,12 +86,9 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
     and OracleDisagreement if the quadrature t drifts from the closed form
     by more than 1e-10 relative.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
-    if a_const <= 0 or b_const < 0:
-        raise DomainError("need A > 0 and B >= 0")
-    if lam <= 0:
-        raise DomainError(f"need lambda > 0, got {lam}")
+    _check_args(n, a_const, b_const, slack)
+    if not 0 < lam < math.inf:
+        raise DomainError(f"need a finite lambda > 0, got {lam}")
     if not (1.0 <= p_from and p_from < q_to):
         raise DomainError(f"need 1 <= p_from < q_to, got ({p_from}, {q_to})")
     floor = _variance_floor(p_from, q_to)
@@ -162,15 +168,17 @@ def ultracontractivity_check(n: int, a_const: float, b_const: float, t_grid,
 
     Each t fixes lambda = n/(8t).  Rows outside the bound's validity range
     t <= (n/2)(A/B), or with an inadmissible variance curve, are reported
-    but excluded from the overall verdict.
+    but excluded from the overall verdict.  Invalid input (A, B, slack, or a
+    t that is not finite and positive) raises DomainError instead.
     """
+    _check_args(n, a_const, b_const, slack)
     rows = []
     verdict = True
     any_in_range = False
     for t in t_grid:
         t = float(t)
-        if t <= 0:
-            raise DomainError(f"contraction times must be positive, got {t}")
+        if not 0 < t < math.inf:
+            raise DomainError(f"contraction times must be finite and positive, got {t}")
         lam = n / (8.0 * t)
         try:
             rep = bakry_integrals(n, a_const, b_const, lam, slack=slack)

@@ -382,8 +382,8 @@ def lower_bound_witness(model: ManifoldModel, p: float, a_const: float, b_const:
     n = model.dimension
     if not 1 < p < n:
         raise DomainError(f"require 1 < p < n, got p={p}, n={n}")
-    if a_const <= 0 or b_const < 0:
-        raise DomainError("need A > 0 and B >= 0")
+    if not (0 < a_const < math.inf and 0 <= b_const < math.inf):
+        raise DomainError(f"need finite A > 0 and B >= 0, got ({a_const}, {b_const})")
     if delta is None:
         delta = 0.5 * model.injectivity_radius
     base = extremal_spec(n, p, b)

@@ -20,22 +20,26 @@ B_q int u^q = nu identically.
 
 Profiles are restricted to the symmetric class depending on one
 coordinate: the polar angle on the sphere, one periodic coordinate on
-the torus.  The optimizer is a projected gradient descent on the
-scale-invariant extension of ln J_q, preconditioned by the volume
-weights, with the exact constant profile always kept as a candidate.  It
-runs the package's one Armijo driver, profiles._projected_descent, which
-the Gagliardo-Nirenberg ascent of gn_estimator shares.  A retraction
+the torus.  A SymmetricManifoldProfile owns its integration rule: it
+derives its grid and volume weights from its model and node count, and
+its ln_functional is the one place that sums the integrals of J_q.  The
+optimizer is a projected gradient descent on the scale-invariant
+extension of ln J_q, preconditioned by the volume weights, with the
+exact constant profile always kept as a candidate.  It runs the
+package's one Armijo driver, profiles._projected_descent, which the
+Gagliardo-Nirenberg ascent of gn_estimator shares.  A retraction
 rescales each accepted trial to unit Lp norm.  Because ln J_q is
-0-homogeneous, the rescaled point has the trial's value, and its sums and
-derivative are the trial's times powers of the scale, so the retraction
-hands the descent a cache valid at the rescaled point: the objective is
-evaluated once per line-search trial and never after a rescaling.
+0-homogeneous, the rescaled point has the trial's value, and its sums
+and derivative are the trial's times powers of the scale, so the
+retraction hands the descent a cache valid at the rescaled point: the
+objective is evaluated once per line-search trial and never after a
+rescaling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -63,34 +67,48 @@ __all__ = [
 class SymmetricManifoldProfile:
     """Nonnegative profile depending on one coordinate of a model manifold.
 
-    grid holds the polar angle in [0, pi] (sphere) or the periodic
-    coordinate in [0, L) (torus); weights are the volume-measure weights
-    of the grid cells and sum exactly to the manifold volume.
+    Built from the model and the nodal values alone.  grid, derived from
+    the node count, is uniform: the polar angle in [0, pi] with endpoints
+    (sphere), or the periodic coordinate in [0, L) (torus).  weights are
+    the nodes' volume weights: trapezoid weights of the zonal volume
+    element rescaled to the exact volume (sphere), or volume / nodes
+    (torus).  metric is |grad u| / |du/dcoordinate|: 1/radius or 1.
     """
 
     model: ManifoldModel
-    grid: np.ndarray
     values: np.ndarray
-    weights: np.ndarray
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if grid.ndim != 1 or len(grid) < 8:
-            raise DomainError("profile grid must be 1-d with at least 8 nodes")
-        if values.shape != grid.shape or weights.shape != grid.shape:
-            raise DomainError("values and weights must match the grid shape")
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or len(values) < 8:
+            raise DomainError("profile values must be 1-d with at least 8 nodes")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise DomainError("profile values must be finite and nonnegative")
+        m = len(values)
+        if self.periodic:
+            grid = np.linspace(0.0, self.model.scale, m, endpoint=False)
+            weights = np.full(m, self.model.volume / m)
+        else:
+            grid = np.linspace(0.0, math.pi, m)
+            n, rho = self.model.dimension, self.model.scale
+            weights = np.full(m, grid[1] - grid[0])
+            weights[0] *= 0.5
+            weights[-1] *= 0.5
+            weights = weights * np.sin(grid) ** (n - 1) * sphere_area(n) * rho**n
+            weights *= self.model.volume / float(np.sum(weights))
         for name, arr in (("grid", grid), ("values", values), ("weights", weights)):
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def periodic(self) -> bool:
         return self.model.kind == "torus"
+
+    @property
+    def metric(self) -> float:
+        return 1.0 if self.periodic else 1.0 / self.model.scale
 
     @cached_property
     def derivative_operator(self):
@@ -106,39 +124,48 @@ class SymmetricManifoldProfile:
         return self.derivative_operator @ (v - v[0])
 
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":
-        return SymmetricManifoldProfile(
-            model=self.model, grid=self.grid, values=values, weights=self.weights
-        )
+        return SymmetricManifoldProfile(model=self.model, values=values)
 
     def lp_norm(self, p: float) -> float:
         return float(np.sum(self.weights * self.values**p)) ** (1.0 / p)
 
+    def ln_functional(self, p: float, q: float, C: float, kappa: float,
+                      values=None) -> tuple:
+        """(ln J_q, terms) at u, or at values on u's grid.
+
+        terms is (int u^p, int u^q, energy, du), with energy =
+        int |grad u|^p + C int u^p and du the coordinate derivative, kept
+        for gradients to reuse.  ln J_q is the scale-invariant form
+        ln J_q(u/||u||_p), or None where an integral in it is not positive.
+        """
+        vals = self.values if values is None else values
+        w = self.weights
+        du = self.coordinate_derivative(values)
+        grad = np.abs(du) if self.periodic else np.abs(du) / self.model.scale
+        mass_p = float(np.add.reduce(w * vals**p))
+        mass_q = float(np.add.reduce(w * vals**q))
+        energy = float(np.add.reduce(w * grad**p)) + C * mass_p
+        terms = (mass_p, mass_q, energy, du)
+        if mass_p <= 0 or mass_q <= 0 or energy <= 0:
+            return None, terms
+        return (
+            math.log(energy) + kappa * math.log(mass_q) - (1.0 + q * kappa / p) * math.log(mass_p)
+        ), terms
+
 
 def symmetric_profile(model: ManifoldModel, values, n_nodes: int = None) -> SymmetricManifoldProfile:
-    """Build a profile from a callable or an array of nodal values.
+    """Build a profile from a callable of the coordinate or an array of nodal values.
 
-    The grid is uniform: n_nodes angles in [0, pi] for the sphere
-    (endpoints included), n_nodes periodic coordinates in [0, L) for the
-    torus.  Sphere weights are trapezoid weights of the zonal volume
-    element, rescaled to make the total volume exact.
+    A callable is sampled on the profile grid of n_nodes nodes (600 by
+    default); an array sets the node count, which n_nodes, if given, must
+    match.
     """
-    if n_nodes is None:
-        n_nodes = 600
-    if model.kind == "sphere":
-        grid = np.linspace(0.0, math.pi, n_nodes)
-        n, rho = model.dimension, model.scale
-        dens = np.sin(grid) ** (n - 1)
-        w = np.full(n_nodes, grid[1] - grid[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        w = w * dens * sphere_area(n) * rho**n
-        w *= model.volume / float(np.sum(w))
-    else:
-        side = model.scale
-        grid = np.linspace(0.0, side, n_nodes, endpoint=False)
-        w = np.full(n_nodes, model.volume / n_nodes)
-    vals = values(grid) if callable(values) else np.asarray(values, dtype=float)
-    return SymmetricManifoldProfile(model=model, grid=grid, values=vals, weights=w)
+    if callable(values):
+        m = 600 if n_nodes is None else n_nodes
+        values = values(SymmetricManifoldProfile(model, np.zeros(m)).grid)
+    elif n_nodes is not None and np.shape(values) != (n_nodes,):
+        raise DomainError(f"expected {n_nodes} nodal values, got shape {np.shape(values)}")
+    return SymmetricManifoldProfile(model=model, values=values)
 
 
 def constant_profile(model: ManifoldModel, p: float, n_nodes: int = None) -> SymmetricManifoldProfile:
@@ -147,49 +174,36 @@ def constant_profile(model: ManifoldModel, p: float, n_nodes: int = None) -> Sym
     return symmetric_profile(model, lambda g: np.full_like(g, c), n_nodes)
 
 
-def _exponents(n: int, p: float, q: float) -> tuple:
+def _exponents(n: int, p: float, q: float, C: float) -> tuple:
     if not 1 < p <= 2:
         raise DomainError(f"require 1 < p <= 2, got p={p}")
     if not p < n:
         raise DomainError(f"require p < dimension, got p={p}, n={n}")
     if not 1 <= q < p:
         raise DomainError(f"require 1 <= q < p, got q={q}")
+    if not 0 <= C < math.inf:
+        raise DomainError(f"require a finite C >= 0, got {C}")
     theta = derived_exponents(InequalityParams(n=n, p=p, q=q, r=p)).theta
     kappa = p * (1.0 - theta) / (q * theta)
     return theta, kappa
 
 
-def _raw_terms(u: SymmetricManifoldProfile, p: float, q: float, C: float,
-               values=None) -> tuple:
-    """(int |grad u|^p, int u^p, int u^q, energy, du) at u, or at values on u's grid.
-
-    du is the coordinate derivative, returned for gradients to reuse.
-    """
-    vals = u.values if values is None else values
-    w = u.weights
-    du = u.coordinate_derivative(values)
-    grad = np.abs(du) / u.model.scale if u.model.kind == "sphere" else np.abs(du)
-    grad_p = float(np.add.reduce(w * grad**p))
-    mass_p = float(np.add.reduce(w * vals**p))
-    mass_q = float(np.add.reduce(w * vals**q))
-    return grad_p, mass_p, mass_q, grad_p + C * mass_p, du
+def _lagrange_weights(terms, kappa: float) -> tuple:
+    """(A_q, B_q, nu) from ln_functional's terms at a unit-norm profile."""
+    _, mass_q, energy, _ = terms
+    return mass_q**kappa, energy * mass_q ** (kappa - 1.0), energy * mass_q**kappa
 
 
 def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> float:
     """J_q at u, after rescaling u to unit Lp norm."""
-    theta, kappa = _exponents(u.model.dimension, p, q)
-    if C < 0:
-        raise DomainError(f"require C >= 0, got {C}")
-    _, mass_p, mass_q, energy, _ = _raw_terms(u, p, q, C)
+    _, kappa = _exponents(u.model.dimension, p, q, C)
+    ln_j, (mass_p, _, energy, _) = u.ln_functional(p, q, C, kappa)
     if mass_p <= 0:
         raise DomainError("profile has zero Lp mass")
     if energy == 0.0:
         # constants at C = 0: no gradient energy, no zeroth-order term
         return 0.0
-    # scale-invariant form: J(u/||u||_p)
-    return math.exp(
-        math.log(energy) + kappa * math.log(mass_q) - (1.0 + q * kappa / p) * math.log(mass_p)
-    )
+    return math.exp(ln_j)
 
 
 @dataclass(frozen=True)
@@ -198,7 +212,9 @@ class MinimizeResult:
 
     value is nu = J_q at the returned profile; energy_weight and
     qnorm_weight are the Lagrange-type weights A_q and B_q, satisfying
-    qnorm_weight * int u^q = value up to floating point.  stop_reason is
+    qnorm_weight * int u^q = value up to floating point, with
+    identity_gap = |qnorm_weight * int u^q - value|.  constant_value is
+    J_q at the unit-norm constant, the ceiling of value.  stop_reason is
     why the descent stopped (profiles._projected_descent), or "exact" at
     C = 0, where no descent runs; converged means the descent met its
     gradient tolerance or the value is exact.
@@ -212,6 +228,8 @@ class MinimizeResult:
     energy_weight: float
     qnorm_weight: float
     used_constant: bool
+    constant_value: float
+    identity_gap: float
     p: float
     q: float
     C: float
@@ -233,16 +251,9 @@ class MinimizeResult:
             "p": self.p,
             "q": self.q,
             "C": self.C,
+            "identity_gap": self.identity_gap,
+            "constant_value": self.constant_value,
         }
-
-
-def _weights_for(u: SymmetricManifoldProfile, p: float, q: float, C: float,
-                 kappa: float) -> tuple:
-    _, _, mass_q, energy, _ = _raw_terms(u, p, q, C)
-    a_q = mass_q**kappa
-    b_q = energy * mass_q ** (kappa - 1.0)
-    nu = energy * mass_q**kappa
-    return a_q, b_q, nu, mass_q
 
 
 def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
@@ -262,45 +273,32 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     only on "gtol" (the preconditioned gradient fell below gtol).  C = 0
     returns the exact infimum 0 at the constant with stop_reason "exact".
     """
-    n = model.dimension
-    theta, kappa = _exponents(n, p, q)
-    if C < 0:
-        raise DomainError(f"require C >= 0, got {C}")
+    _, kappa = _exponents(model.dimension, p, q, C)
+    base = constant_profile(model, p, n_nodes)
     if C == 0:
         # constants are admissible and drive both terms to zero, so the
-        # infimum is exactly 0; finite differences of a constant array can
-        # leave ~1e-60 dust, so the zero is written out rather than computed
-        const = constant_profile(model, p, n_nodes)
-        mass_q = float(np.sum(const.weights * const.values**q))
+        # infimum is exactly 0, written out rather than computed
+        _, (_, mass_q, _, _) = base.ln_functional(p, q, C, kappa)
         return MinimizeResult(
-            value=0.0, profile=const, iterations=0, stop_reason="exact", el_residual=0.0,
-            energy_weight=mass_q**kappa, qnorm_weight=0.0,
-            used_constant=True, p=p, q=q, C=C,
+            value=0.0, profile=base, iterations=0, stop_reason="exact", el_residual=0.0,
+            energy_weight=mass_q**kappa, qnorm_weight=0.0, used_constant=True,
+            constant_value=0.0, identity_gap=0.0, p=p, q=q, C=C,
         )
 
-    base = constant_profile(model, p, n_nodes)
     w = base.weights
     rng = np.random.default_rng(seed)
     # smooth low-frequency seed perturbation around the constant
-    x = base.grid / (math.pi if model.kind == "sphere" else model.scale)
+    x = base.grid / (model.scale if base.periodic else math.pi)
     bump = np.zeros_like(x)
     for k in range(1, 4):
         bump += rng.normal(0, 1.0 / k) * np.cos(math.pi * k * x + rng.uniform(0, 2 * math.pi))
     u = np.maximum(base.values * (1.0 + 0.25 * bump / max(np.max(np.abs(bump)), 1e-12)), 0.0)
 
     adjoint = base.derivative_operator.T
-    metric = 1.0 / model.scale if model.kind == "sphere" else 1.0
+    metric = base.metric
 
     def objective(vals: np.ndarray):
-        _, mass_p, mass_q, energy, du = _raw_terms(base, p, q, C, vals)
-        if mass_p <= 0 or mass_q <= 0 or energy <= 0:
-            return None, None
-        val = (
-            math.log(energy)
-            + kappa * math.log(mass_q)
-            - (1.0 + q * kappa / p) * math.log(mass_p)
-        )
-        return val, (mass_p, mass_q, energy, du)
+        return base.ln_functional(p, q, C, kappa, vals)
 
     def gradient(vals: np.ndarray, cache) -> np.ndarray:
         mass_p, mass_q, energy, du = cache
@@ -320,22 +318,22 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         s = mass_p ** (1.0 / p)
         return vals / s, (1.0, mass_q / s**q, energy / s**p, du / s)
 
-    seed_u = u / float(np.add.reduce(w * u**p)) ** (1.0 / p)
+    seed_u = u / base.with_values(u).lp_norm(p)
     u, _, iters, reason = _projected_descent(objective, gradient, seed_u, w, max_iters,
                                              armijo=0.25, gtol=gtol, retract=retract)
 
-    descent = base.with_values(u)
-    v_descent = gn_functional(descent, p, q, C)
-    v_const = gn_functional(base, p, q, C)
+    ln_descent, descent_terms = base.ln_functional(p, q, C, kappa, u)
+    ln_const, const_terms = base.ln_functional(p, q, C, kappa)
+    v_descent, v_const = math.exp(ln_descent), math.exp(ln_const)
     # the constant solves the discrete optimality system exactly, so when
     # the descent value only ties it (discretization-level difference),
     # the constant is the better-certified minimizer
     if v_descent < v_const - 1e-8 * max(1.0, abs(v_const)):
-        best, used_const = descent, False
+        best, used_const, terms = base.with_values(u), False, descent_terms
     else:
-        best, used_const = base, True
+        best, used_const, terms = base, True, const_terms
 
-    a_q, b_q, nu, _ = _weights_for(best, p, q, C, kappa)
+    a_q, b_q, nu = _lagrange_weights(terms, kappa)
     resid = euler_lagrange_residual(best, p, q, C, nu=nu, energy_weight=a_q, qnorm_weight=b_q)
     return MinimizeResult(
         value=nu,
@@ -346,6 +344,8 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         energy_weight=a_q,
         qnorm_weight=b_q,
         used_constant=used_const,
+        constant_value=v_const,
+        identity_gap=abs(b_q * terms[1] - nu),
         p=p,
         q=q,
         C=C,
@@ -360,18 +360,19 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     If nu / A_q / B_q are omitted they are computed from u itself, which
     is the self-consistent choice for a claimed minimizer.
     """
-    theta, kappa = _exponents(u.model.dimension, p, q)
+    theta, kappa = _exponents(u.model.dimension, p, q, C)
     if not (n_tests >= 1 and float(n_tests).is_integer()):
         raise DomainError(f"need at least 1 test function, got {n_tests}")
     n_tests = int(n_tests)
     if nu is None or energy_weight is None or qnorm_weight is None:
-        energy_weight, qnorm_weight, nu, _ = _weights_for(u, p, q, C, kappa)
+        _, terms = u.ln_functional(p, q, C, kappa)
+        energy_weight, qnorm_weight, nu = _lagrange_weights(terms, kappa)
     w = u.weights
-    metric = 1.0 / u.model.scale if u.model.kind == "sphere" else 1.0
+    metric = u.metric
     du = u.coordinate_derivative() * metric
     flux = np.sign(du) * np.abs(du) ** (p - 1.0)
     # smooth bumps spread across the coordinate domain
-    span = math.pi if u.model.kind == "sphere" else u.model.scale
+    span = u.model.scale if u.periodic else math.pi
     centers = np.linspace(0.12 * span, 0.88 * span, n_tests)
     width = 1.4 * (centers[1] - centers[0]) if n_tests > 1 else 0.3 * span
     resid, scales = [], []
@@ -416,7 +417,7 @@ def infimum_scan(model: ManifoldModel, p: float, q_values, C: float,
                 "stop_reason": res.stop_reason,
                 "converged": res.converged,
                 "used_constant": res.used_constant,
-                "constant_value": gn_functional(constant_profile(model, p, n_nodes), p, float(q), C),
+                "constant_value": res.constant_value,
                 "inv_entropy_constant": inv_entropy,
                 "inv_estimated_constant": 1.0 / est.value,
             }

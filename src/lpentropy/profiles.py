@@ -3,14 +3,17 @@
 A profile is a sampled nonnegative radial function u(r) on a geometric
 grid.  All integrals over R^n reduce to
 
-    int f dx  =  omega_{n-1} * sum_i w_i r_i^{n-1} f(r_i),
+    int f dx  =  sum_i m_i f(r_i),
 
-where the weights are built from the exact per-cell moments of the
-volume measure r^{n-1} dr (trapezoid split of each cell's measure onto
-its endpoints, with the [0, r_1] head lumped into the first node).  That
-construction makes the rule exact for constants, so summing the weights
-recovers int_0^{r_M} r^{n-1} dr to machine precision, and it converges
-at second order for smooth integrands under grid refinement.
+where m = _node_measure(r, n) is the profile's node measure: omega_{n-1}
+times the exact volume (r_{j+1}^n - r_j^n)/n of each shell between
+neighbouring nodes, split evenly onto its two nodes, with the ball
+[0, r_0] lumped into the first node.  The rule is exact for constants, so
+the node measures sum to the volume omega_{n-1} r_M^n / n of the ball to
+machine precision, and it converges at second order for smooth
+integrands under grid refinement.  RadialProfile stores no weights: the
+node measure is built from the grid wherever an integral needs it
+(RadialProfile.cell_measure, _profile_sums, extremal_integrals).
 
 This module is also the package's one finite-difference layer.  Gradients
 of sampled profiles are always taken by the three-point second-order
@@ -28,15 +31,15 @@ route in extremal_integrals.
 
 Large-grid integrals are summed block by block by _blocked_sums: the
 integrand is evaluated on 8 192-node slices of the grid with one node of
-overlap on each side, so the weights and the stencil of every kept node
-are those of the whole-array rule, and no temporary the size of the grid
-is allocated.  Only the order of summation differs, so a grid of at most
+overlap on each side, so the node measure and the stencil of every kept
+node are those of the whole-array rule, and no temporary the size of the
+grid is allocated.  Only the order of summation differs, so a grid of at most
 8 192 nodes, one block, gives the whole-array sums bit for bit.  The
 quadrature route of extremal_integrals and the bubble integrals of
 manifold_geometry build their slices themselves; every integral of a
 RadialProfile (lp_norm, grad_energy, entropy_integral, and the deficits,
 quotients and weak residuals built on them) goes through _profile_sums,
-which hands the callback each block's cell measure, grid, values and
+which hands the callback each block's node measure, grid, values and
 stencil derivative.
 """
 
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -212,7 +215,7 @@ def _blocked_sums(m: int, terms) -> tuple:
     and returns a sequence of arrays of length hi - lo.  The grid is walked
     in blocks of _BLOCK_NODES nodes; each slice reaches one node past its
     block on each side (two on the left for a one-node tail, which the
-    one-sided end stencil needs), so local weights and stencils see every
+    one-sided end stencil needs), so local measures and stencils see every
     neighbour of the nodes kept, and each node is kept in exactly one block.
     The block sums are added with math.fsum.
     """
@@ -229,19 +232,18 @@ def _profile_sums(u: RadialProfile, terms, derivative: bool = False) -> tuple:
     """Sums over the nodes of u of the arrays that terms returns, block by block.
 
     terms(mw, r, v, dv) gets one _blocked_sums slice of the profile: the
-    cell measure mw (as RadialProfile.cell_measure), the grid r, the values
-    v and, if derivative is set, the stencil derivative dv of v on the
-    slice (else None); it returns an iterable of weighted integrands of the
+    node measure mw (_node_measure of the slice), the grid r, the values v
+    and, if derivative is set, the stencil derivative dv of v on the slice
+    (else None); it returns an iterable of weighted integrands of the
     slice's length.  Each element is computed as on the whole arrays.
     """
-    om = sphere_area(u.dimension)
-    k = u.dimension - 1
+    n = u.dimension
 
     def block(lo: int, hi: int):
         r = u.grid[lo:hi]
         v = u.values[lo:hi]
         dv = radial_derivative(r, v) if derivative else None
-        return terms(om * u.weights[lo:hi] * r**k, r, v, dv)
+        return terms(_node_measure(r, n), r, v, dv)
 
     return _blocked_sums(len(u.grid), block)
 
@@ -251,7 +253,7 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
     """Armijo projected-gradient descent over u >= 0.
 
     Returns (u, value, iterations, stop_reason).  objective(u) returns
-    (value, cache), or (None, None) where the value is undefined;
+    (value, cache), with value None where it is undefined;
     gradient(u, cache) is the gradient of the value at u.  The direction is
     -gradient / max(w, 1e-3 mean w), so nodes of negligible weight cannot
     take huge steps.  Each trial point is projected onto u >= 0; an
@@ -310,27 +312,30 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
     return u, cur, iters, reason
 
 
-def _measure_weights(grid: np.ndarray, n: int) -> np.ndarray:
-    """Weights w with sum_i w_i r_i^{n-1} f_i ~ int_0^{r_M} f r^{n-1} dr.
+def _node_measure(grid: np.ndarray, n: int) -> np.ndarray:
+    """Node measure m with sum_i m_i f(r_i) ~ int_{|x| < r_M} f dx on R^n.
 
-    Each cell's exact measure (r_{j+1}^n - r_j^n)/n is split evenly onto
-    its endpoints; the head segment [0, r_1] is lumped into the first
-    node.  Exact for f = const by telescoping.
+    omega_{n-1} times each shell's exact volume (r_{j+1}^n - r_j^n)/n is
+    split evenly onto its two nodes; the ball [0, r_0] is lumped into the
+    first node.  Exact for f = const by telescoping.
     """
     r = grid
-    # in place, at most three grid-sized arrays at once; each element is
-    # computed as in (r[1:]**n - r[:-1]**n) / n * 0.5 and measure / r**(n-1)
-    cell = r**n
+    om = sphere_area(n)
+    # in place, at most two grid-sized temporaries at once; each element is
+    # computed as in om / (2 n) * (r[1:]^n - r[:-1]^n), with r^n the product
+    # r * r * ... * r, several times cheaper than numpy's power for n >= 3
+    cell = r * r
+    for _ in range(n - 2):
+        cell *= r
     half = cell[1:] - cell[:-1]
     del cell
-    half /= n
-    half *= 0.5
-    measure = np.zeros_like(r)
-    measure[:-1] += half
+    half *= om / (2 * n)
+    measure = np.empty_like(r)
+    measure[:-1] = half
+    measure[-1] = 0.0
     measure[1:] += half
     del half
-    measure[0] += r[0] ** n / n
-    measure /= r ** (n - 1)
+    measure[0] += om * r[0] ** n / n
     return measure
 
 
@@ -341,7 +346,6 @@ class RadialProfile:
     grid: np.ndarray
     values: np.ndarray
     dimension: int
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         grid = np.ascontiguousarray(self.grid, dtype=float)
@@ -360,26 +364,18 @@ class RadialProfile:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dimension", int(n))
-        w = self.weights
-        if w is None:
-            w = _measure_weights(grid, int(n))
-        else:
-            w = np.ascontiguousarray(w, dtype=float)
-            if w.shape != grid.shape:
-                raise DomainError("weights must match the grid shape")
-        object.__setattr__(self, "weights", w)
-        for arr in (self.grid, self.values, self.weights):
+        for arr in (self.grid, self.values):
             arr.flags.writeable = False
 
-    # measure weights against dv = r^{n-1} dr, including the angular factor
     def cell_measure(self) -> np.ndarray:
-        return sphere_area(self.dimension) * self.weights * self.grid ** (self.dimension - 1)
+        """The node measure of the profile's quadrature rule (_node_measure)."""
+        return _node_measure(self.grid, self.dimension)
 
     def derivative(self) -> np.ndarray:
         return radial_derivative(self.grid, self.values)
 
     def with_values(self, values: np.ndarray) -> "RadialProfile":
-        return RadialProfile(self.grid, values, self.dimension, self.weights)
+        return RadialProfile(self.grid, values, self.dimension)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -470,21 +466,20 @@ class ExtremalSpec:
         return (math.log(self.amplitude / cutoff) / self.b) ** (1.0 / self.shape_power)
 
 
-def _check_extremal_args(n: int, p: float, b: float) -> None:
+def extremal_spec(n: int, p: float, b: float) -> ExtremalSpec:
+    """Closed-form normalized spec of the extremal family."""
     if int(n) != n or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
     if not p > 1:
         raise DomainError(f"extremal family requires p > 1, got {p}")
-    if not b > 0:
-        raise DomainError(f"extremal family requires b > 0, got {b}")
-
-
-def extremal_spec(n: int, p: float, b: float) -> ExtremalSpec:
-    """Closed-form normalized spec of the extremal family."""
-    _check_extremal_args(n, p, b)
+    if not 0 < b < math.inf:
+        raise DomainError(f"extremal family requires a finite b > 0, got {b}")
     pp = p / (p - 1.0)
-    mass_moment = sphere_area(n) * stretched_exp_moment(n - 1.0, pp, p * b)
-    amplitude = mass_moment ** (-1.0 / p)
+    try:
+        amplitude = (sphere_area(n) * stretched_exp_moment(n - 1.0, pp, p * b)) ** (-1.0 / p)
+    except (OverflowError, ZeroDivisionError):
+        # the mass moment underflowed to zero or overflowed
+        raise DomainError(f"the extremal normalization at b = {b} leaves the float range") from None
     return ExtremalSpec(n=int(n), p=float(p), b=float(b), amplitude=amplitude)
 
 
@@ -547,7 +542,7 @@ def extremal_integrals(
 
     Route one reduces every integral to stretched_exp_moment via the
     closed form of the profile; route two integrates the sampled profile
-    with quadrature weights and finite-difference gradients, summed block
+    with its node measure and finite-difference gradients, summed block
     by block (_blocked_sums) so that no grid-sized temporary is allocated.
     A relative disagreement beyond check_tol on any of the five raises
     OracleDisagreement.
@@ -577,8 +572,8 @@ def extremal_integrals(
     def terms(lo: int, hi: int) -> tuple:
         r = grid[lo:hi]
         u = spec.value(r)
-        # the cell measure and derivative of RadialProfile, on the slice
-        mw = om * _measure_weights(r, spec.n) * r ** (spec.n - 1)
+        # the node measure and derivative of RadialProfile, on the slice
+        mw = _node_measure(r, spec.n)
         gp = np.abs(radial_derivative(r, u)) ** p
         ent = plogp(u, p)
         r2 = r**2

@@ -91,6 +91,25 @@ def test_domain_error_exit_code():
     assert "domain error" in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("hc", "--n", "3", "--A", "nan", "--B", "1", "--lambda", "1"),
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.01,inf"),
+    ("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const", "nan",
+     "--b-const", "1", "--eps-grid", "0.05", "--expect", "none"),
+    ("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const", "0.1",
+     "--b-const", "inf", "--eps-grid", "0.05", "--expect", "none"),
+    ("extremal", "--n", "3", "--p", "2", "--b", "inf"),
+    ("deficit", "--n", "3", "--p", "2", "--b", "1e250"),
+    ("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "nan"),
+    ("nu-scan", "--model", "sphere", "--n", "3", "--p", "2", "--q-list", "1.5", "--C", "inf"),
+])
+def test_non_finite_input_exit_code(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    assert "domain error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_usage_error_exit_code():
     res = run_cli("constants", "--n", "3", "--p", "2", "--bogus", "1")
     assert res.returncode == 64

@@ -111,6 +111,14 @@ def test_parameter_validation():
         bakry_integrals(3, 1.0, 0.0, 1.0, p_from=3.0, q_to=2.0)
     with pytest.raises(DomainError):
         bakry_integrals(3, 1.0, 0.0, 1.0, p_from=0.5)
+    # non-finite A, B, lambda and slack, and a negative slack
+    for a, b, lam in ((math.nan, 1.0, 5.0), (math.inf, 1.0, 5.0), (0.1, math.nan, 5.0),
+                      (0.1, math.inf, 5.0), (0.1, 1.0, math.nan), (0.1, 1.0, math.inf)):
+        with pytest.raises(DomainError):
+            bakry_integrals(3, a, b, lam)
+    for slack in (math.nan, math.inf, -0.01):
+        with pytest.raises(DomainError):
+            bakry_integrals(3, 0.0781, 1.0, 5.0, slack=slack)
 
 
 def test_ultracontractivity_table():
@@ -125,6 +133,13 @@ def test_ultracontractivity_table():
     assert "note" in rep.rows[2]
     with pytest.raises(DomainError):
         ultracontractivity_check(n, a, 1.0, [0.05, -0.1])
+    # an infinite or undefined time is invalid input, not an inadmissible row
+    for t in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ultracontractivity_check(n, a, 1.0, [0.05, t])
+    for a_const, b_const, slack in ((math.nan, 1.0, 0.05), (a, math.inf, 0.05), (a, 1.0, math.nan)):
+        with pytest.raises(DomainError):
+            ultracontractivity_check(n, a_const, b_const, [0.05], slack=slack)
 
 
 def test_ultracontractivity_fails_above_sharp():

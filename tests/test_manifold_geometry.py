@@ -200,3 +200,10 @@ def test_witness_domain():
         lower_bound_witness(sph, 2.0, -0.1, 1.0, eps_grid=[0.05])
     with pytest.raises(DomainError):
         lower_bound_witness(sph, 3.2, 0.1, 1.0, eps_grid=[0.05])
+    # non-finite constants are rejected, not scanned into a "no violation"
+    for a_const, b_const in ((math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf)):
+        with pytest.raises(DomainError):
+            lower_bound_witness(sph, 2.0, a_const, b_const, eps_grid=[0.05])
+    for b in (math.inf, 1e250):
+        with pytest.raises(DomainError):
+            lower_bound_witness(sph, 2.0, 0.1, 1.0, eps_grid=[0.05], b=b)

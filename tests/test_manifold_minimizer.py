@@ -35,15 +35,31 @@ def test_constant_profile_exactness():
 
 
 def test_profile_validation():
-    grid = np.linspace(0.0, math.pi, 20)
-    w = np.full(20, 1.0)
     with pytest.raises(DomainError):
-        SymmetricManifoldProfile(model=SPHERE3, grid=grid, values=-np.ones(20), weights=w)
+        SymmetricManifoldProfile(model=SPHERE3, values=-np.ones(20))
+    with pytest.raises(DomainError):
+        SymmetricManifoldProfile(model=SPHERE3, values=np.full(20, math.nan))
     with pytest.raises(DomainError):
         symmetric_profile(SPHERE3, np.ones(7), n_nodes=7)
+    with pytest.raises(DomainError):
+        symmetric_profile(SPHERE3, np.ones(20), n_nodes=30)
     u = constant_profile(SPHERE3, 2.0, 64)
-    with pytest.raises(ValueError):
-        u.values[0] = 2.0  # arrays are read-only
+    for arr in (u.values, u.grid, u.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0  # arrays are read-only
+
+
+def test_profile_derives_its_rule_from_the_node_count():
+    for model, grid in ((SPHERE3, np.linspace(0.0, math.pi, 50)),
+                        (TORUS3, np.linspace(0.0, 2.0, 50, endpoint=False))):
+        u = SymmetricManifoldProfile(model=model, values=np.ones(50))
+        assert np.array_equal(u.grid, grid)
+        assert float(np.sum(u.weights)) == pytest.approx(model.volume, rel=1e-13)
+        v = u.with_values(np.full(50, 2.0))
+        assert np.array_equal(v.grid, u.grid) and np.array_equal(v.weights, u.weights)
+    wide = SymmetricManifoldProfile(model=ManifoldModel.sphere(3, 4.0), values=np.ones(9))
+    assert wide.metric == 0.25
+    assert SymmetricManifoldProfile(model=TORUS3, values=np.ones(9)).metric == 1.0
 
 
 def test_coordinate_derivative_accuracy():
@@ -85,6 +101,21 @@ def test_minimize_sphere_identities():
     ceiling = gn_functional(constant_profile(SPHERE3, 2.0, 200), 2.0, 1.9, 1.0)
     assert res.value <= ceiling * (1.0 + 1e-12)
     assert res.used_constant  # descent cannot beat the constant here
+
+
+@pytest.mark.parametrize("model, p, q, C", [(SPHERE3, 2.0, 1.9, 1.0), (SPHERE3, 2.0, 1.9, 4.0),
+                                            (SPHERE3, 2.0, 1.9, 0.0),
+                                            (ManifoldModel.torus(3, side=6.0), 1.5, 1.2, 5.0)])
+def test_result_ceiling_and_identity_gap_match_a_recomputation(model, p, q, C):
+    # the result's constant value and identity gap reuse the descent's last
+    # sums; recomputed from scratch they must agree to the bit
+    res = minimize_gn_functional(model, p, q, C, n_nodes=200, max_iters=400)
+    assert res.constant_value == gn_functional(constant_profile(model, p, 200), p, q, C)
+    mass_q = float(np.sum(res.profile.weights * res.profile.values**q))
+    assert res.identity_gap == abs(res.qnorm_weight * mass_q - res.value)
+    record = res.as_dict()
+    assert (record["constant_value"], record["identity_gap"]) == (res.constant_value,
+                                                                  res.identity_gap)
 
 
 def test_minimize_torus_identities():
@@ -206,6 +237,12 @@ def test_domain_errors():
         minimize_gn_functional(SPHERE3, 2.0, 1.9, -1.0, n_nodes=64)
     with pytest.raises(DomainError):
         minimize_gn_functional(ManifoldModel.sphere(2), 2.0, 1.9, 1.0, n_nodes=64)  # p = n
+    u = constant_profile(SPHERE3, 2.0, 64)
+    for C in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            minimize_gn_functional(SPHERE3, 2.0, 1.9, C, n_nodes=64)
+        with pytest.raises(DomainError):
+            gn_functional(u, 2.0, 1.9, C)
 
 
 def test_infimum_scan_rows():

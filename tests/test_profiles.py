@@ -1,4 +1,4 @@
-"""Radial profiles: quadrature weights, derivatives, extremal integrals."""
+"""Radial profiles: node measure, derivatives, extremal integrals."""
 
 import math
 import re
@@ -13,7 +13,7 @@ from whole_array import BLOCK_SIZES, agrees
 from lpentropy.errors import DomainError, OracleDisagreement
 from lpentropy.profiles import (
     RadialProfile,
-    _measure_weights,
+    _node_measure,
     _projected_descent,
     bump_basis,
     derivative_matrix,
@@ -58,7 +58,7 @@ FLAT_INTEGRALS = {
 
 
 def test_cell_measure_exact_for_constants():
-    """The weights must integrate constants exactly: that is their invariant."""
+    """The node measure must integrate constants exactly: that is its invariant."""
     for n in (2, 3, 5):
         grid = np.geomspace(1e-6, 4.0, 5000)
         u = RadialProfile(grid=grid, values=np.ones_like(grid), dimension=n)
@@ -288,29 +288,43 @@ def test_mixture_matches_written_out_expression():
         assert np.array_equal(u.values, expected)
 
 
-def test_measure_weights_match_written_out_expression():
-    """The in-place weight rule gives the bits of the expression written out."""
+def test_node_measure_matches_written_out_expression():
+    """The in-place node measure gives the bits of the expression written out."""
     grids = (np.geomspace(1e-6, 30.0, 200_000), np.array([0.1, 0.4, 2.0]),
              np.sort(np.random.default_rng(4).uniform(0.01, 9.0, 5000)))
     for n in (2, 3, 4, 7):
+        om = sphere_area(n)
         for r in grids:
-            cell = (r[1:] ** n - r[:-1] ** n) / n
+            power = r
+            for _ in range(n - 1):
+                power = power * r
+            half = om / (2 * n) * (power[1:] - power[:-1])
             measure = np.zeros_like(r)
-            measure[:-1] += 0.5 * cell
-            measure[1:] += 0.5 * cell
-            measure[0] += r[0] ** n / n
-            assert np.array_equal(_measure_weights(r, n), measure / r ** (n - 1))
+            measure[:-1] += half
+            measure[1:] += half
+            measure[0] += om * r[0] ** n / n
+            assert np.array_equal(_node_measure(r, n), measure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.floats(1e-8, 1e-1),
+       st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=400))
+def test_node_measure_sums_to_ball_volume(n, r0, steps):
+    """On any increasing grid the node measure sums to the ball's volume."""
+    r = r0 + np.concatenate([[0.0], np.cumsum(steps)])
+    ball = sphere_area(n) * r[-1] ** n / n
+    assert float(np.sum(_node_measure(r, n))) == pytest.approx(ball, rel=1e-13)
 
 
 def test_mixture_memory_peak():
-    """A 200k-node mixture: its grid, values and weights plus a temporary or two."""
+    """A 200k-node mixture: its grid and values plus one temporary; no weights."""
     tracemalloc.start()
     try:
         random_stretched_mixture(3, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 200_000 * 8
+    assert peak <= 4 * 200_000 * 8
 
 
 def test_entropy_and_grad_consistency():
@@ -319,6 +333,14 @@ def test_entropy_and_grad_consistency():
     ref = extremal_integrals(3, 2.0, 1.0)
     assert entropy_integral(u, 2.0) == pytest.approx(ref.entropy, abs=5e-8)
     assert grad_energy(u, 2.0) == pytest.approx(ref.grad_energy, rel=5e-8)
+
+
+def test_extremal_spec_rejects_unnormalizable_rates():
+    # b = inf, and rates whose mass moment underflows or overflows
+    for b in (math.inf, math.nan, 1e250, 1e-300, 0.0):
+        with pytest.raises(DomainError):
+            extremal_spec(3, 2.0, b)
+    assert extremal_spec(3, 2.0, 1e100).amplitude > 0
 
 
 def test_extremal_spec_shape():
