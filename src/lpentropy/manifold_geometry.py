@@ -21,8 +21,10 @@ entropy inequality whose leading constant A is below the sharp one.
 
 The bubble integrals are trapezoid sums in r on a geometric grid, with the
 head [0, r_0] integrated analytically.  They are summed in blocks of 8 192
-nodes by profiles._blocked_sums, each block's node weights taken from its
-slice of the grid, so a call holds no temporary the size of the grid.
+nodes by profiles._blocked_sums in one fused pass per block: the block's
+nodes are generated from ln r, its trapezoid weights are closed forms of
+r, and two exponentials per node give all three integrands, so no array
+the size of the grid, the grid included, is ever held.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import scipy.integrate  # noqa: F401
 
 from .constants import entropy_best_constant
 from .errors import AccuracyNotMet, DomainError, Record
-from .profiles import ExtremalSpec, _blocked_sums, extremal_integrals, extremal_spec, plogp
+from .profiles import ExtremalSpec, _blocked_sums, extremal_integrals, extremal_spec
 from .special_fn import sphere_area
 
 __all__ = [
@@ -171,33 +173,103 @@ class BubbleIntegrals(Record):
     errors: dict
 
 
+#: exp(-y) is exactly 0 in float64 for every y >= 746, so clipping y there
+#: changes no node whose core has not underflowed, and keeps y finite
+_LN_Y_DEAD = math.log(746.0)
+
+
 def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
-    n = spec.model.dimension
-    p = spec.base.p
-    grid = np.geomspace(spec.eps * 1e-7, spec.delta, n_nodes)
-    om = sphere_area(n)
-    scale = spec.eps ** (-n / p)
+    """(mass, entropy, gradient) sums of the bubble on its geometric grid.
+
+    The rule is the trapezoid rule in r on the n_nodes nodes r_j = r_0 e^{js}
+    from r_0 = eps*1e-7 to delta, with the head [0, r_0] integrated
+    analytically into the first node, each node weighted by the geodesic
+    sphere area.  Each block's nodes are generated from their logarithms,
+    r_j = eps exp(ln 1e-7 + j s), with both endpoints set exactly, so no
+    grid-sized array exists.  An interior node's trapezoid weight
+    (r_{j+1} - r_{j-1})/2 is r_j sinh(s); the first node's is
+    r_0 (e^s - 1)/2 + r_0/n, the last node's delta (1 - e^{-s})/2.
+
+    With A = eps^{-n/p} a, x = r/eps and y = p b x^{p'}, the bubble is
+    u = eta A e^{-y/p}, so where the cutoff eta is 1 (r <= delta/2)
+
+        u^p = A^p e^{-y},   u^p ln u^p = u^p (p ln A - y),
+        |u'|^p = A^p (b p'/eps)^p x^{p'} e^{-y}     (as (p' - 1) p = p'):
+
+    one exp for y, taken of the node's ln x, and one for e^{-y} serve all
+    three integrands, and a node where e^{-y} underflows adds exactly 0 to
+    each.  eta and eta' are applied only to the nodes with r > delta/2.
+    The radii lie in (0, delta], inside the injectivity radius by
+    BubbleSpec's invariant, so the geodesic density is not checked here.
+    Constants that leave the float range come out inf or nan, which
+    bubble_integrals rejects.
+    """
+    model, base, eps, delta = spec.model, spec.base, spec.eps, spec.delta
+    n, p, b, pp = model.dimension, base.p, base.b, base.shape_power
+    # the nodes in x = r/eps run from 1e-7 to delta/eps; every node quantity
+    # is computed from the same ln x, so the rounding of a constant in it
+    # moves the nodes, not the rule
+    ln_x0 = math.log(1e-7)
+    step = (math.log(delta / eps) - ln_x0) / (n_nodes - 1)
+    sinh = math.sinh(step)
+    first = (math.expm1(step) / 2 + 1.0 / n) / sinh
+    last = -math.expm1(-step) / 2 / sinh
+    ln_pb = math.log(p * b)
+    ln_amp = p * math.log(base.amplitude) - n * math.log(eps)  # p ln A
+    mass_scale = sphere_area(n) * sinh * np.float64(base.amplitude) ** p * np.float64(eps) ** -n
+    grad_scale = mass_scale * np.float64(b * pp / eps) ** p / (p * b)
+    rho = model.scale if model.kind == "sphere" else None
 
     def terms(lo: int, hi: int) -> tuple:
-        r = grid[lo:hi]
-        eta = _cutoff(r, spec.delta)
-        core = spec.base.value(r / spec.eps)
-        u = eta * scale * core
-        du = (
-            _cutoff_derivative(r, spec.delta) * core
-            + eta * spec.base.derivative(r / spec.eps) / spec.eps
-        ) * scale
-        # trapezoid node weights in r; the true first node also carries the
-        # analytically-known head [0, r_0], where the integrands behave like
-        # their r=0 values times r^{n-1}
-        h = np.diff(r)
-        w = np.empty_like(r)
-        w[1:-1] = 0.5 * (h[:-1] + h[1:])
-        w[0], w[-1] = 0.5 * h[0], 0.5 * h[-1]
+        ln_x = np.arange(lo, hi, dtype=float)
+        ln_x *= step
+        ln_x += ln_x0
+        r = np.exp(ln_x)
+        r *= eps
         if lo == 0:
-            w[0] += r[0] / n
-        w *= om * r ** (n - 1) * geodesic_density(spec.model, r)
-        return w * u**p, w * plogp(u, p), w * np.abs(du) ** p
+            r[0] = eps * 1e-7
+        if hi == n_nodes:
+            r[-1] = delta
+        y = ln_x
+        y *= pp
+        y += ln_pb
+        np.minimum(y, _LN_Y_DEAD, out=y)
+        np.exp(y, out=y)
+        # w: the trapezoid weight over sinh(s), times the geodesic sphere
+        # area over omega_{n-1}, times e^{-y}
+        if rho is None:
+            area = r
+        else:
+            area = r / rho
+            np.sin(area, out=area)
+            area *= rho
+        w = r * area
+        for _ in range(n - 2):
+            w *= area
+        decay = np.negative(y)
+        w *= np.exp(decay, out=decay)
+        if lo == 0:
+            w[0] *= first
+        if hi == n_nodes:
+            w[-1] *= last
+        mass = w * mass_scale
+        ent = ln_amp - y
+        ent *= mass
+        grad = w * y
+        grad *= grad_scale
+        # the cutoff, on the nodes past delta/2 only
+        k = int(np.searchsorted(r, 0.5 * delta, side="right"))
+        if k < len(r):
+            rs, ys, ws = r[k:], y[k:], w[k:]
+            eta = _cutoff(rs, delta)
+            mass[k:] *= eta**p
+            # eta = 0 only where mass is 0, so ln eta is taken as 0 there
+            ln_eta = np.log(eta, out=np.zeros_like(eta), where=eta > 0)
+            ent[k:] = mass[k:] * (ln_amp - ys + p * ln_eta)
+            # u' = A e^{-y/p} (eta' - eta y / ((p - 1) r))
+            slope = _cutoff_derivative(rs, delta) - eta * ys / ((p - 1.0) * rs)
+            grad[k:] = mass_scale * ws * np.abs(slope) ** p
+        return mass, ent, grad
 
     return _blocked_sums(n_nodes, terms)
 
@@ -206,12 +278,13 @@ def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000,
                      error_estimate: bool = True) -> BubbleIntegrals:
     """Mass, entropy, and gradient-energy integrals of the bubble.
 
-    Uses a geometric grid from eps*1e-7 to delta, summed in blocks of
-    8 192 nodes; at least 50 nodes per decade are required.  When
-    error_estimate is set, each integral is recomputed at half resolution
-    and the difference is reported as a per-integral error estimate (the
-    quadrature is second order, so this overestimates the fine-grid error
-    by roughly a factor 3).
+    Uses a geometric grid from eps*1e-7 to delta, generated and summed in
+    blocks of 8 192 nodes; at least 50 nodes per decade are required.  When
+    error_estimate is set, each integral is recomputed on a fresh grid of
+    half as many nodes and the difference is reported as a per-integral
+    error estimate (the quadrature is second order, so this overestimates
+    the fine-grid error by roughly a factor 3).  Integrals that leave the
+    float range raise DomainError.
     """
     decades = math.log10(spec.delta / (spec.eps * 1e-7))
     if n_nodes < _MIN_NODES_PER_DECADE * decades:
@@ -219,15 +292,19 @@ def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000,
             f"grid of {n_nodes} nodes under-resolves {decades:.1f} decades; "
             f"need at least {int(_MIN_NODES_PER_DECADE * decades) + 1}"
         )
-    mass, ent, grad = _bubble_quadrature(spec, n_nodes)
-    errors = {}
-    if error_estimate:
-        m2, e2, g2 = _bubble_quadrature(spec, n_nodes // 2)
-        errors = {
-            "mass_p": abs(mass - m2),
-            "entropy": abs(ent - e2),
-            "grad_p": abs(grad - g2),
-        }
+    # constants outside the float range come out inf or nan, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass, ent, grad = _bubble_quadrature(spec, n_nodes)
+        errors = {}
+        if error_estimate:
+            m2, e2, g2 = _bubble_quadrature(spec, n_nodes // 2)
+            errors = {
+                "mass_p": abs(mass - m2),
+                "entropy": abs(ent - e2),
+                "grad_p": abs(grad - g2),
+            }
+    if not all(map(math.isfinite, (mass, ent, grad, *errors.values()))):
+        raise DomainError(f"the bubble integrals at eps = {spec.eps} leave the float range")
     return BubbleIntegrals(mass_p=mass, entropy=ent, grad_p=grad, eps=spec.eps, errors=errors)
 
 

@@ -160,6 +160,8 @@ def symmetric_profile(model: ManifoldModel, values, n_nodes: int = None) -> Symm
     default); an array sets the node count, which n_nodes, if given, must
     match.
     """
+    if n_nodes is not None and n_nodes < 8:
+        raise DomainError(f"a profile needs at least 8 nodes, got {n_nodes}")
     if callable(values):
         m = 600 if n_nodes is None else n_nodes
         values = values(SymmetricManifoldProfile(model, np.zeros(m)).grid)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -271,8 +272,11 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
     falls below gtol, "no_descent" when the direction no longer descends,
     "line_search" when 30 trials fail, "step_floor" when the step falls
     below 1e-18, and "max_iters" after max_iters iterations; the count
-    includes a final failed line search.
+    includes a final failed line search.  max_iters must be a nonnegative
+    integer.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise DomainError(f"the iteration cap must be a nonnegative integer, got {max_iters!r}")
     floor = np.maximum(weights, 1e-3 * float(np.mean(weights)))
     cur, cache = objective(u)
     if cur is None:
@@ -456,10 +460,18 @@ class ExtremalSpec:
         return self.amplitude * np.exp(-self.b * np.asarray(r, dtype=float) ** self.shape_power)
 
     def derivative(self, r: np.ndarray) -> np.ndarray:
-        """Analytic radial derivative (oracle route only)."""
+        """Analytic radial derivative u0'(r), exactly 0 where the core underflows.
+
+        Far out r^{p'-1} can overflow while exp(-b r^{p'}) underflows; the
+        product is then 0, not inf * 0.  The bubble quadrature derives the
+        same derivative in closed form from its own exponentials, and its
+        tests compare against this one.
+        """
         r = np.asarray(r, dtype=float)
         pp = self.shape_power
-        return -self.amplitude * self.b * pp * r ** (pp - 1.0) * np.exp(-self.b * r**pp)
+        core = np.exp(-self.b * r**pp)
+        slope = np.power(r, pp - 1.0, out=np.zeros_like(r), where=core > 0)
+        return -self.amplitude * self.b * pp * slope * core
 
     def support_radius(self, cutoff: float = TAIL_CUTOFF) -> float:
         """Radius beyond which the profile falls under the tail cutoff."""

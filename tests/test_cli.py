@@ -110,6 +110,22 @@ def test_non_finite_input_exit_code(argv):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "1",
+     "--n-nodes", "-1"),
+    ("nu-scan", "--model", "sphere", "--n", "3", "--p", "2", "--q-list", "1.9", "--C", "1",
+     "--n-nodes", "-1"),
+    ("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "1",
+     "--max-iters", "-5"),
+    ("gn-estimate", "--n", "3", "--p", "2", "--q", "1.99", "--r", "2", "--ascent-iters", "-5"),
+])
+def test_negative_count_exit_code(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    assert "domain error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_usage_error_exit_code():
     res = run_cli("constants", "--n", "3", "--p", "2", "--bogus", "1")
     assert res.returncode == 64

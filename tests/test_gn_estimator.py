@@ -104,6 +104,9 @@ def test_degenerate_parameters_rejected():
         estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.5, r=1.5))
     with pytest.raises(DomainError):
         gn_quotient(u, InequalityParams(n=4, p=2.0, q=1.5, r=2.0))  # dimension mismatch
+    with pytest.raises(DomainError):
+        estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.99, r=2.0), n_nodes=500,
+                             ascent_iters=-5)
 
 
 def test_limit_scan_validates_q():

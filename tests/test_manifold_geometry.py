@@ -124,8 +124,50 @@ def test_blocked_bubble_quadrature_matches_whole_array():
                 assert g == pytest.approx(e, rel=1e-14), (model.kind, n_nodes, name)
 
 
+def test_cutoff_start_around_block_edge():
+    """delta/2, where the cutoff starts, falls just before, at and just after
+    the first node of the second 8 192-node block (whose slice starts one
+    node earlier), and the blocked sums still match the whole-array rule.
+    The bubble is wide (eps ~ 0.3) so the nodes past delta/2 carry mass."""
+    model, p, delta, m = ManifoldModel.sphere(3), 2.0, 1.0, 8534
+    for first_cut in (8191, 8192, 8193):
+        # place delta/2 half a step below node first_cut in ln r:
+        # ln(delta / r_0) (1 - (first_cut - 1/2) / (m - 1)) = ln 2
+        span = math.log(2.0) / (1.0 - (first_cut - 0.5) / (m - 1))
+        eps = delta * math.exp(-span) / 1e-7
+        r = np.geomspace(eps * 1e-7, delta, m)
+        assert r[first_cut - 1] < delta / 2 < r[first_cut]
+        spec = BubbleSpec(model=model, base=extremal_spec(3, p, 1.0), delta=delta, eps=eps)
+        bi = bubble_integrals(spec, n_nodes=m, error_estimate=False)
+        expected = _whole_array_bubble(spec, m)
+        got = (bi.mass_p, bi.entropy, bi.grad_p)
+        for name, g, e in zip(("mass_p", "entropy", "grad_p"), got, expected):
+            assert g == pytest.approx(e, rel=1e-14), (first_cut, name)
+
+
+def test_underflowed_core_adds_nothing():
+    """Near p = 1 the core's r^{p'-1} overflows where exp(-b r^{p'}) has
+    underflowed; such nodes add 0, so the gradient stays finite and
+    eps^p grad_p tends to the flat integral I2."""
+    rep = fit_expansion(ManifoldModel.sphere(3), 1.02, 1.0, delta=1.0,
+                        eps_grid=[1e-7, 2e-7, 4e-7, 8e-7], n_nodes=20_000)
+    i2 = rep.reference["grad"]
+    for row in rep.rows:
+        assert math.isfinite(row["grad_p"]) and math.isfinite(row["err_grad_p"])
+        assert row["grad_p"] * row["eps"] ** 1.02 == pytest.approx(i2, rel=0.01)
+    assert all(math.isfinite(v) for v in rep.fits["grad"].values())
+
+
+def test_bubble_integrals_out_of_float_range():
+    # eps^{-n} = 1e360 overflows: a typed error, not an infinite integral
+    spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1.0),
+                      delta=1.0, eps=1e-120)
+    with pytest.raises(DomainError):
+        bubble_integrals(spec, n_nodes=10_000)
+
+
 def test_bubble_integrals_memory_peak():
-    """A 200k-node bubble holds at most four grid-sized arrays at once."""
+    """A 200k-node bubble holds at most one grid-sized array at once."""
     spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1.0),
                       delta=1.0, eps=0.02)
     tracemalloc.start()
@@ -134,7 +176,7 @@ def test_bubble_integrals_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 200_000 * 8
+    assert peak <= 200_000 * 8
 
 
 def test_sphere_expansion_coefficients():
@@ -161,6 +203,81 @@ def test_torus_expansion_is_flat():
     ):
         fit = rep.fits[name]
         assert abs(fit[coef_key]) <= 3.0 * fit[err_key], name
+
+
+# Reference outputs of the README `bubble` and `witness` commands, and of
+# `bubble` on the torus of side 2 with delta 0.9, computed with the plain
+# per-node evaluation of u, u' and plogp(u) on np.geomspace grids.  Rows are
+# (mass_p, entropy, grad_p, err_mass_p, err_entropy, err_grad_p) and, for the
+# witness, (lhs, rhs, margin).  Integrals, lhs and rhs must agree to 1e-14;
+# error estimates, fitted coefficients and margins, which difference or fit
+# nearly equal numbers, to 1e-6 (relative).
+_SPHERE_ROWS = [
+    (0.9999750022060251, 11.63787057145834, 29998.750082846214,
+     5.368163025210038e-09, 6.247554651395149e-08, 0.00016104220776469447),
+    (0.9999000083378732, 9.55783915522144, 7498.750129194879,
+     5.014686110804689e-09, 4.793435870453777e-08, 3.760763956961455e-05),
+    (0.9996001082027228, 7.476662311310611, 1873.7504694660104,
+     4.672220832446783e-09, 3.494659228664432e-08, 8.758077910897555e-06),
+    (0.9984017067482072, 5.392777982871322, 467.5018654252577,
+     4.338059134134653e-09, 2.343163973961282e-08, 2.031297356097639e-06),
+]
+_TORUS_ROWS = [
+    (1.0000000017712594, 11.63813652064425, 30000.00005313778,
+     5.3138493605331405e-09, 6.184330025860163e-08, 0.0001594154782651458),
+    (1.0000000016541664, 9.558694974161929, 7500.000012406249,
+     4.962565691712939e-09, 4.743565007458983e-08, 3.721924167621182e-05),
+    (1.0000000015410773, 7.479253428196527, 1875.0000028895197,
+     4.623293747840762e-09, 3.45787842803702e-08, 8.668675491207978e-06),
+    (1.000000001431992, 5.399811882723071, 468.7500006712462,
+     4.2960330848274e-09, 2.319777081538632e-08, 2.0137655951657507e-06),
+]
+_WITNESS_ROWS = [
+    (4.731629659290725, 4.634514004062312, 0.09711565522841337),
+    (6.810135165869061, 6.666651144660523, 0.14348402120853798),
+    (9.558744956724224, 9.401973492727075, 0.15677146399714914),
+]
+_SPHERE_FITS = {
+    "mass": {"c2": -0.24999839694618198, "c2_stderr": 3.7354901003431794e-06,
+        "c4": 0.04141774782806566},
+    "grad": {"c2": -1.249994892462175, "c2_stderr": 1.1203641100640456e-05,
+        "c4": 0.2906733746457412},
+    "entropy": {"clog": 0.7500412589685865, "clog_stderr": 0.0002406341598074322,
+        "c2": 0.7946116773393216, "c2_stderr": 0.0008606288275089661},
+}
+_TORUS_FITS = {
+    "mass": {"c2": 1.5367630456908455e-06, "c2_stderr": 3.696410721150993e-06,
+        "c4": -0.0002055912419417503},
+    "grad": {"c2": 4.610287817799503e-06, "c2_stderr": 1.1089231806195356e-05,
+        "c4": -0.0006167735576861378},
+    "entropy": {"clog": -8.470948480767291e-05, "clog_stderr": 0.00023814043810121532,
+        "c2": -0.00029042905776749243, "c2_stderr": 0.0008517078108418719},
+}
+
+def _pinned(got, expected, tight):
+    rel = 1e-14 if tight else 1e-6
+    return got == pytest.approx(expected, rel=rel)
+
+
+def test_bubble_outputs_pinned():
+    keys = ("mass_p", "entropy", "grad_p", "err_mass_p", "err_entropy", "err_grad_p")
+    eps_grid = [0.01, 0.02, 0.04, 0.08]
+    for model, delta, rows, fits in (
+        (ManifoldModel.sphere(3), 1.0, _SPHERE_ROWS, _SPHERE_FITS),
+        (ManifoldModel.torus(3, side=2.0), 0.9, _TORUS_ROWS, _TORUS_FITS),
+    ):
+        rep = fit_expansion(model, 2.0, 1.0, delta=delta, eps_grid=eps_grid)
+        for row, expected in zip(rep.rows, rows):
+            for i, (key, e) in enumerate(zip(keys, expected)):
+                assert _pinned(row[key], e, tight=i < 3), (model.kind, row["eps"], key)
+        for name, coefs in fits.items():
+            for key, e in coefs.items():
+                assert _pinned(rep.fits[name][key], e, tight=False), (model.kind, name, key)
+    rep = lower_bound_witness(ManifoldModel.sphere(3), 2.0, 0.0702, 1.0,
+                              eps_grid=[0.02, 0.05, 0.1])
+    for row, expected in zip(rep.rows, _WITNESS_ROWS):
+        for i, (key, e) in enumerate(zip(("lhs", "rhs", "margin"), expected)):
+            assert _pinned(row[key], e, tight=i < 2), (row["eps"], key)
 
 
 def test_expansion_window_warning():

@@ -43,6 +43,9 @@ def test_profile_validation():
         symmetric_profile(SPHERE3, np.ones(7), n_nodes=7)
     with pytest.raises(DomainError):
         symmetric_profile(SPHERE3, np.ones(20), n_nodes=30)
+    for m in (-1, 0, 7):  # rejected before a grid is built
+        with pytest.raises(DomainError):
+            symmetric_profile(SPHERE3, np.ones_like, n_nodes=m)
     u = constant_profile(SPHERE3, 2.0, 64)
     for arr in (u.values, u.grid, u.weights):
         with pytest.raises(ValueError):
@@ -237,6 +240,11 @@ def test_domain_errors():
         minimize_gn_functional(SPHERE3, 2.0, 1.9, -1.0, n_nodes=64)
     with pytest.raises(DomainError):
         minimize_gn_functional(ManifoldModel.sphere(2), 2.0, 1.9, 1.0, n_nodes=64)  # p = n
+    with pytest.raises(DomainError):
+        minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=-1)
+    for max_iters in (-5, 2.5):
+        with pytest.raises(DomainError):
+            minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=64, max_iters=max_iters)
     u = constant_profile(SPHERE3, 2.0, 64)
     for C in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):

@@ -353,6 +353,19 @@ def test_extremal_spec_shape():
     assert spec.value(r) == pytest.approx(expected, rel=1e-14)
 
 
+def test_extremal_spec_derivative_where_the_core_underflows():
+    # p = 1.02: p' - 1 = 50, so r^{p'-1} overflows at r = 1e10 while
+    # exp(-b r^{p'}) is 0 there; the derivative is 0, not inf * 0
+    spec = extremal_spec(3, 1.02, 1.0)
+    pp = spec.shape_power
+    r = np.array([0.5, 0.9, 1.1, 1e3, 1e10])
+    with np.errstate(over="ignore"):
+        got = spec.derivative(r)
+    expected = -spec.amplitude * pp * r[:3] ** (pp - 1.0) * np.exp(-(r[:3] ** pp))
+    assert got[:3] == pytest.approx(expected, rel=1e-14)
+    assert np.array_equal(got[3:], [0.0, 0.0])
+
+
 def test_gaussian_norm_and_grad_energy_closed_forms():
     # ||e^{-r^2}||_2 = (pi/2)^{3/4} on R^3; the gradient energy is
     # omega_2 * 4 * int r^4 e^{-2r^2} dr = 3 (pi/2)^{3/2}
@@ -437,6 +450,13 @@ def test_projected_descent_diagonal_quadratic():
                                              gtol=1e-9)
     assert (iters, reason) == (3, "max_iters")
     assert len(log) == 3
+
+    # the cap is a nonnegative integer; 0 returns the seed
+    for bad in (-1, 2.5, True, None):
+        with pytest.raises(DomainError):
+            _projected_descent(objective, gradient, u0, w, bad, armijo=0.25)
+    u, _, iters, reason = _projected_descent(objective, gradient, u0, w, 0, armijo=0.25)
+    assert (iters, reason) == (0, "max_iters") and np.array_equal(u, u0)
 
 
 def test_projected_descent_retraction_reuses_the_trial():
