@@ -6,6 +6,14 @@ codes: 0 success, 1 domain error (bad parameters or profiles), 2 failed
 convergence or internal cross-check, 3 failed property expectation
 (e.g. --expect), 64 usage error.
 
+The subcommands are declared in one table, `_COMMANDS`: a handler, a help
+line and the argument specs, with the groups that several subcommands
+share (--n/--p, the model group, the descent group, --out) declared once.
+A handler runs the library and returns (result, rows): the JSON result and
+the table that --out writes, or None for a run without a table, where
+--out is a domain error.  `main` alone writes the --out table, prints the
+document and maps outcomes to exit codes.
+
 Each handler imports the library modules it runs, and nothing above the
 handlers imports numpy or scipy: parsing, --help, --version and the
 closed-form `constants` subcommand start without either.
@@ -56,17 +64,12 @@ def _model_from(args) -> ManifoldModel:
     return ManifoldModel.torus(args.n, args.scale)
 
 
-def _emit(command: str, args, result: dict) -> None:
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func",) and not k.startswith("_")
-    }
+def _emit(args, result: dict) -> None:
     doc = {
         "tool": "lpentropy",
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": vars(args),
         "result": result,
     }
     print(json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False,
@@ -109,10 +112,10 @@ def _write_rows(path: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (result, rows for --out or None)
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> tuple:
     from .constants import (
         InequalityParams,
         derived_exponents,
@@ -136,11 +139,10 @@ def _cmd_constants(args) -> int:
     if args.s is not None:
         par = dpd_parameters(args.n, args.p, args.s)
         result["one_parameter_family"] = {"q": par.q, "r": par.r}
-    _emit("constants", args, result)
-    return 0
+    return result, None
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args) -> tuple:
     from .constants import entropy_best_constant
     from .profiles import extremal_integrals, extremal_spec
 
@@ -148,17 +150,16 @@ def _cmd_extremal(args) -> int:
     integrals = extremal_integrals(args.n, args.p, args.b, n_nodes=args.n_nodes)
     a0 = entropy_best_constant(args.n, args.p)
     saturation = integrals.entropy - (args.n / args.p) * math.log(a0 * integrals.grad_energy)
-    _emit("extremal", args, {
+    return {
         "amplitude": spec.amplitude,
         "shape_power": spec.shape_power,
         "support_radius": spec.support_radius(),
         "integrals": integrals.as_dict(),
         "saturation_residual": saturation,
-    })
-    return 0
+    }, None
 
 
-def _cmd_deficit(args) -> int:
+def _cmd_deficit(args) -> tuple:
     from .euclidean_inequalities import entropy_deficit, limit_pde_residual
     from .profiles import RadialProfile, entropy_integral, extremal_profile, grad_energy, lp_norm
 
@@ -175,108 +176,80 @@ def _cmd_deficit(args) -> int:
     if args.pde_residual:
         rep = limit_pde_residual(u, args.p, "fit" if args.C is None else args.C)
         result["pde_residual"] = rep.as_dict()
-    _emit("deficit", args, result)
-    return 0
+    return result, None
 
 
-def _cmd_gn_estimate(args) -> int:
+def _cmd_gn_estimate(args) -> tuple:
     from .constants import InequalityParams
     from .gn_estimator import estimate_gn_constant
 
     params = InequalityParams(n=args.n, p=args.p, q=args.q, r=args.r)
     est = estimate_gn_constant(params, n_nodes=args.n_nodes, ascent_iters=args.ascent_iters)
-    _emit("gn-estimate", args, est.as_dict())
-    return 0
+    return est.as_dict(), None
 
 
-def _cmd_gn_limit(args) -> int:
+def _cmd_gn_limit(args) -> tuple:
     from .gn_estimator import limit_scan
 
     rows = limit_scan(args.n, args.p, args.q_list, n_nodes=args.n_nodes,
                       ascent_iters=args.ascent_iters)
-    if args.out:
-        _write_rows(args.out, rows)
-    _emit("gn-limit", args, {"rows": [dict(r) for r in rows]})
-    return 0
+    return {"rows": [dict(r) for r in rows]}, rows
 
 
-def _cmd_bubble(args) -> int:
+def _cmd_bubble(args) -> tuple:
     from .manifold_geometry import fit_expansion
 
     model = _model_from(args)
     report = fit_expansion(model, args.p, args.b, delta=args.delta,
                            eps_grid=args.eps_grid, n_nodes=args.n_nodes)
-    if args.out:
-        _write_rows(args.out, report.rows)
-    _emit("bubble", args, report.as_dict())
-    return 0
+    return report.as_dict(), report.rows
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple:
     from .manifold_geometry import lower_bound_witness
 
     model = _model_from(args)
     report = lower_bound_witness(model, args.p, args.a_const, args.b_const,
                                  eps_grid=args.eps_grid, b=args.b,
                                  delta=args.delta, n_nodes=args.n_nodes)
-    if args.out:
-        _write_rows(args.out, report.rows)
-    _emit("witness", args, report.as_dict())
-    if args.expect is not None:
-        observed = "violation" if report.violated else "none"
-        if observed != args.expect:
-            print(f"expected {args.expect}, observed {observed}", file=sys.stderr)
-            return _EXIT_EXPECTATION
-    return 0
+    return report.as_dict(), report.rows
 
 
-def _cmd_minimize(args) -> int:
+def _cmd_minimize(args) -> tuple:
     from .manifold_minimizer import minimize_gn_functional
 
     model = _model_from(args)
     res = minimize_gn_functional(model, args.p, args.q, args.C,
                                  n_nodes=args.n_nodes, max_iters=args.max_iters,
                                  seed=args.seed)
-    if args.out:
-        _write_rows(args.out, [
-            {"coordinate": float(x), "u": float(v)}
-            for x, v in zip(res.profile.grid, res.profile.values)
-        ])
-    _emit("minimize", args, res.as_dict())
-    return 0
+    return res.as_dict(), ({"coordinate": float(x), "u": float(v)}
+                           for x, v in zip(res.profile.grid, res.profile.values))
 
 
-def _cmd_nu_scan(args) -> int:
+def _cmd_nu_scan(args) -> tuple:
     from .manifold_minimizer import infimum_scan
 
     model = _model_from(args)
     rows = infimum_scan(model, args.p, args.q_list, args.C,
                         n_nodes=args.n_nodes, max_iters=args.max_iters, seed=args.seed)
-    if args.out:
-        _write_rows(args.out, rows)
-    _emit("nu-scan", args, {"rows": [dict(r) for r in rows]})
-    return 0
+    return {"rows": [dict(r) for r in rows]}, rows
 
 
-def _cmd_hc(args) -> int:
+def _cmd_hc(args) -> tuple:
     from .hypercontractivity import bakry_integrals, ultracontractivity_check
 
     if args.t_grid is not None:
         report = ultracontractivity_check(args.n, args.A, args.B, args.t_grid,
                                           slack=args.slack)
-        if args.out:
-            _write_rows(args.out, report.rows)
-        _emit("hc", args, report.as_dict())
-        return 0
+        return report.as_dict(), report.rows
     if args.lam is None:
         raise DomainError("hc needs either --lambda or --t-grid")
     rep = bakry_integrals(args.n, args.A, args.B, args.lam,
                           p_from=args.p_from, q_to=args.q_to, slack=args.slack)
-    _emit("hc", args, rep.as_dict())
-    return 0
+    return rep.as_dict(), None
 
 
-def _cmd_heat_norm(args) -> int:
+def _cmd_heat_norm(args) -> tuple:
     from .hypercontractivity import curvature_second_constant_bound, torus_heat_norm
     from .manifold_geometry import ManifoldModel
 
@@ -285,11 +258,74 @@ def _cmd_heat_norm(args) -> int:
     result["curvature_bound_B"] = curvature_second_constant_bound(
         ManifoldModel.torus(max(args.n, 2), args.scale)
     )
-    _emit("heat-norm", args, result)
-    return 0
+    return result, None
 
 
 # ---------------------------------------------------------------------------
+# the subcommand table
+
+
+def _arg(flag: str, type=float, **kwargs) -> tuple:
+    """One argument spec: the flag and its add_argument keywords."""
+    return flag, ({"type": type} if type else {}) | kwargs
+
+
+def _nodes(default: int) -> tuple:
+    return _arg("--n-nodes", int, default=default)
+
+
+def _out(what: str) -> tuple:
+    return _arg("--out", None, help=f"write {what} to this CSV file")
+
+
+_N = _arg("--n", int, required=True)
+_N_P = (_N, _arg("--p", required=True))
+_MODEL = (_arg("--model", None, choices=["sphere", "torus"], required=True), *_N_P)
+_B = _arg("--b", default=1.0)
+_Q = _arg("--q", required=True)
+_C = _arg("--C", required=True)
+_Q_LIST = _arg("--q-list", _float_list, required=True)
+_EPS_GRID = _arg("--eps-grid", _float_list, required=True)
+_SCALE = _arg("--scale", default=1.0)
+_ASCENT = (_nodes(4000), _arg("--ascent-iters", int, default=250))
+_DESCENT = (_SCALE, _nodes(600), _arg("--max-iters", int, default=60_000),
+            _arg("--seed", int, default=0))
+
+# name: (handler, help line, argument specs in --help order)
+_COMMANDS = {
+    "constants": (_cmd_constants, "closed-form constants and exponents", (
+        *_N_P, _arg("--q"), _arg("--r"), _arg("--s", help="one-parameter family index (> p)"))),
+    "extremal": (_cmd_extremal, "extremal profile integrals, two routes", (
+        *_N_P, _B, _nodes(800_000))),
+    "deficit": (_cmd_deficit, "entropy deficit of a profile", (
+        *_N_P, _B, _arg("--profile", None, help="CSV file with columns r,u (overrides --b)"),
+        _nodes(200_000),
+        _arg("--pde-residual", None, action="store_true",
+             help="also report the weak residual of the limiting PDE"),
+        _arg("--C", help="fixed zeroth-order PDE coefficient"))),
+    "gn-estimate": (_cmd_gn_estimate, "variational interpolation constant estimate", (
+        *_N_P, _Q, _arg("--r", required=True), *_ASCENT)),
+    "gn-limit": (_cmd_gn_limit, "estimates along r = p, q -> p", (
+        *_N_P, _Q_LIST, *_ASCENT, _out("per-q rows"))),
+    "bubble": (_cmd_bubble, "bubble expansion coefficients vs closed forms", (
+        *_MODEL, _B, _arg("--scale", default=1.0, help="sphere radius or torus side"),
+        _arg("--delta", required=True), _EPS_GRID, _nodes(200_000), _out("per-epsilon rows"))),
+    "witness": (_cmd_witness, "bubble scan against a candidate inequality", (
+        *_MODEL, _arg("--a-const", required=True, help="gradient-term constant A"),
+        _arg("--b-const", required=True, help="zeroth-order constant B"), _B, _SCALE,
+        _arg("--delta"), _EPS_GRID, _nodes(200_000),
+        _arg("--expect", None, choices=["violation", "none"]), _out("per-epsilon rows"))),
+    "minimize": (_cmd_minimize, "minimize the constrained functional", (
+        *_MODEL, _Q, _C, *_DESCENT, _out("the minimizing profile"))),
+    "nu-scan": (_cmd_nu_scan, "infimum values across q", (
+        *_MODEL, _Q_LIST, _C, *_DESCENT, _out("per-q rows"))),
+    "hc": (_cmd_hc, "hypercontractivity integrals and heat bound", (
+        _N, _arg("--A", required=True), _arg("--B", required=True), _arg("--lambda", dest="lam"),
+        _arg("--p-from", default=1.0), _arg("--q-to", default=math.inf),
+        _arg("--t-grid", _float_list), _arg("--slack", default=0.05), _out("per-t rows"))),
+    "heat-norm": (_cmd_heat_norm, "periodic on-diagonal heat kernel", (
+        _N, _arg("--scale", required=True, help="torus side length"), _arg("--t", required=True))),
+}
 
 
 def _build_parser() -> _Parser:
@@ -297,124 +333,22 @@ def _build_parser() -> _Parser:
                      description="Sharp entropy and interpolation inequality numerics")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, handler, help_text):
+    for name, (_, help_text, specs) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=handler)
-        return sp
-
-    sp = add("constants", _cmd_constants, "closed-form constants and exponents")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--s", type=float, help="one-parameter family index (> p)")
-
-    sp = add("extremal", _cmd_extremal, "extremal profile integrals, two routes")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--n-nodes", type=int, default=800_000)
-
-    sp = add("deficit", _cmd_deficit, "entropy deficit of a profile")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--profile", help="CSV file with columns r,u (overrides --b)")
-    sp.add_argument("--n-nodes", type=int, default=200_000)
-    sp.add_argument("--pde-residual", action="store_true",
-                    help="also report the weak residual of the limiting PDE")
-    sp.add_argument("--C", type=float, help="fixed zeroth-order PDE coefficient")
-
-    sp = add("gn-estimate", _cmd_gn_estimate, "variational interpolation constant estimate")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--n-nodes", type=int, default=4000)
-    sp.add_argument("--ascent-iters", type=int, default=250)
-
-    sp = add("gn-limit", _cmd_gn_limit, "estimates along r = p, q -> p")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q-list", type=_float_list, required=True)
-    sp.add_argument("--n-nodes", type=int, default=4000)
-    sp.add_argument("--ascent-iters", type=int, default=250)
-    sp.add_argument("--out", help="write per-q rows to this CSV file")
-
-    sp = add("bubble", _cmd_bubble, "bubble expansion coefficients vs closed forms")
-    sp.add_argument("--model", choices=["sphere", "torus"], required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--scale", type=float, default=1.0, help="sphere radius or torus side")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--eps-grid", type=_float_list, required=True)
-    sp.add_argument("--n-nodes", type=int, default=200_000)
-    sp.add_argument("--out", help="write per-epsilon rows to this CSV file")
-
-    sp = add("witness", _cmd_witness, "bubble scan against a candidate inequality")
-    sp.add_argument("--model", choices=["sphere", "torus"], required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--a-const", type=float, required=True, help="gradient-term constant A")
-    sp.add_argument("--b-const", type=float, required=True, help="zeroth-order constant B")
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--eps-grid", type=_float_list, required=True)
-    sp.add_argument("--n-nodes", type=int, default=200_000)
-    sp.add_argument("--expect", choices=["violation", "none"])
-    sp.add_argument("--out", help="write per-epsilon rows to this CSV file")
-
-    sp = add("minimize", _cmd_minimize, "minimize the constrained functional")
-    sp.add_argument("--model", choices=["sphere", "torus"], required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--C", type=float, required=True)
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--n-nodes", type=int, default=600)
-    sp.add_argument("--max-iters", type=int, default=60_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="write the minimizing profile to this CSV file")
-
-    sp = add("nu-scan", _cmd_nu_scan, "infimum values across q")
-    sp.add_argument("--model", choices=["sphere", "torus"], required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q-list", type=_float_list, required=True)
-    sp.add_argument("--C", type=float, required=True)
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--n-nodes", type=int, default=600)
-    sp.add_argument("--max-iters", type=int, default=60_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="write per-q rows to this CSV file")
-
-    sp = add("hc", _cmd_hc, "hypercontractivity integrals and heat bound")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--B", type=float, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--p-from", type=float, default=1.0)
-    sp.add_argument("--q-to", type=float, default=math.inf)
-    sp.add_argument("--t-grid", type=_float_list)
-    sp.add_argument("--slack", type=float, default=0.05)
-    sp.add_argument("--out", help="write per-t rows to this CSV file")
-
-    sp = add("heat-norm", _cmd_heat_norm, "periodic on-diagonal heat kernel")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--scale", type=float, required=True, help="torus side length")
-    sp.add_argument("--t", type=float, required=True)
-
+        for flag, kwargs in specs:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result, rows = _COMMANDS[args.command][0](args)
+        out = vars(args).get("out")
+        if out:
+            if rows is None:
+                raise DomainError(f"this {args.command} run has no table to write to --out")
+            _write_rows(out, rows)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
@@ -424,6 +358,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
+    _emit(args, result)
+    expect = vars(args).get("expect")
+    if expect is not None:
+        observed = "violation" if result["violated"] else "none"
+        if observed != expect:
+            print(f"expected {expect}, observed {observed}", file=sys.stderr)
+            return _EXIT_EXPECTATION
+    return 0
 
 
 if __name__ == "__main__":

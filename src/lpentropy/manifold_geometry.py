@@ -284,7 +284,8 @@ def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000,
     half as many nodes and the difference is reported as a per-integral
     error estimate (the quadrature is second order, so this overestimates
     the fine-grid error by roughly a factor 3).  Integrals that leave the
-    float range raise DomainError.
+    float range, and a bubble whose core underflows at every node (zero
+    mass), raise DomainError.
     """
     decades = math.log10(spec.delta / (spec.eps * 1e-7))
     if n_nodes < _MIN_NODES_PER_DECADE * decades:
@@ -305,6 +306,12 @@ def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000,
             }
     if not all(map(math.isfinite, (mass, ent, grad, *errors.values()))):
         raise DomainError(f"the bubble integrals at eps = {spec.eps} leave the float range")
+    if not mass > 0:
+        # the core eps^{-n/p} a exp(-b (r/eps)^{p'}) underflows at every node
+        raise DomainError(
+            f"the bubble at eps = {spec.eps}, b = {spec.base.b} has no mass on its grid: "
+            f"its core underflows at every node"
+        )
     return BubbleIntegrals(mass_p=mass, entropy=ent, grad_p=grad, eps=spec.eps, errors=errors)
 
 

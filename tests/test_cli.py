@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from lpentropy.constants import entropy_best_constant
+from lpentropy.manifold_geometry import ManifoldModel
+from lpentropy.manifold_minimizer import minimize_gn_functional
 from lpentropy.profiles import extremal_profile
 
 
@@ -306,6 +308,134 @@ def test_output_is_strict_json():
         res = run_cli(*argv)
         assert res.returncode == 0, res.stderr
         assert entry(strict_json(res.stdout)["result"]) is None
+
+
+@pytest.mark.parametrize("argv", [
+    # --out on a run without a table (hc's --lambda form has no per-t rows)
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5", "--out", "{tmp}/x.csv"),
+    # the gradient closed form of the extremal leaves the float range
+    ("extremal", "--n", "3", "--p", "2", "--b", "1e100"),
+    ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--b", "1e100", "--delta", "1",
+     "--eps-grid", "0.01,0.02,0.04,0.08", "--n-nodes", "20000"),
+    # the bubble core underflows at every node of its grid: zero mass
+    ("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const", "0.07",
+     "--b-const", "1", "--eps-grid", "0.05", "--b", "1e30", "--n-nodes", "20000"),
+], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "witness-core-underflow"))
+def test_one_line_domain_error(argv, tmp_path):
+    res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("domain error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# The CLI contract: the "config" block of every subcommand's document, with
+# every default, as the parser resolved it before its arguments were
+# declared in one table.  Each run is at the subcommand's defaults and takes
+# about a second.
+_DEFAULT_CONFIGS = {
+    "constants": (("--n", "3", "--p", "2"),
+                  {"n": 3, "p": 2.0, "q": None, "r": None, "s": None}),
+    "extremal": (("--n", "3", "--p", "2"),
+                 {"n": 3, "p": 2.0, "b": 1.0, "n_nodes": 800_000}),
+    "deficit": (("--n", "3", "--p", "2"),
+                {"n": 3, "p": 2.0, "b": 1.0, "profile": None, "n_nodes": 200_000,
+                 "pde_residual": False, "C": None}),
+    "gn-estimate": (("--n", "3", "--p", "2", "--q", "1.9", "--r", "2"),
+                    {"n": 3, "p": 2.0, "q": 1.9, "r": 2.0, "n_nodes": 4000,
+                     "ascent_iters": 250}),
+    "gn-limit": (("--n", "3", "--p", "2", "--q-list", "1.9"),
+                 {"n": 3, "p": 2.0, "q_list": [1.9], "n_nodes": 4000, "ascent_iters": 250,
+                  "out": None}),
+    "bubble": (("--model", "sphere", "--n", "3", "--p", "2", "--delta", "1",
+                "--eps-grid", "0.02,0.04,0.06,0.08"),
+               {"model": "sphere", "n": 3, "p": 2.0, "b": 1.0, "scale": 1.0, "delta": 1.0,
+                "eps_grid": [0.02, 0.04, 0.06, 0.08], "n_nodes": 200_000, "out": None}),
+    "witness": (("--model", "sphere", "--n", "3", "--p", "2", "--a-const", "0.1",
+                 "--b-const", "1", "--eps-grid", "0.1"),
+                {"model": "sphere", "n": 3, "p": 2.0, "a_const": 0.1, "b_const": 1.0,
+                 "b": 1.0, "scale": 1.0, "delta": None, "eps_grid": [0.1], "n_nodes": 200_000,
+                 "expect": None, "out": None}),
+    # C = 0: the constant profile is exact and the descent takes no step
+    "minimize": (("--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "0"),
+                 {"model": "sphere", "n": 3, "p": 2.0, "q": 1.9, "C": 0.0, "scale": 1.0,
+                  "n_nodes": 600, "max_iters": 60_000, "seed": 0, "out": None}),
+    "nu-scan": (("--model", "sphere", "--n", "3", "--p", "2", "--q-list", "1.9", "--C", "0"),
+                {"model": "sphere", "n": 3, "p": 2.0, "q_list": [1.9], "C": 0.0,
+                 "scale": 1.0, "n_nodes": 600, "max_iters": 60_000, "seed": 0, "out": None}),
+    # the default --q-to is infinite, written as null
+    "hc": (("--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5"),
+           {"n": 3, "A": 0.0781, "B": 1.0, "lam": 5.0, "p_from": 1.0, "q_to": None,
+            "t_grid": None, "slack": 0.05, "out": None}),
+    "heat-norm": (("--n", "3", "--scale", "1", "--t", "0.1"),
+                  {"n": 3, "scale": 1.0, "t": 0.1}),
+}
+
+
+@pytest.mark.parametrize("command", list(_DEFAULT_CONFIGS))
+def test_config_block_at_defaults(command):
+    argv, config = _DEFAULT_CONFIGS[command]
+    res = run_cli(command, *argv)
+    assert res.returncode == 0, res.stderr
+    doc = strict_json(res.stdout)
+    assert doc["command"] == command
+    assert doc["config"] == {"command": command, **config}
+
+
+def _read_table(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
+def _cell_holds(cell, value):
+    """A CSV cell against its JSON value (null stands for inf or nan)."""
+    if value is None:
+        return cell in ("", "inf", "-inf", "nan")
+    if isinstance(value, (bool, str)):
+        return cell == str(value)
+    return float(cell) == value
+
+
+@pytest.mark.parametrize("argv", [
+    ("gn-limit", "--n", "3", "--p", "2", "--q-list", "1.7,1.9", "--n-nodes", "600",
+     "--ascent-iters", "5"),
+    ("bubble", "--model", "torus", "--n", "3", "--p", "2", "--scale", "6", "--delta", "1",
+     "--eps-grid", "0.01,0.02,0.04,0.08", "--n-nodes", "20000"),
+    ("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const", "0.0702",
+     "--b-const", "1", "--eps-grid", "0.02,0.05,0.1", "--n-nodes", "20000"),
+    ("nu-scan", "--model", "torus", "--n", "3", "--scale", "4", "--p", "2",
+     "--q-list", "1.3,1.7", "--C", "2", "--n-nodes", "60", "--max-iters", "50"),
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.005,0.01,0.05"),
+], ids=lambda argv: argv[0])
+def test_out_writes_the_result_rows(argv, tmp_path):
+    out = tmp_path / "rows.csv"
+    res = run_cli(*argv, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    rows = strict_json(res.stdout)["result"]["rows"]
+    header, table = _read_table(out)
+    assert header == sorted({k for row in rows for k in row})
+    assert len(table) == len(rows) > 0
+    for line, row in zip(table, rows):
+        assert set(row) == set(line)
+        for key, value in row.items():
+            assert _cell_holds(line[key], value), (key, line[key], value)
+
+
+def test_minimize_out_writes_the_profile(tmp_path):
+    out = tmp_path / "u.csv"
+    res = run_cli("minimize", "--model", "torus", "--n", "3", "--scale", "6", "--p", "2",
+                  "--q", "1.5", "--C", "5", "--n-nodes", "80", "--max-iters", "40",
+                  "--seed", "3", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    header, table = _read_table(out)
+    assert header == ["coordinate", "u"]
+    ref = minimize_gn_functional(ManifoldModel.torus(3, 6.0), 2.0, 1.5, 5.0, n_nodes=80,
+                                 max_iters=40, seed=3)
+    assert strict_json(res.stdout)["result"]["value"] == ref.value
+    assert [float(line["coordinate"]) for line in table] == ref.profile.grid.tolist()
+    assert [float(line["u"]) for line in table] == ref.profile.values.tolist()
 
 
 def test_version_flag():

@@ -166,6 +166,15 @@ def test_bubble_integrals_out_of_float_range():
         bubble_integrals(spec, n_nodes=10_000)
 
 
+def test_bubble_integrals_core_underflow():
+    # width eps * b^{-1/p'} = 5e-17 lies far inside the grid's inner edge
+    # eps * 1e-7: the core underflows at every node, a typed error, not mass 0
+    spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1e30),
+                      delta=1.0, eps=0.05)
+    with pytest.raises(DomainError, match="underflows"):
+        bubble_integrals(spec, n_nodes=20_000)
+
+
 def test_bubble_integrals_memory_peak():
     """A 200k-node bubble holds at most one grid-sized array at once."""
     spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1.0),

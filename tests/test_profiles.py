@@ -202,6 +202,16 @@ def test_profile_integrals_reject_non_finite_exponents():
                 fn(u, p)
 
 
+@pytest.mark.parametrize("n, p, b", [
+    (3, 2.0, 1e100),   # (a b p')^p overflows
+    (2, 1.5, 1e140),   # a closed form underflows to 0
+    (5, 1.5, 1e-185),  # the amplitude underflows to 0
+])
+def test_extremal_integrals_out_of_float_range(n, p, b):
+    with pytest.raises(DomainError, match="leave the float range"):
+        extremal_integrals(n, p, b, n_nodes=2000)
+
+
 def test_extremal_integrals_memory_peak():
     """The 800k-node quadrature holds at most four grid-sized arrays at once."""
     tracemalloc.start()
