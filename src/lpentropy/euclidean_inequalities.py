@@ -2,9 +2,9 @@
 
 The central quantity is the entropy deficit
 
-    deficit(u) = (n/p) ln( K int |grad u|^p ) - int u^p ln(u^p),
+    deficit(u) = (n/p) ln( K int |grad v|^p ) - int v^p ln(v^p),
 
-for ||u||_p = 1 and K the sharp entropy constant: nonnegative for every
+of v = u/||u||_p, with K the sharp entropy constant: nonnegative for every
 admissible profile and zero exactly on the extremal family.  The module
 also exposes the logarithmic Hoelder interpolation gap, the critical
 embedding entropy bound obtained by differentiating that interpolation
@@ -18,9 +18,11 @@ with Delta_p u = -div(|grad u|^{p-2} grad u).
 Every integral here is summed block by block over the profile's grid by
 profiles._profile_sums, so no call allocates a float array the size of the
 grid, apart from the cumulative mass and the log-radius that place the
-residual's test window.  A normalized profile is never built: the
-integrands divide each block's values by the norm.  The weak residual
-evaluates its bump test functions on each block's slice of the grid.
+residual's test window.  The deficit, gap, slack and log-norm derivative
+each make one pass over u as given: with m = int u^p, G = int |grad u|^p
+and E = int u^p ln u^p, v = u/||u||_p has int |grad v|^p = G/m and
+int v^p ln v^p = E/m - ln m, and ln ||u||_t = (ln int u^t)/t.  The weak
+residual evaluates its bump test functions on each block's slice of the grid.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .constants import entropy_best_constant
 from .errors import DomainError, Record
-from .profiles import RadialProfile, _profile_sums, bump_basis, lp_norm, plogp, radial_derivative
+from .profiles import RadialProfile, _profile_sums, bump_basis, plogp
 
 __all__ = [
     "entropy_deficit",
@@ -52,40 +54,29 @@ def _check_p_range(u: RadialProfile, p: float) -> int:
     return n
 
 
-def _normalizer(u: RadialProfile, p: float, renormalize: bool) -> float:
-    """The divisor of u's values that gives unit L^p norm: ||u||_p, or 1.0."""
-    norm = lp_norm(u, p)
-    if norm <= 0 or not math.isfinite(norm):
+def _log_mass(mass: float) -> float:
+    """ln of a profile's mass int u^t dx, which must be positive and finite."""
+    if not (mass > 0 and math.isfinite(mass)):
         raise DomainError("profile has zero or non-finite Lp mass")
-    if renormalize:
-        return norm
-    if abs(norm - 1.0) > 1e-8:
-        raise DomainError(
-            f"profile is not Lp-normalized (||u||_p = {norm!r}); "
-            "pass renormalize=True to rescale"
-        )
-    return 1.0
+    return math.log(mass)
 
 
-def entropy_deficit(u: RadialProfile, p: float, renormalize: bool = True) -> float:
-    """Sharp-constant entropy deficit of a radial profile; >= 0 up to quadrature.
+def entropy_deficit(u: RadialProfile, p: float) -> float:
+    """Sharp-constant entropy deficit of u/||u||_p; >= 0 up to quadrature.
 
-    Dilation invariance of the underlying inequality means the deficit of
-    any member of the extremal family vanishes regardless of its rate b.
+    Scaling and dilation invariance of the underlying inequality mean the
+    deficit of any positive multiple of an extremal vanishes, whatever its b.
     """
     n = _check_p_range(u, p)
-    norm = _normalizer(u, p, renormalize)
-
-    def terms(mw, r, v, dv):
-        v = v / norm
-        return mw * np.abs(radial_derivative(r, v)) ** p, mw * plogp(v, p)
-
-    grad, entropy = _profile_sums(u, terms)
+    mass, grad, entropy = _profile_sums(
+        u, lambda mw, r, v, dv: (mw * v**p, mw * np.abs(dv) ** p, mw * plogp(v, p)),
+        derivative=True)
+    ln_m = _log_mass(mass)
     # exactly constant values leave only finite-difference dust in grad,
     # so catch that case by inspection rather than by thresholding
     if grad <= 0 or np.ptp(u.values) == 0:
         raise DomainError("profile has zero gradient energy; deficit undefined")
-    return (n / p) * math.log(entropy_best_constant(n, p) * grad) - entropy
+    return (n / p) * math.log(entropy_best_constant(n, p) * (grad / mass)) - (entropy / mass - ln_m)
 
 
 def holder_interpolation_gap(u: RadialProfile, p: float, q: float) -> float:
@@ -100,29 +91,24 @@ def holder_interpolation_gap(u: RadialProfile, p: float, q: float) -> float:
     if not p <= q <= p_star * (1 + 1e-12):
         raise DomainError(f"require p <= q <= p* = {p_star:.6g}, got q={q}")
     alpha = (n * p - n * q + p * q) / (p * q)
-    norm_p = lp_norm(u, p)
-    norm_q = lp_norm(u, q)
-    norm_ps = lp_norm(u, p_star)
-    return math.log(norm_q / norm_p) + (1.0 - alpha) * math.log(norm_p / norm_ps)
+    sums = _profile_sums(u, lambda mw, r, v, dv: (mw * v**p, mw * v**q, mw * v**p_star))
+    ln_p, ln_q, ln_ps = (_log_mass(m) / t for m, t in zip(sums, (p, q, p_star)))
+    return (ln_q - ln_p) + (1.0 - alpha) * (ln_p - ln_ps)
 
 
-def embedding_entropy_slack(u: RadialProfile, p: float, renormalize: bool = True) -> float:
-    """Slack of the critical-norm entropy bound; >= 0 up to quadrature.
+def embedding_entropy_slack(u: RadialProfile, p: float) -> float:
+    """Slack of the critical-norm entropy bound at u/||u||_p; >= 0 up to quadrature.
 
-    For ||u||_p = 1:  int u^p ln(u^p) <= (n/p) ln( (int u^{p*})^{p/p*} ),
+    For ||v||_p = 1:  int v^p ln(v^p) <= (n/p) ln( (int v^{p*})^{p/p*} ),
     obtained by differentiating the Hoelder interpolation at q = p.
     Returns RHS - LHS.
     """
     n = _check_p_range(u, p)
-    norm = _normalizer(u, p, renormalize)
     p_star = n * p / (n - p)
-
-    def terms(mw, r, v, dv):
-        v = v / norm
-        return mw * v**p_star, mw * plogp(v, p)
-
-    mass_star, entropy = _profile_sums(u, terms)
-    return n * math.log(mass_star ** (1.0 / p_star)) - entropy
+    mass, mass_star, entropy = _profile_sums(
+        u, lambda mw, r, v, dv: (mw * v**p, mw * v**p_star, mw * plogp(v, p)))
+    ln_m = _log_mass(mass)
+    return n * (_log_mass(mass_star) / p_star - ln_m / p) - (entropy / mass - ln_m)
 
 
 @dataclass(frozen=True)
@@ -148,11 +134,11 @@ def log_norm_derivative(u: RadialProfile, p: float, dq: float) -> LogNormDerivat
     if not 0 < dq < p - 1:
         raise DomainError(f"require 0 < dq < p - 1, got dq={dq}")
     p_m = p - dq
-    mass_p, mass_m = _profile_sums(u, lambda mw, r, v, dv: (mw * v**p, mw * v**p_m))
-    norm_p = mass_p ** (1.0 / p)
-    fd = math.log(norm_p / mass_m ** (1.0 / p_m)) / dq
-    (entropy,) = _profile_sums(u, lambda mw, r, v, dv: (mw * plogp(v / norm_p, p),))
-    exact = entropy / (p * p)
+    mass_p, mass_m, entropy = _profile_sums(
+        u, lambda mw, r, v, dv: (mw * v**p, mw * v**p_m, mw * plogp(v, p)))
+    ln_m = _log_mass(mass_p)
+    fd = (ln_m / p - _log_mass(mass_m) / p_m) / dq
+    exact = (entropy / mass_p - ln_m) / (p * p)
     return LogNormDerivative(fd=fd, exact=exact, err=abs(fd - exact))
 
 

@@ -19,12 +19,14 @@ coefficients numerically and compares them with those closed forms;
 `lower_bound_witness` uses the same bubbles to exhibit violations of an
 entropy inequality whose leading constant A is below the sharp one.
 
-The bubble integrals are trapezoid sums in r on a geometric grid, with the
-head [0, r_0] integrated analytically.  They are summed in blocks of 8 192
-nodes by profiles._blocked_sums in one fused pass per block: the block's
-nodes are generated from ln r, its trapezoid weights are closed forms of
-r, and two exponentials per node give all three integrands, so no array
-the size of the grid, the grid included, is ever held.
+The bubble integrals are trapezoid sums in r on a geometric grid from
+r_0 = eps*1e-7*min(1, b^{-1/p'}) to delta, with the head [0, r_0]
+integrated analytically; starting at a fixed fraction of the core width
+eps*b^{-1/p'} resolves the core whatever b is.  They are summed in blocks
+of 8 192 nodes by profiles._blocked_sums in one fused pass per block: the
+block's nodes are generated from ln r, its trapezoid weights are closed
+forms of r, and two exponentials per node give all three integrands, so no
+array the size of the grid, the grid included, is ever held.
 """
 
 from __future__ import annotations
@@ -182,13 +184,13 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
     """(mass, entropy, gradient) sums of the bubble on its geometric grid.
 
     The rule is the trapezoid rule in r on the n_nodes nodes r_j = r_0 e^{js}
-    from r_0 = eps*1e-7 to delta, with the head [0, r_0] integrated
-    analytically into the first node, each node weighted by the geodesic
-    sphere area.  Each block's nodes are generated from their logarithms,
-    r_j = eps exp(ln 1e-7 + j s), with both endpoints set exactly, so no
-    grid-sized array exists.  An interior node's trapezoid weight
-    (r_{j+1} - r_{j-1})/2 is r_j sinh(s); the first node's is
-    r_0 (e^s - 1)/2 + r_0/n, the last node's delta (1 - e^{-s})/2.
+    from r_0 = eps*x_0 to delta, x_0 = 1e-7 * min(1, core width), with the
+    head [0, r_0] integrated analytically into the first node, each node
+    weighted by the geodesic sphere area.  Each block's nodes are generated
+    from their logarithms, r_j = eps exp(ln x_0 + j s), with both endpoints
+    set exactly, so no grid-sized array exists.  An interior node's
+    trapezoid weight (r_{j+1} - r_{j-1})/2 is r_j sinh(s); the first node's
+    is r_0 (e^s - 1)/2 + r_0/n, the last node's delta (1 - e^{-s})/2.
 
     With A = eps^{-n/p} a, x = r/eps and y = p b x^{p'}, the bubble is
     u = eta A e^{-y/p}, so where the cutoff eta is 1 (r <= delta/2)
@@ -206,10 +208,11 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
     """
     model, base, eps, delta = spec.model, spec.base, spec.eps, spec.delta
     n, p, b, pp = model.dimension, base.p, base.b, base.shape_power
-    # the nodes in x = r/eps run from 1e-7 to delta/eps; every node quantity
+    # the nodes in x = r/eps run from x0 to delta/eps; every node quantity
     # is computed from the same ln x, so the rounding of a constant in it
     # moves the nodes, not the rule
-    ln_x0 = math.log(1e-7)
+    x0 = 1e-7 * min(1.0, base.core_width)
+    ln_x0 = math.log(x0)
     step = (math.log(delta / eps) - ln_x0) / (n_nodes - 1)
     sinh = math.sinh(step)
     first = (math.expm1(step) / 2 + 1.0 / n) / sinh
@@ -227,7 +230,7 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
         r = np.exp(ln_x)
         r *= eps
         if lo == 0:
-            r[0] = eps * 1e-7
+            r[0] = eps * x0
         if hi == n_nodes:
             r[-1] = delta
         y = ln_x
@@ -278,16 +281,16 @@ def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000,
                      error_estimate: bool = True) -> BubbleIntegrals:
     """Mass, entropy, and gradient-energy integrals of the bubble.
 
-    Uses a geometric grid from eps*1e-7 to delta, generated and summed in
-    blocks of 8 192 nodes; at least 50 nodes per decade are required.  When
-    error_estimate is set, each integral is recomputed on a fresh grid of
-    half as many nodes and the difference is reported as a per-integral
-    error estimate (the quadrature is second order, so this overestimates
-    the fine-grid error by roughly a factor 3).  Integrals that leave the
-    float range, and a bubble whose core underflows at every node (zero
-    mass), raise DomainError.
+    Uses a geometric grid from eps*1e-7*min(1, core width) to delta,
+    generated and summed in blocks of 8 192 nodes; at least 50 nodes per
+    decade are required.  When error_estimate is set, each integral is
+    recomputed on a fresh grid of half as many nodes and the difference is
+    reported as a per-integral error estimate (the quadrature is second
+    order, so this overestimates the fine-grid error by roughly a factor 3).
+    Integrals that leave the float range, and a bubble whose core underflows
+    at every node (zero mass), raise DomainError.
     """
-    decades = math.log10(spec.delta / (spec.eps * 1e-7))
+    decades = math.log10(spec.delta / (spec.eps * 1e-7 * min(1.0, spec.base.core_width)))
     if n_nodes < _MIN_NODES_PER_DECADE * decades:
         raise AccuracyNotMet(
             f"grid of {n_nodes} nodes under-resolves {decades:.1f} decades; "

@@ -15,6 +15,11 @@ integrands under grid refinement.  RadialProfile stores no weights: the
 node measure is built from the grid wherever an integral needs it
 (RadialProfile.cell_measure, _profile_sums, extremal_integrals).
 
+The extremal family a exp(-b r^{p'}) is one profile dilated by its core
+width b^{-1/p'} (ExtremalSpec.core_width), so its grids run from
+DEFAULT_R_MIN * min(1, core width): a narrow core gets the nodes of the
+core of width 1, and at b <= 1 the grid is the one from DEFAULT_R_MIN.
+
 This module is also the package's one finite-difference layer.  Gradients
 of sampled profiles are always taken by the three-point second-order
 stencil on the nonuniform grid: centered in the interior, one-sided at
@@ -81,7 +86,8 @@ __all__ = [
 #: grid is ~1e-8 relative on the extremal family
 DEFAULT_NODES = 200_000
 
-#: inner edge of the geometric grid
+#: inner edge of the geometric grids, times min(1, core width) for the
+#: extremal family
 DEFAULT_R_MIN = 1e-6
 
 #: profiles are truncated where the extremal amplitude falls below this
@@ -456,6 +462,12 @@ class ExtremalSpec:
         """The radial exponent p' = p/(p-1)."""
         return self.p / (self.p - 1.0)
 
+    @property
+    def core_width(self) -> float:
+        """The core width b^{-1/p'}: up to its amplitude, the profile is the
+        one of rate 1 at |x| / core_width."""
+        return self.b ** (-1.0 / self.shape_power)
+
     def value(self, r: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-self.b * np.asarray(r, dtype=float) ** self.shape_power)
 
@@ -473,9 +485,14 @@ class ExtremalSpec:
         slope = np.power(r, pp - 1.0, out=np.zeros_like(r), where=core > 0)
         return -self.amplitude * self.b * pp * slope * core
 
-    def support_radius(self, cutoff: float = TAIL_CUTOFF) -> float:
-        """Radius beyond which the profile falls under the tail cutoff."""
-        return (math.log(self.amplitude / cutoff) / self.b) ** (1.0 / self.shape_power)
+    def support_radius(self) -> float:
+        """Radius beyond which the profile falls under the tail cutoff 1e-16."""
+        if not self.amplitude > TAIL_CUTOFF:
+            raise DomainError(
+                f"the extremal amplitude {self.amplitude:.3g} at b = {self.b} is not above "
+                f"the tail cutoff {TAIL_CUTOFF:g}: the profile has no support to sample"
+            )
+        return (math.log(self.amplitude / TAIL_CUTOFF) / self.b) ** (1.0 / self.shape_power)
 
 
 def extremal_spec(n: int, p: float, b: float) -> ExtremalSpec:
@@ -503,8 +520,8 @@ def extremal_profile(
 ) -> RadialProfile:
     """Sampled normalized extremal on a geometric grid.
 
-    The grid runs from DEFAULT_R_MIN to the radius where the amplitude
-    falls below the tail cutoff 1e-16.
+    The grid runs from DEFAULT_R_MIN * min(1, core width) to the radius
+    where the amplitude falls below the tail cutoff 1e-16.
     """
     spec = extremal_spec(n, p, b)
     grid = _extremal_grid(spec, n_nodes)
@@ -512,10 +529,11 @@ def extremal_profile(
 
 
 def _extremal_grid(spec: ExtremalSpec, n_nodes: int) -> np.ndarray:
-    """Geometric grid from DEFAULT_R_MIN to the support radius of the extremal."""
+    """Geometric grid from DEFAULT_R_MIN * min(1, core width) to the support radius."""
     if n_nodes < 3:
         raise DomainError("n_nodes must be at least 3")
-    return np.geomspace(DEFAULT_R_MIN, spec.support_radius(), int(n_nodes))
+    r_min = DEFAULT_R_MIN * min(1.0, spec.core_width)
+    return np.geomspace(r_min, spec.support_radius(), int(n_nodes))
 
 
 @dataclass(frozen=True)

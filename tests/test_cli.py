@@ -317,10 +317,9 @@ def test_output_is_strict_json():
     ("extremal", "--n", "3", "--p", "2", "--b", "1e100"),
     ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--b", "1e100", "--delta", "1",
      "--eps-grid", "0.01,0.02,0.04,0.08", "--n-nodes", "20000"),
-    # the bubble core underflows at every node of its grid: zero mass
-    ("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const", "0.07",
-     "--b-const", "1", "--eps-grid", "0.05", "--b", "1e30", "--n-nodes", "20000"),
-], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "witness-core-underflow"))
+    # the extremal amplitude lies below the tail cutoff: nothing to sample
+    ("deficit", "--n", "2", "--p", "1.05", "--b", "1e-260", "--n-nodes", "2000"),
+], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)
@@ -328,6 +327,30 @@ def test_one_line_domain_error(argv, tmp_path):
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("domain error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("b", ["1e10", "1e14"])
+def test_narrow_core_extremal_and_bubble(b):
+    """Grids placed by the core width b^{-1/p'} keep both routes of the
+    extremal integrals within 1e-8 and the bubble masses near 1."""
+    res = run_cli("extremal", "--n", "3", "--p", "2", "--b", b)
+    assert res.returncode == 0, res.stderr
+    rel = strict_json(res.stdout)["result"]["integrals"]["max_rel_difference"]
+    assert math.isfinite(rel) and rel < 1e-8
+    res = run_cli("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--b", b,
+                  "--delta", "1", "--eps-grid", "0.01,0.02,0.04,0.08")
+    assert res.returncode == 0, res.stderr
+    for row in strict_json(res.stdout)["result"]["rows"]:
+        assert row["mass_p"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_narrow_core_witness():
+    # the bubble core of width 0.05 * 1e-15 is resolved: a violation below
+    # the sharp constant, not a zero mass
+    res = run_cli("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const", "0.07",
+                  "--b-const", "1", "--eps-grid", "0.05", "--b", "1e30", "--n-nodes", "20000")
+    assert res.returncode == 0, res.stderr
+    assert strict_json(res.stdout)["result"]["violated"] is True
 
 
 # The CLI contract: the "config" block of every subcommand's document, with

@@ -58,13 +58,64 @@ def test_deficit_strictly_positive_off_family():
     assert entropy_deficit(u, 2.0) > 1e-2
 
 
-def test_deficit_requires_normalization_when_asked():
-    u = extremal_profile(3, 2.0, 1.0)
-    doubled = u.with_values(2.0 * u.values)
-    with pytest.raises(DomainError):
-        entropy_deficit(doubled, 2.0, renormalize=False)
-    # but renormalize=True handles any positive multiple identically
-    assert entropy_deficit(doubled, 2.0) == pytest.approx(entropy_deficit(u, 2.0), abs=1e-12)
+def _functionals(u, p, q, dq):
+    lnd = log_norm_derivative(u, p, dq)
+    return {
+        "deficit": entropy_deficit(u, p),
+        "gap": holder_interpolation_gap(u, p, q),
+        "slack": embedding_entropy_slack(u, p),
+        "fd": lnd.fd,
+        "exact": lnd.exact,
+    }
+
+
+def test_functionals_invariant_under_scaling():
+    """The four functionals of lam * u are those of u: each reads u/||u||_p."""
+    for n, p in PAIRS:
+        q, dq = 1.3 * p, 0.01 * (p - 1.0)
+        u = random_stretched_mixture(n, np.random.default_rng(40 + n), n_nodes=20_000)
+        expected = _functionals(u, p, q, dq)
+        for lam in (1e-3, 7.0, 1e3):
+            got = _functionals(u.with_values(lam * u.values), p, q, dq)
+            for key, val in expected.items():
+                assert got[key] == pytest.approx(val, rel=1e-12), (key, n, p, lam)
+
+
+#: the four functionals at p = 2, q = 3, dq = 0.01, one call each
+_ONE_CALL_EACH = (
+    lambda u: entropy_deficit(u, 2.0),
+    lambda u: holder_interpolation_gap(u, 2.0, 3.0),
+    lambda u: embedding_entropy_slack(u, 2.0),
+    lambda u: log_norm_derivative(u, 2.0, 0.01),
+)
+
+
+def test_functionals_make_one_pass(monkeypatch):
+    """Each functional sums over the grid once, on the profile as given."""
+    import lpentropy.euclidean_inequalities as ei
+    import lpentropy.profiles as profiles
+
+    original, calls = profiles._profile_sums, []
+
+    def counting(u, terms, derivative=False):
+        calls.append(u)
+        return original(u, terms, derivative)
+
+    monkeypatch.setattr(profiles, "_profile_sums", counting)
+    monkeypatch.setattr(ei, "_profile_sums", counting)
+    u = random_stretched_mixture(3, np.random.default_rng(9), n_nodes=2000)
+    for call in _ONE_CALL_EACH:
+        calls.clear()
+        call(u)
+        assert calls == [u]
+
+
+def test_functionals_reject_zero_mass():
+    u = extremal_profile(3, 2.0, 1.0, n_nodes=500)
+    zero = u.with_values(np.zeros_like(u.values))
+    for call in _ONE_CALL_EACH:
+        with pytest.raises(DomainError, match="zero or non-finite Lp mass"):
+            call(zero)
 
 
 def test_deficit_domain_errors():
@@ -175,21 +226,29 @@ def test_limit_pde_domain():
             limit_pde_residual(u, 2.0, bad)
 
 
-def _whole_array_functionals(u, p, dq):
-    """deficit, embedding slack and the two log-norm derivatives, each from
-    whole-array sums over an explicitly normalized copy of the values."""
+def _whole_array_functionals(u, p, q, dq):
+    """deficit, interpolation gap, embedding slack and the two log-norm
+    derivatives, each from whole-array sums over the values as given and the
+    homogeneous identities for v = u/||u||_p: int |grad v|^p = G/m,
+    int v^p ln v^p = E/m - ln m and ln ||u||_t = (ln int u^t)/t."""
     n, mw = u.dimension, u.cell_measure()
     p_star = n * p / (n - p)
-    norm = float(np.sum(mw * u.values**p)) ** (1.0 / p)
-    v = u.values / norm
-    grad = float(np.sum(mw * np.abs(radial_derivative(u.grid, v)) ** p))
-    entropy = float(np.sum(mw * plogp(v, p)))
-    norm_m = float(np.sum(mw * u.values ** (p - dq))) ** (1.0 / (p - dq))
+
+    def mass(t):
+        return float(np.sum(mw * u.values**t))
+
+    m = mass(p)
+    ln_m = math.log(m)
+    grad = float(np.sum(mw * np.abs(radial_derivative(u.grid, u.values)) ** p))
+    entropy_v = float(np.sum(mw * plogp(u.values, p))) / m - ln_m
+    ln_p, ln_q, ln_ps = ln_m / p, math.log(mass(q)) / q, math.log(mass(p_star)) / p_star
+    alpha = (n * p - n * q + p * q) / (p * q)
     return {
-        "deficit": (n / p) * math.log(entropy_best_constant(n, p) * grad) - entropy,
-        "slack": n * math.log(float(np.sum(mw * v**p_star)) ** (1.0 / p_star)) - entropy,
-        "fd": math.log(norm / norm_m) / dq,
-        "exact": entropy / (p * p),
+        "deficit": (n / p) * math.log(entropy_best_constant(n, p) * (grad / m)) - entropy_v,
+        "gap": (ln_q - ln_p) + (1.0 - alpha) * (ln_p - ln_ps),
+        "slack": n * (ln_ps - ln_p) - entropy_v,
+        "fd": (ln_p - math.log(mass(p - dq)) / (p - dq)) / dq,
+        "exact": entropy_v / (p * p),
     }
 
 
@@ -218,22 +277,16 @@ def _whole_array_pde(u, p, C, n_tests=12):
 
 
 def test_functionals_match_whole_array():
-    """The blocked deficit, slack and log-norm derivative against whole-array
-    sums: bit for bit on one block, to 1e-14 relative past it."""
+    """The blocked deficit, gap, slack and log-norm derivative against
+    whole-array sums: bit for bit on one block, to 1e-14 relative past it."""
     for n, p in PAIRS:
-        dq = 0.01 * (p - 1.0)
+        q, dq = 1.3 * p, 0.01 * (p - 1.0)
         for n_nodes in BLOCK_SIZES:
             u = random_stretched_mixture(n, np.random.default_rng(n_nodes + n), n_nodes=n_nodes)
-            expected = _whole_array_functionals(u, p, dq)
-            lnd = log_norm_derivative(u, p, dq)
-            got = {
-                "deficit": entropy_deficit(u, p),
-                "slack": embedding_entropy_slack(u, p),
-                "fd": lnd.fd,
-                "exact": lnd.exact,
-            }
+            expected = _whole_array_functionals(u, p, q, dq)
+            got = _functionals(u, p, q, dq)
             for key, val in expected.items():
-                # fd divides the log of a norm ratio near 1 by dq
+                # fd divides a difference of log-norms near each other by dq
                 tol = 1e-15 / dq if key == "fd" else 1e-14
                 assert agrees(got[key], val, n_nodes, tol), (key, n, p, n_nodes)
 

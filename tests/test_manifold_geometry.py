@@ -166,13 +166,44 @@ def test_bubble_integrals_out_of_float_range():
         bubble_integrals(spec, n_nodes=10_000)
 
 
-def test_bubble_integrals_core_underflow():
-    # width eps * b^{-1/p'} = 5e-17 lies far inside the grid's inner edge
-    # eps * 1e-7: the core underflows at every node, a typed error, not mass 0
-    spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1e30),
+def test_bubble_integrals_core_underflow(monkeypatch):
+    # a grid placed by the core width leaves no valid spec whose core
+    # underflows at every node, so the zero-mass guard is fed zero sums:
+    # a typed error, not mass 0
+    import lpentropy.manifold_geometry as mg
+
+    monkeypatch.setattr(mg, "_bubble_quadrature", lambda spec, n_nodes: (0.0, 0.0, 0.0))
+    spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1.0),
                       delta=1.0, eps=0.05)
     with pytest.raises(DomainError, match="underflows"):
         bubble_integrals(spec, n_nodes=20_000)
+
+
+@pytest.mark.parametrize("b", [1e14, 1e30])
+def test_bubble_mass_of_a_narrow_core(b):
+    """The grid starts at eps*1e-7*b^{-1/p'}, a fixed fraction of the core
+    width, so a core of width eps*1e-7 or eps*1e-15 is resolved; its
+    curvature correction, of order (eps b^{-1/p'})^2, is negligible and the
+    mass is 1."""
+    spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, b),
+                      delta=1.0, eps=0.01)
+    bi = bubble_integrals(spec, n_nodes=200_000)
+    assert bi.mass_p == pytest.approx(1.0, abs=1e-6)
+    assert bi.errors["mass_p"] < 1e-6
+
+
+def test_bubble_resolution_guard_counts_core_decades():
+    """The guard counts the decades from eps*1e-7*min(1, b^{-1/p'}) to delta."""
+    spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 0.5),
+                      delta=1.0, eps=0.05)
+    # 50 nodes for each of the log10(1 / (0.05 * 1e-7)) = 8.3 decades
+    with pytest.raises(AccuracyNotMet, match="8.3 decades; need at least 416"):
+        bubble_integrals(spec, n_nodes=415)
+    narrow = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1e30),
+                        delta=1.0, eps=0.05)
+    # and 15 more where the core is 1e-15 wide
+    with pytest.raises(AccuracyNotMet, match="23.3 decades; need at least 1166"):
+        bubble_integrals(narrow, n_nodes=1165)
 
 
 def test_bubble_integrals_memory_peak():

@@ -12,6 +12,7 @@ from whole_array import BLOCK_SIZES, agrees
 
 from lpentropy.errors import DomainError, OracleDisagreement
 from lpentropy.profiles import (
+    DEFAULT_R_MIN,
     RadialProfile,
     _node_measure,
     _projected_descent,
@@ -124,6 +125,42 @@ def test_extremal_profile_is_normalized():
         for b in (0.5, 1.0, 2.0):
             u = extremal_profile(n, p, b)
             assert lp_norm(u, p) == pytest.approx(1.0, abs=2e-8)
+
+
+@pytest.mark.parametrize("n, p", PAIRS)
+def test_extremal_integrals_at_narrow_cores(n, p):
+    """The oracle's grid starts at DEFAULT_R_MIN * b^{-1/p'}, so the two
+    routes agree to 1e-8 however narrow the core."""
+    for b in (1e5, 1e10, 1e14, 1e30):
+        assert extremal_integrals(n, p, b).max_rel_difference <= 1e-8, b
+
+
+def test_extremal_grid_placed_by_the_core_width():
+    for n, p in PAIRS:
+        for b in (0.5, 1.0):
+            spec = extremal_spec(n, p, b)
+            grid = extremal_profile(n, p, b, n_nodes=1000).grid
+            assert np.array_equal(grid, np.geomspace(DEFAULT_R_MIN, spec.support_radius(), 1000))
+        spec = extremal_spec(n, p, 1e12)
+        assert spec.core_width == pytest.approx(1e12 ** (-1.0 / spec.shape_power), rel=1e-15)
+        grid = extremal_profile(n, p, 1e12, n_nodes=1000).grid
+        assert grid[0] == pytest.approx(DEFAULT_R_MIN * spec.core_width, rel=1e-15)
+        # the extremal of rate b is that of rate 1 dilated by the core width
+        unit = extremal_spec(n, p, 1.0)
+        r = np.array([0.3, 1.0, 2.0])
+        assert spec.value(r * spec.core_width) / spec.amplitude == pytest.approx(
+            unit.value(r) / unit.amplitude, rel=1e-12)
+
+
+def test_support_radius_needs_an_amplitude_above_the_cutoff():
+    # at b = 1e-260 (n = 2, p = 1.05) the amplitude is 9e-25: no node of the
+    # profile lies above the tail cutoff, a typed error, not a complex radius
+    spec = extremal_spec(2, 1.05, 1e-260)
+    assert 0 < spec.amplitude < 1e-16
+    with pytest.raises(DomainError, match="tail cutoff"):
+        spec.support_radius()
+    with pytest.raises(DomainError, match="tail cutoff"):
+        extremal_profile(2, 1.05, 1e-260, n_nodes=2000)
 
 
 def test_extremal_integrals_frozen_values():
