@@ -16,7 +16,11 @@ document and maps outcomes to exit codes.
 
 Each handler imports the library modules it runs, and nothing above the
 handlers imports numpy or scipy: parsing, --help, --version and the
-closed-form `constants` subcommand start without either.
+closed-form `constants` subcommand start without either.  A library
+module that needs scipy in only some of its functions imports it inside
+them, so `extremal`, `deficit`, `bubble`, `witness` and `heat-norm` load
+numpy alone; `gn-estimate`, `gn-limit`, `minimize`, `nu-scan` and `hc`
+load scipy.
 """
 
 from __future__ import annotations
@@ -160,19 +164,14 @@ def _cmd_extremal(args) -> tuple:
 
 
 def _cmd_deficit(args) -> tuple:
-    from .euclidean_inequalities import entropy_deficit, limit_pde_residual
-    from .profiles import RadialProfile, entropy_integral, extremal_profile, grad_energy, lp_norm
+    from .euclidean_inequalities import deficit_report, limit_pde_residual
+    from .profiles import RadialProfile, extremal_profile
 
     if args.profile is not None:
         u = RadialProfile.from_csv(args.profile, dimension=args.n)
     else:
         u = extremal_profile(args.n, args.p, args.b, n_nodes=args.n_nodes)
-    result = {
-        "deficit": entropy_deficit(u, args.p),
-        "lp_norm": lp_norm(u, args.p),
-        "grad_energy": grad_energy(u, args.p),
-        "entropy": entropy_integral(u, args.p),
-    }
+    result = deficit_report(u, args.p).as_dict()
     if args.pde_residual:
         rep = limit_pde_residual(u, args.p, "fit" if args.C is None else args.C)
         result["pde_residual"] = rep.as_dict()

@@ -21,7 +21,8 @@ grid, apart from the cumulative mass and the log-radius that place the
 residual's test window.  The deficit, gap, slack and log-norm derivative
 each make one pass over u as given: with m = int u^p, G = int |grad u|^p
 and E = int u^p ln u^p, v = u/||u||_p has int |grad v|^p = G/m and
-int v^p ln v^p = E/m - ln m, and ln ||u||_t = (ln int u^t)/t.  The weak
+int v^p ln v^p = E/m - ln m, and ln ||u||_t = (ln int u^t)/t;
+deficit_report returns m^{1/p}, G and E with the deficit.  The weak
 residual evaluates its bump test functions on each block's slice of the grid.
 """
 
@@ -37,6 +38,8 @@ from .errors import DomainError, Record
 from .profiles import RadialProfile, _profile_sums, bump_basis, plogp
 
 __all__ = [
+    "DeficitReport",
+    "deficit_report",
     "entropy_deficit",
     "holder_interpolation_gap",
     "embedding_entropy_slack",
@@ -61,12 +64,23 @@ def _log_mass(mass: float) -> float:
     return math.log(mass)
 
 
-def entropy_deficit(u: RadialProfile, p: float) -> float:
-    """Sharp-constant entropy deficit of u/||u||_p; >= 0 up to quadrature.
+@dataclass(frozen=True)
+class DeficitReport(Record):
+    """The entropy deficit of u and the three integrals of u it is made of.
 
-    Scaling and dilation invariance of the underlying inequality mean the
-    deficit of any positive multiple of an extremal vanishes, whatever its b.
+    lp_norm, grad_energy and entropy equal profiles.lp_norm,
+    profiles.grad_energy and profiles.entropy_integral of u bit for bit:
+    each is the same blocked sum, taken in the deficit's one pass.
     """
+
+    deficit: float
+    lp_norm: float
+    grad_energy: float
+    entropy: float
+
+
+def deficit_report(u: RadialProfile, p: float) -> DeficitReport:
+    """entropy_deficit of u with ||u||_p, int |grad u|^p and int u^p ln u^p."""
     n = _check_p_range(u, p)
     mass, grad, entropy = _profile_sums(
         u, lambda mw, r, v, dv: (mw * v**p, mw * np.abs(dv) ** p, mw * plogp(v, p)),
@@ -76,7 +90,18 @@ def entropy_deficit(u: RadialProfile, p: float) -> float:
     # so catch that case by inspection rather than by thresholding
     if grad <= 0 or np.ptp(u.values) == 0:
         raise DomainError("profile has zero gradient energy; deficit undefined")
-    return (n / p) * math.log(entropy_best_constant(n, p) * (grad / mass)) - (entropy / mass - ln_m)
+    deficit = (n / p) * math.log(entropy_best_constant(n, p) * (grad / mass)) - (entropy / mass - ln_m)
+    return DeficitReport(deficit=deficit, lp_norm=mass ** (1.0 / p), grad_energy=grad,
+                         entropy=entropy)
+
+
+def entropy_deficit(u: RadialProfile, p: float) -> float:
+    """Sharp-constant entropy deficit of u/||u||_p; >= 0 up to quadrature.
+
+    Scaling and dilation invariance of the underlying inequality mean the
+    deficit of any positive multiple of an extremal vanishes, whatever its b.
+    """
+    return deficit_report(u, p).deficit
 
 
 def holder_interpolation_gap(u: RadialProfile, p: float, q: float) -> float:

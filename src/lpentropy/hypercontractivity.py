@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyNotMet, DomainError, OracleDisagreement, Record
 from .manifold_geometry import ManifoldModel
@@ -121,6 +120,10 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
         s = 1.0 / sig
         x = v_of(s)
         return phi(x) - x * phi_prime(x)
+
+    # imported here, the one user of scipy in this module, so that
+    # torus_heat_norm and the curvature bound load numpy without scipy
+    from scipy import integrate
 
     t_val, t_err = integrate.quad(t_integrand, sig_lo, sig_hi, epsabs=1e-13,
                                   epsrel=1e-12, limit=300)

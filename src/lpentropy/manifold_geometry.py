@@ -36,15 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Unused since the bubble integrals became blocked sums, but kept: once a
-# process has imported scipy.integrate, numpy's large temporaries are
-# faulted in afresh on every allocation, and bench/calibration.kernel, the
-# yardstick that scales in-process timings, runs about 1.8x slower.
-# Without this import the manifold_descent benchmark would read as slower
-# at unchanged raw speed.  Dropping it waits for a kernel that does not
-# depend on what the library imported (ROADMAP item 3).
-import scipy.integrate  # noqa: F401
-
 from .constants import entropy_best_constant
 from .errors import AccuracyNotMet, DomainError, Record
 from .profiles import ExtremalSpec, _blocked_sums, extremal_integrals, extremal_spec

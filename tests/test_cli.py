@@ -191,6 +191,30 @@ def test_deficit_with_pde_residual():
     assert abs(rep["c_value"]) < 1e-4
 
 
+def test_deficit_sums_over_the_profile_once(monkeypatch, capsys):
+    from lpentropy import cli, euclidean_inequalities, profiles
+
+    passes = []
+    real = profiles._profile_sums
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "_profile_sums", counting)
+    monkeypatch.setattr(euclidean_inequalities, "_profile_sums", counting)
+    assert cli.main(["deficit", "--n", "3", "--p", "2", "--b", "0.7", "--n-nodes", "20000"]) == 0
+    assert len(passes) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    u = extremal_profile(3, 2.0, 0.7, n_nodes=20_000)
+    assert result == {
+        "deficit": euclidean_inequalities.entropy_deficit(u, 2.0),
+        "lp_norm": profiles.lp_norm(u, 2.0),
+        "grad_energy": profiles.grad_energy(u, 2.0),
+        "entropy": profiles.entropy_integral(u, 2.0),
+    }
+
+
 def test_deficit_non_finite_c_exit_code():
     res = run_cli("deficit", "--n", "3", "--p", "2", "--n-nodes", "2000", "--pde-residual",
                   "--C", "inf")
@@ -482,8 +506,13 @@ def test_constants_imports_neither_numpy_nor_scipy():
 @pytest.mark.parametrize("argv", [
     ("extremal", "--n", "3", "--p", "2", "--n-nodes", "300000"),
     ("deficit", "--n", "3", "--p", "2", "--n-nodes", "20000", "--pde-residual"),
+    ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--delta", "1",
+     "--eps-grid", "0.01,0.02,0.04,0.08", "--n-nodes", "20000"),
+    ("witness", "--model", "torus", "--n", "3", "--p", "2", "--a-const", "0.0702",
+     "--b-const", "1", "--scale", "6", "--eps-grid", "0.02,0.05,0.1", "--n-nodes", "20000"),
+    ("heat-norm", "--n", "3", "--scale", "2", "--t", "0.05"),
 ])
-def test_radial_subcommands_import_no_scipy(argv):
+def test_numpy_only_subcommands_import_no_scipy(argv):
     code, modules = main_in_fresh_process(*argv)
     assert code == 0
     assert "numpy" in modules
@@ -520,3 +549,20 @@ print(json.dumps([before, "scipy.sparse" in sys.modules,
     assert after
     assert is_csr
     assert adjoint_gap <= 1e-14
+
+
+def test_hypercontractivity_loads_scipy_integrate_on_first_use():
+    on_import, after_heat_norm, after_bakry = run_fresh("""
+import json, sys
+from lpentropy import hypercontractivity as hc
+from lpentropy.manifold_geometry import ManifoldModel
+on_import = "scipy" in sys.modules
+hc.torus_heat_norm(3, 2.0, 0.05)
+hc.curvature_second_constant_bound(ManifoldModel.sphere(3, 1.0))
+after_heat_norm = "scipy" in sys.modules
+hc.bakry_integrals(3, 0.0781, 1.0, 5.0)
+print(json.dumps([on_import, after_heat_norm, "scipy.integrate" in sys.modules]))
+""")
+    assert not on_import
+    assert not after_heat_norm
+    assert after_bakry

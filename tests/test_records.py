@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 from lpentropy.errors import Record
-from lpentropy.euclidean_inequalities import limit_pde_residual
+from lpentropy.euclidean_inequalities import deficit_report, limit_pde_residual
 from lpentropy.hypercontractivity import (
     bakry_integrals,
     torus_heat_norm,
@@ -25,6 +25,7 @@ def _records() -> list:
     return [
         extremal_integrals(3, 2.0, 1.0),
         limit_pde_residual(extremal_profile(3, 2.0, 1.0, n_nodes=3000), 2.0),
+        deficit_report(extremal_profile(3, 2.0, 1.0, n_nodes=3000), 2.0),
         bubble_integrals(BubbleSpec(sphere, extremal_spec(3, 2.0, 1.0), 1.0, 0.05),
                          n_nodes=20_000),
         fit_expansion(sphere, 2.0, 1.0, 1.0, [0.01, 0.02, 0.04, 0.08], n_nodes=20_000),
