@@ -18,9 +18,9 @@ Each handler imports the library modules it runs, and nothing above the
 handlers imports numpy or scipy: parsing, --help, --version and the
 closed-form `constants` subcommand start without either.  A library
 module that needs scipy in only some of its functions imports it inside
-them, so `extremal`, `deficit`, `bubble`, `witness` and `heat-norm` load
-numpy alone; `gn-estimate`, `gn-limit`, `minimize`, `nu-scan` and `hc`
-load scipy.
+them, so `extremal`, `deficit`, `bubble`, `witness`, `heat-norm` and `hc`
+load numpy alone; `gn-estimate`, `gn-limit`, `minimize` and `nu-scan` load
+scipy.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ class ConvergenceError(RuntimeError):
 
 
 class AccuracyNotMet(ConvergenceError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """A quadrature's error estimate exceeds its tolerance."""
 
 
 class OracleDisagreement(ConvergenceError):

@@ -292,6 +292,17 @@ def test_hc_single_and_grid(tmp_path):
     assert res.returncode == 1  # neither --lambda nor --t-grid
 
 
+def test_hc_leaves_stderr_empty():
+    # a criterion-11 draw at which the former adaptive quadrature warned
+    # "The integral is probably divergent" while returning the right m
+    res = run_cli("hc", "--n", "4", "--A", "0.8711878383996956", "--B", "0.4242406537262642",
+                  "--lambda", "0.31288433339297206")
+    assert res.returncode == 0
+    assert res.stderr == ""
+    result = strict_json(res.stdout)["result"]
+    assert result["m"] == pytest.approx(result["m_closed"], rel=1e-12)
+
+
 def test_heat_norm_document():
     res = run_cli("heat-norm", "--n", "1", "--scale", str(2 * math.pi), "--t", "0.01")
     assert res.returncode == 0
@@ -511,6 +522,8 @@ def test_constants_imports_neither_numpy_nor_scipy():
     ("witness", "--model", "torus", "--n", "3", "--p", "2", "--a-const", "0.0702",
      "--b-const", "1", "--scale", "6", "--eps-grid", "0.02,0.05,0.1", "--n-nodes", "20000"),
     ("heat-norm", "--n", "3", "--scale", "2", "--t", "0.05"),
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5"),
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.005,0.01,0.05"),
 ])
 def test_numpy_only_subcommands_import_no_scipy(argv):
     code, modules = main_in_fresh_process(*argv)
@@ -551,7 +564,7 @@ print(json.dumps([before, "scipy.sparse" in sys.modules,
     assert adjoint_gap <= 1e-14
 
 
-def test_hypercontractivity_loads_scipy_integrate_on_first_use():
+def test_hypercontractivity_never_loads_scipy():
     on_import, after_heat_norm, after_bakry = run_fresh("""
 import json, sys
 from lpentropy import hypercontractivity as hc
@@ -561,8 +574,10 @@ hc.torus_heat_norm(3, 2.0, 0.05)
 hc.curvature_second_constant_bound(ManifoldModel.sphere(3, 1.0))
 after_heat_norm = "scipy" in sys.modules
 hc.bakry_integrals(3, 0.0781, 1.0, 5.0)
-print(json.dumps([on_import, after_heat_norm, "scipy.integrate" in sys.modules]))
+hc.bakry_integrals(3, 0.5, 0.3, 1.2, p_from=1.5, q_to=3.0)
+hc.ultracontractivity_check(3, 0.0781, 1.0, [0.005, 0.01, 0.05])
+print(json.dumps([on_import, after_heat_norm, "scipy" in sys.modules]))
 """)
     assert not on_import
     assert not after_heat_norm
-    assert after_bakry
+    assert not after_bakry

@@ -1,11 +1,13 @@
 """Exponent-path integrals, heat-kernel bound, torus heat norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lpentropy.errors import DomainError
+from lpentropy import hypercontractivity
+from lpentropy.errors import DomainError, OracleDisagreement
 from lpentropy.hypercontractivity import (
     bakry_integrals,
     curvature_second_constant_bound,
@@ -61,6 +63,63 @@ def test_budget_integral_closed_form():
         rep = bakry_integrals(n, a, b, lam)
         closed = 0.5 * n * (math.log(a * lam) + 1.0) + n * b / (12.0 * a * lam)
         assert rep.m == pytest.approx(closed, rel=1e-10)
+
+
+def _budget_reference(n, a, b, lam, p_from, q_to):
+    """(n/2) [G(1/p) - G(1/q)] with G as written, c = 1 - sigma and 0 ln 0 = 0."""
+    def xlogx(x):
+        return x * math.log(x) if x > 0 else 0.0
+
+    def g(sig):
+        c = 1.0 - sig
+        return ((math.log(a * lam) - 1.0) * sig + (sig - xlogx(sig)) + (xlogx(c) + sig)
+                + b / (a * lam) * (sig**2 / 2.0 - sig**3 / 3.0))
+
+    return 0.5 * n * (g(1.0 / p_from) - g(0.0 if math.isinf(q_to) else 1.0 / q_to))
+
+
+def test_budget_integral_matches_closed_form_on_every_path():
+    n, a, b = 3, 0.4, 0.9
+    lam = b / a * 0.26 + 0.7  # clears the admissibility floor B/(4A) on any path
+    rng = np.random.default_rng(43)
+    paths = []
+    for _ in range(40):
+        p_from = 1.0 + float(rng.uniform(0.0, 3.0)) ** 2
+        q_to = math.inf if rng.random() < 0.3 else p_from + float(rng.uniform(0.01, 5.0))
+        paths.append((p_from, q_to))
+    # near-singular ends, and paths 1e-6 wide
+    paths += [(1.0 + 1e-14, 1e15), (1.0, 1.0 + 1e-6), (2.5, 2.5 + 1e-6), (1.0, math.inf)]
+    for p_from, q_to in paths:
+        rep = bakry_integrals(n, a, b, lam, p_from=p_from, q_to=q_to)
+        closed = _budget_reference(n, a, b, lam, p_from, q_to)
+        assert rep.m_closed == pytest.approx(closed, rel=1e-12, abs=1e-15), (p_from, q_to)
+        assert abs(rep.m - rep.m_closed) <= 1e-12 * max(abs(rep.m_closed), 1e-3), (p_from, q_to)
+        assert rep.quad_error["m"] <= 1e-12 * max(abs(rep.m), 1e-3), (p_from, q_to)
+
+
+def test_budget_disagreement_is_raised(monkeypatch):
+    closed = hypercontractivity._budget_closed_form
+    monkeypatch.setattr(hypercontractivity, "_budget_closed_form",
+                        lambda *args: closed(*args) * (1.0 + 1e-9))
+    with pytest.raises(OracleDisagreement):
+        bakry_integrals(3, 0.0781, 1.0, 5.0)
+
+
+def test_criterion_11_sweep_warns_nothing():
+    # the sampling of criterion 11, and a draw where adaptive quadrature
+    # used to print "The integral is probably divergent"
+    rng = np.random.default_rng(1011)
+    points = [(4, 0.8711878383996956, 0.4242406537262642, 0.31288433339297206)]
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        a = float(rng.uniform(0.05, 2.0))
+        b = float(rng.uniform(0.0, 2.0))
+        points.append((n, a, b, b / (4.0 * a) * 1.05 + float(np.exp(rng.uniform(-2.0, 2.0)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, a, b, lam in points:
+            rep = bakry_integrals(n, a, b, lam)
+            assert rep.m == pytest.approx(rep.m_closed, rel=1e-12)
 
 
 def test_sharp_constant_saturates_bound():
