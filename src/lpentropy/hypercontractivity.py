@@ -73,7 +73,8 @@ class HCReport(Record):
 
 def _variance_floor(p_from: float, q_to: float) -> float:
     """max of (s-1)/s^2 over [p_from, q_to]; attained at s = 2 when inside."""
-    h = lambda s: (s - 1.0) / s**2
+    # divided twice, not by s**2, which overflows for s past 1e154
+    h = lambda s: (s - 1.0) / s / s
     if p_from <= 2.0 <= q_to:
         return 0.25
     hi = 0.0 if math.isinf(q_to) else h(q_to)
@@ -117,6 +118,12 @@ def _xlogx(x: float) -> float:
     return x * math.log(x) if x > 0 else 0.0
 
 
+def _clogc(sig: float) -> float:
+    # c ln c at c = 1 - sigma by log1p: near sigma = 0 it is -sigma, which
+    # (1 - sigma) ln(1 - sigma) rounds to 0 once sigma < 1e-16
+    return (1.0 - sig) * math.log1p(-sig) if sig < 1.0 else 0.0
+
+
 def _budget_closed_form(half_n: float, ln_al: float, b_ratio: float,
                         sig_lo: float, sig_hi: float) -> float:
     """m = (n/2) [G(sig_hi) - G(sig_lo)], the antiderivative of the m integrand.
@@ -129,7 +136,7 @@ def _budget_closed_form(half_n: float, ln_al: float, b_ratio: float,
     poly = width * (0.5 * (sig_hi + sig_lo)
                     - (sig_hi * sig_hi + sig_hi * sig_lo + sig_lo * sig_lo) / 3.0)
     return half_n * ((ln_al + 1.0) * width - (_xlogx(sig_hi) - _xlogx(sig_lo))
-                     + (_xlogx(1.0 - sig_hi) - _xlogx(1.0 - sig_lo)) + b_ratio * poly)
+                     + (_clogc(sig_hi) - _clogc(sig_lo)) + b_ratio * poly)
 
 
 def _check_args(n: int, a_const: float, b_const: float, slack: float) -> None:
@@ -146,8 +153,9 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
                     slack: float = 0.05) -> HCReport:
     """Quadrature values of the t and m integrals with built-in cross-checks.
 
-    Raises DomainError if the variance curve dips below zero on the
-    exponent path (the potential is then outside its admissible domain),
+    Raises DomainError if A lambda or B/(A lambda) leaves the float range,
+    or if the variance curve dips below zero on the exponent path (the
+    potential is then outside its admissible domain),
     AccuracyNotMet if a rule's error estimate exceeds 1e-8 relative, and
     OracleDisagreement if the quadrature t or m drifts from its closed form
     by more than 1e-10 relative (m_closed; relative to at least 1e-3).
@@ -157,6 +165,11 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
         raise DomainError(f"need a finite lambda > 0, got {lam}")
     if not (1.0 <= p_from and p_from < q_to):
         raise DomainError(f"need 1 <= p_from < q_to, got ({p_from}, {q_to})")
+    if not (0 < a_const * lam < math.inf and b_const / (a_const * lam) < math.inf):
+        raise DomainError(
+            f"need A lambda > 0 and B/(A lambda) in the float range, got A lambda = "
+            f"{a_const * lam!r} for (A, B, lambda) = ({a_const}, {b_const}, {lam})"
+        )
     floor = _variance_floor(p_from, q_to)
     if lam * a_const < b_const * floor * (1.0 - 1e-12):
         raise DomainError(

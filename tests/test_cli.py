@@ -303,6 +303,16 @@ def test_hc_leaves_stderr_empty():
     assert result["m"] == pytest.approx(result["m_closed"], rel=1e-12)
 
 
+def test_hc_path_past_the_float_square_root():
+    # (s-1)/s^2 at s = 1e200 once overflowed into a traceback
+    res = run_cli("hc", "--n", "3", "--A", "0.0781", "--B", "0", "--lambda", "5",
+                  "--p-from", "1e200")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    result = strict_json(res.stdout)["result"]
+    assert result["m"] == pytest.approx(result["m_closed"], rel=1e-10)
+
+
 def test_heat_norm_document():
     res = run_cli("heat-norm", "--n", "1", "--scale", str(2 * math.pi), "--t", "0.01")
     assert res.returncode == 0
@@ -354,7 +364,10 @@ def test_output_is_strict_json():
      "--eps-grid", "0.01,0.02,0.04,0.08", "--n-nodes", "20000"),
     # the extremal amplitude lies below the tail cutoff: nothing to sample
     ("deficit", "--n", "2", "--p", "1.05", "--b", "1e-260", "--n-nodes", "2000"),
-], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b"))
+    # A lambda leaves the float range
+    ("hc", "--n", "3", "--A", "1e300", "--B", "0", "--lambda", "1e300"),
+], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
+        "hc-huge-a-lambda"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)

@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from whole_array import BLOCK_SIZES, agrees
 
+from lpentropy import gn_estimator
 from lpentropy.constants import (
     InequalityParams,
+    derived_exponents,
     dpd_parameters,
     entropy_best_constant,
     sobolev_bound_constant,
@@ -64,6 +67,85 @@ def test_sobolev_endpoint_recovered():
         est = estimate_gn_constant(par)
         assert est.value == pytest.approx(sobolev_bound_constant(3, 2.0), rel=1e-9)
         assert est.best_family == "rational"
+
+
+def _ln_quotient_rational_mpmath(params, theta, s, k):
+    """ln Q of u = (1 + r^s)^{-k} from its beta moments, at 40 digits."""
+    with mpmath.workdps(40):
+        n, p = params.n, mpmath.mpf(params.p)
+        s, k, theta = mpmath.mpf(s), mpmath.mpf(k), mpmath.mpf(theta)
+        ln_w = mpmath.log(2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2))
+
+        def ln_moment(m, decay):
+            a = (m + 1) / s
+            return mpmath.loggamma(a) + mpmath.loggamma(decay - a) - mpmath.loggamma(decay) \
+                - mpmath.log(s)
+
+        def ln_norm(t):
+            t = mpmath.mpf(t)
+            return (ln_w + ln_moment(n - 1, k * t)) / t
+
+        ln_grad = ln_w + p * mpmath.log(k * s) + ln_moment(n - 1 + (s - 1) * p, (k + 1) * p)
+        value = (p / theta) * ln_norm(params.r) - ln_grad \
+            - (p * (1 - theta) / theta) * ln_norm(params.q)
+        return float(value)
+
+
+@pytest.mark.parametrize("q, r", [(1.5, 1.8), (1.8, 2.0), (1.99, 2.0), (1.8, 2.4)],
+                         ids=("r<p", "r=p", "r=p-near-q", "r>p"))
+def test_rational_quotient_against_mpmath(q, r):
+    # lgamma(d - a) - lgamma(d) once cancelled to 1e-10 at k = 1e4 and 1e-6 at 1e8
+    params = InequalityParams(n=3, p=2.0, q=q, r=r)
+    theta = derived_exponents(params).theta
+    for s in (1.3, 2.0, 3.1):
+        for k in (3.0, 30.0, 1e3, 1e5, 1e7, 1e9):
+            got = gn_estimator._ln_quotient_rational(params, theta, s, k)
+            want = _ln_quotient_rational_mpmath(params, theta, s, k)
+            assert got == pytest.approx(want, rel=1e-11), (s, k)
+
+
+_R_AT_MOST_P = [InequalityParams(n=3, p=2.0, q=q, r=2.0) for q in (1.0, 1.62, 1.85, 1.99)] \
+    + [InequalityParams(n=3, p=2.0, q=1.5, r=1.8)]
+
+
+def test_rational_family_stays_below_its_stretched_limit(monkeypatch):
+    """On r <= p the rational search runs toward k -> infinity, where the
+    family's supremum is the stretched value; it stops at its cap within
+    150 evaluations past the grid and reports a member below that value."""
+    minimize = gn_estimator.optimize.minimize
+    evaluations = []
+
+    def counted(fun, x0, **kwargs):
+        def fun_counted(x):
+            evaluations[-1] += 1
+            return fun(x)
+
+        evaluations.append(0)
+        return minimize(fun_counted, x0, **kwargs)
+
+    monkeypatch.setattr(gn_estimator.optimize, "minimize", counted)
+    for params in _R_AT_MOST_P:
+        est = estimate_gn_constant(params, n_nodes=500, ascent_iters=0)
+        values = est.family_values
+        assert values["rational"] <= values["stretched_exp"], params
+        assert evaluations[-1] <= 150, (params, evaluations[-1])
+
+
+def test_q_near_p_estimate_is_the_stretched_value():
+    # the rational member once read 2.7e-8 above it, out of rounding noise
+    est = estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.99, r=2.0))
+    assert est.best_family == "stretched_exp"
+    assert est.value == max(est.family_values.values())
+    assert est.value == pytest.approx(0.07787119202574792, rel=1e-12)
+
+
+def test_dpd_family_member_is_found_exactly():
+    # r > p: the optimum is interior at (s, k) = (2, 1/(s_dpd - 2)) = (2, 20),
+    # whose exact quotient is 0.0810017094610081250611... (40 digits)
+    est = estimate_gn_constant(dpd_parameters(3, 2.0, 2.05), n_nodes=500, ascent_iters=0)
+    value = est.family_values["rational"]
+    assert value == pytest.approx(0.0810017094611, abs=1e-12)
+    assert value == pytest.approx(0.08100170946100812506, rel=1e-12)
 
 
 def test_dpd_family_approaches_entropy_constant():

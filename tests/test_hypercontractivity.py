@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,21 @@ def test_budget_integral_matches_closed_form_on_every_path():
         assert rep.quad_error["m"] <= 1e-12 * max(abs(rep.m), 1e-3), (p_from, q_to)
 
 
+def test_budget_on_a_path_past_the_float_square_root():
+    """At p_from = 1e200 the variance floor (s-1)/s^2 is formed without
+    overflow, and m keeps the c ln c = -sigma + ... term of its closed form,
+    checked against G at 40 digits."""
+    n, a, lam, p_from = 3, 0.0781, 5.0, 1e200
+    rep = bakry_integrals(n, a, 0.0, lam, p_from=p_from)
+    with mpmath.workdps(40):
+        sig = 1 / mpmath.mpf(p_from)
+        c = 1 - sig
+        ref = 0.5 * n * ((mpmath.log(a * lam) - 1) * sig + (sig - sig * mpmath.log(sig))
+                         + (c * mpmath.log(c) + sig))
+    assert rep.m_closed == pytest.approx(float(ref), rel=1e-13)
+    assert rep.m == pytest.approx(float(ref), rel=1e-10)
+
+
 def test_budget_disagreement_is_raised(monkeypatch):
     closed = hypercontractivity._budget_closed_form
     monkeypatch.setattr(hypercontractivity, "_budget_closed_form",
@@ -173,6 +189,10 @@ def test_parameter_validation():
     # non-finite A, B, lambda and slack, and a negative slack
     for a, b, lam in ((math.nan, 1.0, 5.0), (math.inf, 1.0, 5.0), (0.1, math.nan, 5.0),
                       (0.1, math.inf, 5.0), (0.1, 1.0, math.nan), (0.1, 1.0, math.inf)):
+        with pytest.raises(DomainError):
+            bakry_integrals(3, a, b, lam)
+    # A lambda or B/(A lambda) outside the float range
+    for a, b, lam in ((1e300, 0.0, 1e300), (1e-300, 0.0, 1e-300), (1e-300, 1.0, 1e-10)):
         with pytest.raises(DomainError):
             bakry_integrals(3, a, b, lam)
     for slack in (math.nan, math.inf, -0.01):
