@@ -41,7 +41,7 @@ import numpy as np
 from scipy import optimize
 
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
-from .errors import DomainError
+from .errors import DomainError, Record
 from .profiles import RadialProfile, _profile_sums, _projected_descent, derivative_matrix, lp_norm
 from .special_fn import log_gamma, sphere_area, stretched_exp_moment
 
@@ -62,6 +62,26 @@ def _theta_or_raise(params: InequalityParams) -> float:
             "use the entropy deficit for the limiting inequality"
         )
     return exps.theta
+
+
+def _carries_q_norm(theta: float) -> bool:
+    # at the Sobolev endpoint r = p* (theta = 1, up to the rounding of the
+    # exponent formula) the q-norm enters the quotient with exponent 0
+    return abs(theta - 1.0) > 1e-9
+
+
+def _ln_quotient(params: InequalityParams, theta: float, ln_norm_r: float, ln_grad: float,
+                 ln_norm_q) -> float:
+    """ln Q from ln ||u||_r, ln ||grad u||_p^p and ln ||u||_q.
+
+    ln_norm_q is called only where the q-norm enters (theta != 1): at the
+    Sobolev endpoint it may be infinite or undefined.
+    """
+    p = params.p
+    value = (p / theta) * ln_norm_r - ln_grad
+    if _carries_q_norm(theta):
+        value -= (p * (1.0 - theta) / theta) * ln_norm_q()
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,11 +111,8 @@ def gn_quotient(u: RadialProfile, params: InequalityParams) -> GNQuotientReport:
         raise DomainError("profile has zero gradient energy; quotient undefined")
     if norm_r <= 0 or norm_q <= 0:
         raise DomainError("profile has zero mass; quotient undefined")
-    ln_q_val = (
-        (p / theta) * math.log(norm_r)
-        - math.log(grad_p)
-        - (p * (1.0 - theta) / theta) * math.log(norm_q)
-    )
+    ln_q_val = _ln_quotient(params, theta, math.log(norm_r), math.log(grad_p),
+                            lambda: math.log(norm_q))
     return GNQuotientReport(
         quotient=math.exp(ln_q_val),
         norm_r=norm_r,
@@ -123,11 +140,7 @@ def _ln_quotient_stretched(params: InequalityParams, theta: float, s: float) -> 
         + p * math.log(s)
         + math.log(stretched_exp_moment(n - 1 + (s - 1.0) * p, s, p))
     )
-    return (
-        (p / theta) * ln_norm(params.r)
-        - ln_grad
-        - (p * (1.0 - theta) / theta) * ln_norm(params.q)
-    )
+    return _ln_quotient(params, theta, ln_norm(params.r), ln_grad, lambda: ln_norm(params.q))
 
 
 #: from this second argument on, ln B(a, b) takes ln Gamma(b) - ln Gamma(a + b)
@@ -151,12 +164,6 @@ def _ln_beta(a: float, b: float) -> float:
         tail_b, tail_d = c + ib2 * tail_b, c + id2 * tail_d
     return (log_gamma(a) - a * math.log(d) + (b - 0.5) * math.log1p(-a / d) + a
             + tail_b / b - tail_d / d)
-
-
-def _carries_q_norm(theta: float) -> bool:
-    # at the Sobolev endpoint r = p* (theta = 1, up to the rounding of the
-    # exponent formula) the q-norm enters the quotient with exponent 0
-    return abs(theta - 1.0) > 1e-9
 
 
 def _rational_k_floor(params: InequalityParams, theta: float, s: float) -> float:
@@ -187,10 +194,7 @@ def _ln_quotient_rational(params: InequalityParams, theta: float, s: float, k: f
         + p * math.log(k * s)
         + ln_moment(n - 1.0 + (s - 1.0) * p, (k + 1.0) * p)
     )
-    value = (p / theta) * ln_norm(params.r) - ln_grad
-    if _carries_q_norm(theta):
-        value -= (p * (1.0 - theta) / theta) * ln_norm(params.q)
-    return value
+    return _ln_quotient(params, theta, ln_norm(params.r), ln_grad, lambda: ln_norm(params.q))
 
 
 def _scan_stretched(params: InequalityParams, theta: float) -> tuple:
@@ -316,15 +320,19 @@ def _ascent(u0: RadialProfile, params: InequalityParams, theta: float, max_iters
             - (p * (1.0 - theta) / theta) * (mw * vals ** (q - 1.0)) / mq
         )
 
-    _, neg_val, iters, _ = _projected_descent(
+    _, neg_val, iters, reason = _projected_descent(
         neg_ln_q, neg_gradient, u0.values / lp_norm(u0, q), mw, max_iters, armijo=1e-4
     )
-    return math.exp(-neg_val), iters
+    return math.exp(-neg_val), iters, reason
 
 
 @dataclass(frozen=True)
-class GNEstimate:
-    """Best quotient found; a lower bound for the sharp constant."""
+class GNEstimate(Record):
+    """Best quotient found; a lower bound for the sharp constant.
+
+    ascent_stop_reason is the descent driver's stop reason for the ascent
+    (see profiles._projected_descent); "max_iters" means it used its cap.
+    """
 
     value: float
     best_family: str
@@ -332,23 +340,12 @@ class GNEstimate:
     best_params: dict
     ascent_iterations: int
     ascent_gain: float
+    ascent_stop_reason: str
     theta: float
-    params: InequalityParams
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "best_family": self.best_family,
-            "family_values": dict(self.family_values),
-            "best_params": dict(self.best_params),
-            "ascent_iterations": self.ascent_iterations,
-            "ascent_gain": self.ascent_gain,
-            "theta": self.theta,
-            "n": self.params.n,
-            "p": self.params.p,
-            "q": self.params.q,
-            "r": self.params.r,
-        }
+    n: int
+    p: float
+    q: float
+    r: float
 
 
 def estimate_gn_constant(
@@ -380,7 +377,7 @@ def estimate_gn_constant(
     else:
         seed_name, seed_info = "rational", info_rat
 
-    ascent_val, iters = _ascent(
+    ascent_val, iters, reason = _ascent(
         _seed_profile(params, seed_name, seed_info, n_nodes), params, theta, ascent_iters
     )
     family_values["ascent"] = ascent_val
@@ -397,8 +394,12 @@ def estimate_gn_constant(
         best_params=best_params,
         ascent_iterations=iters,
         ascent_gain=gain,
+        ascent_stop_reason=reason,
         theta=theta,
-        params=params,
+        n=params.n,
+        p=params.p,
+        q=params.q,
+        r=params.r,
     )
 
 

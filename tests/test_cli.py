@@ -1,13 +1,23 @@
-"""End-to-end command line checks via subprocess."""
+"""End-to-end command line checks.
 
+The CLI runs as `cli.main(argv)` in the test process (`run_cli`).  Tests
+whose subject is the process itself start a fresh interpreter: byte-identical
+output across runs, the exit codes of `python -m lpentropy.cli`, and the
+import budgets, which need an empty module cache.
+"""
+
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from lpentropy import cli
 from lpentropy.constants import entropy_best_constant
 from lpentropy.manifold_geometry import ManifoldModel
 from lpentropy.manifold_minimizer import minimize_gn_functional
@@ -15,11 +25,30 @@ from lpentropy.profiles import extremal_profile
 
 
 def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "lpentropy.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
+    """cli.main(argv) in this process, as a CompletedProcess.
+
+    stdout and stderr are captured, SystemExit gives the exit code, and an
+    uncaught exception propagates and fails the test.  Every warning is
+    written to the captured stderr, where an interpreter would print it:
+    pytest would otherwise record it and leave stderr empty.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*argv):
+    """`python -m lpentropy.cli argv` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "lpentropy.cli", *argv],
+                          capture_output=True, text=True)
 
 
 def strict_json(text):
@@ -52,6 +81,32 @@ print(json.dumps([code, sorted(sys.modules)]))
     return code, set(modules)
 
 
+def _patch_handler(monkeypatch, command, handler):
+    _, help_text, specs = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (handler, help_text, specs))
+
+
+def test_run_cli_writes_warnings_to_stderr(monkeypatch):
+    import numpy as np
+
+    def overflows(args):
+        return {"value": float(np.exp(np.float64(1000.0)))}, None
+
+    _patch_handler(monkeypatch, "constants", overflows)
+    res = run_cli("constants", "--n", "3", "--p", "2")
+    assert res.returncode == 0
+    assert "RuntimeWarning: overflow encountered in exp" in res.stderr
+
+
+def test_run_cli_fails_on_an_uncaught_exception(monkeypatch):
+    def raises(args):
+        raise ZeroDivisionError("a fault in the handler")
+
+    _patch_handler(monkeypatch, "constants", raises)
+    with pytest.raises(ZeroDivisionError, match="a fault in the handler"):
+        run_cli("constants", "--n", "3", "--p", "2")
+
+
 def test_constants_document():
     res = run_cli("constants", "--n", "3", "--p", "2")
     assert res.returncode == 0
@@ -81,8 +136,8 @@ def test_constants_with_exponents_and_family():
 def test_determinism_byte_identical():
     argv = ("gn-estimate", "--n", "3", "--p", "2", "--q", "1.8", "--r", "2.1",
             "--n-nodes", "400", "--ascent-iters", "8")
-    first = run_cli(*argv)
-    second = run_cli(*argv)
+    first = run_module(*argv)
+    second = run_module(*argv)
     assert first.returncode == 0
     assert first.stdout == second.stdout
 
@@ -133,6 +188,26 @@ def test_usage_error_exit_code():
     assert res.returncode == 64
     res = run_cli("no-such-command")
     assert res.returncode == 64
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("constants", "--n", "3", "--p", "2"), 0),
+    (("constants", "--n", "3", "--p", "0.5"), 1),
+    (("extremal", "--n", "3", "--p", "2", "--b", "1", "--n-nodes", "5000"), 2),
+    (("witness", "--model", "sphere", "--n", "3", "--p", "2",
+      "--a-const", str(1.1 * entropy_best_constant(3, 2.0)), "--b-const", "1",
+      "--eps-grid", "0.05", "--n-nodes", "20000", "--expect", "violation"), 3),
+    (("constants", "--n", "3", "--p", "2", "--bogus", "1"), 64),
+], ids=("success", "domain", "cross-check", "expectation", "usage"))
+def test_module_exit_codes(argv, exit_code):
+    # stdout holds the JSON document and nothing else, or nothing at all
+    res = run_module(*argv)
+    assert res.returncode == exit_code, res.stderr
+    if exit_code in (0, 3):
+        assert strict_json(res.stdout)["command"] == argv[0]
+    else:
+        assert res.stdout == ""
+    assert (res.stderr == "") == (exit_code == 0)
 
 
 def test_extremal_saturation():
@@ -192,7 +267,7 @@ def test_deficit_with_pde_residual():
 
 
 def test_deficit_sums_over_the_profile_once(monkeypatch, capsys):
-    from lpentropy import cli, euclidean_inequalities, profiles
+    from lpentropy import euclidean_inequalities, profiles
 
     passes = []
     real = profiles._profile_sums
@@ -401,6 +476,33 @@ def test_narrow_core_witness():
     assert strict_json(res.stdout)["result"]["violated"] is True
 
 
+def _family_ordered(res):
+    fam = res["family_values"]
+    return (fam["rational"] <= fam["stretched_exp"] and res["value"] == max(fam.values())
+            and res["best_family"] == "stretched_exp")
+
+
+@pytest.mark.parametrize("argv, holds", [
+    # near p = 1 the bubble core underflows where its power overflows: those
+    # nodes add 0, so every gradient integral is a number
+    (("bubble", "--model", "sphere", "--n", "3", "--p", "1.02", "--b", "1", "--delta", "1",
+      "--eps-grid", "1e-7,2e-7,4e-7,8e-7", "--n-nodes", "20000"),
+     lambda res: all(row["grad_p"] is not None for row in res["rows"])),
+    # on r = p the rational search stops at its stretched limit, below the
+    # stretched value, which is the estimate
+    (("gn-estimate", "--n", "3", "--p", "2", "--q", "1.99", "--r", "2"), _family_ordered),
+    # a descent stopped by its cap is reported, not passed off as converged
+    (("minimize", "--model", "torus", "--n", "3", "--scale", "6", "--p", "2", "--q", "1.5",
+      "--C", "5", "--max-iters", "2000"),
+     lambda res: (res["converged"], res["stop_reason"]) == (False, "max_iters")),
+], ids=("bubble-p-near-1", "gn-estimate-q-near-p", "minimize-torus-cap"))
+def test_result_holds(argv, holds):
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
+    result = strict_json(res.stdout)["result"]
+    assert holds(result), result
+
+
 # The CLI contract: the "config" block of every subcommand's document, with
 # every default, as the parser resolved it before its arguments were
 # declared in one table.  Each run is at the subcommand's defaults and takes
@@ -537,6 +639,8 @@ def test_constants_imports_neither_numpy_nor_scipy():
     ("heat-norm", "--n", "3", "--scale", "2", "--t", "0.05"),
     ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5"),
     ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.005,0.01,0.05"),
+    ("hc", "--n", "4", "--A", "0.8711878383996956", "--B", "0.4242406537262642",
+     "--lambda", "0.31288433339297206"),
 ])
 def test_numpy_only_subcommands_import_no_scipy(argv):
     code, modules = main_in_fresh_process(*argv)

@@ -204,6 +204,13 @@ def test_ascent_does_not_lose_ground():
     assert est.ascent_iterations > 0
 
 
+def test_ascent_reports_its_stop_reason():
+    # on r = p the ascent runs to its cap at the defaults
+    est = estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.8, r=2.0))
+    assert est.ascent_stop_reason == "max_iters"
+    assert est.ascent_iterations == 250
+
+
 def test_quotient_matches_whole_array():
     """The blocked quotient against whole-array sums: bit for bit on one
     block, to 1e-14 relative past it."""

@@ -3,8 +3,10 @@
 import dataclasses
 import json
 
+from lpentropy.constants import InequalityParams
 from lpentropy.errors import Record
 from lpentropy.euclidean_inequalities import deficit_report, limit_pde_residual
+from lpentropy.gn_estimator import estimate_gn_constant
 from lpentropy.hypercontractivity import (
     bakry_integrals,
     torus_heat_norm,
@@ -26,6 +28,8 @@ def _records() -> list:
         extremal_integrals(3, 2.0, 1.0),
         limit_pde_residual(extremal_profile(3, 2.0, 1.0, n_nodes=3000), 2.0),
         deficit_report(extremal_profile(3, 2.0, 1.0, n_nodes=3000), 2.0),
+        estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.8, r=2.0), n_nodes=500,
+                             ascent_iters=5),
         bubble_integrals(BubbleSpec(sphere, extremal_spec(3, 2.0, 1.0), 1.0, 0.05),
                          n_nodes=20_000),
         fit_expansion(sphere, 2.0, 1.0, 1.0, [0.01, 0.02, 0.04, 0.08], n_nodes=20_000),
