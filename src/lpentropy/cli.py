@@ -76,8 +76,7 @@ def _emit(args, result: dict) -> None:
         "config": vars(args),
         "result": result,
     }
-    print(json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False,
-                     default=_jsonable))
+    print(json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _finite(obj):
@@ -94,16 +93,6 @@ def _finite(obj):
     if isinstance(obj, (list, tuple)):
         return [_finite(v) for v in obj]
     return obj
-
-
-def _jsonable(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def _write_rows(path: str, rows) -> None:

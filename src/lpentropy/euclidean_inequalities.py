@@ -49,6 +49,9 @@ __all__ = [
     "limit_pde_residual",
 ]
 
+#: bump test functions in the weak residual of the limiting PDE
+_PDE_TESTS = 12
+
 
 def _check_p_range(u: RadialProfile, p: float) -> int:
     n = u.dimension
@@ -178,10 +181,10 @@ class PdeResidualReport(Record):
     scale: float
 
 
-def limit_pde_residual(u: RadialProfile, p: float, C="fit", n_tests: int = 12) -> PdeResidualReport:
+def limit_pde_residual(u: RadialProfile, p: float, C="fit") -> PdeResidualReport:
     """Relative weak residual of the limiting PDE at the profile u.
 
-    Tested against smooth compactly supported bumps v_k after one
+    Tested against _PDE_TESTS smooth compactly supported bumps v_k after one
     integration by parts of the p-Laplacian term:
 
         r_k = int |u'|^{p-2} u' v_k' dx + C int u^{p-1} v_k
@@ -196,8 +199,6 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit", n_tests: int = 12) -
     n = _check_p_range(u, p)
     if np.any(u.values <= 0):
         raise DomainError("limit_pde_residual requires a strictly positive profile")
-    if not (math.isfinite(n_tests) and int(n_tests) == n_tests and n_tests >= 3):
-        raise DomainError(f"need a whole number of at least 3 test functions, got {n_tests}")
     fitted = isinstance(C, str)
     if fitted and C != "fit":
         raise DomainError(f"C must be a number or 'fit', got {C!r}")
@@ -217,8 +218,8 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit", n_tests: int = 12) -
     lo = float(np.interp(0.02, cum, log_r))
     hi = float(np.interp(0.98, cum, log_r))
     del cum, log_r
-    centers = np.linspace(lo, hi, int(n_tests))
-    width = 1.6 * (hi - lo) / (int(n_tests) - 1)
+    centers = np.linspace(lo, hi, _PDE_TESTS)
+    width = 1.6 * (hi - lo) / (_PDE_TESTS - 1)
 
     def terms(mw, r, v, dv):
         # each weight is the left factor of its integrands (mw * flux * dv,

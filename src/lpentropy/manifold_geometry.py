@@ -71,6 +71,7 @@ class ManifoldModel:
             raise DomainError(f"dimension must be an integer >= 2, got {self.dimension}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        object.__setattr__(self, "dimension", int(self.dimension))
 
     @classmethod
     def sphere(cls, dimension: int, radius: float = 1.0) -> "ManifoldModel":
@@ -344,6 +345,12 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
 
         mass c2 = -(R/(6n)) J1      grad c2 = -(R/(6n)) J2
         entropy c_log = (R/6) J1    entropy c2 = -(R/(6n)) J3
+
+    The three series are fit from one table by one rule: each reports its
+    leading coefficients (mass and grad c2, c4; entropy clog, c2), and each
+    coefficient with a target also reports key_stderr, target_key and
+    rel_dev_key, the deviation relative to the target, or absolute where
+    the target is 0 (the flat torus).
     """
     n = model.dimension
     base = extremal_spec(n, p, b)
@@ -361,12 +368,6 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
     i1, i2 = flat.entropy, flat.grad_energy
     j1, j2, j3 = flat.mass_moment2, flat.grad_moment2, flat.entropy_moment2
     curv = model.scalar_curvature
-    targets = {
-        "mass_c2": -(curv / (6 * n)) * j1,
-        "grad_c2": -(curv / (6 * n)) * j2,
-        "entropy_clog": (curv / 6) * j1,
-        "entropy_c2": -(curv / (6 * n)) * j3,
-    }
 
     rows = []
     for e in eps_arr:
@@ -382,45 +383,36 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
             }
         )
 
+    def column(key: str) -> np.ndarray:
+        return np.array([r[key] for r in rows])
+
     eps2 = eps_arr**2
     ln_e = np.log(eps_arr)
-    y_mass = np.array([r["mass_p"] for r in rows]) - 1.0
-    y_grad = np.array([r["grad_p"] for r in rows]) * eps_arr**p - i2
-    y_ent = np.array([r["entropy"] for r in rows]) - i1 + n * ln_e
-    sig_mass = np.array([r["err_mass_p"] for r in rows])
-    sig_grad = np.array([r["err_grad_p"] for r in rows]) * eps_arr**p
-    sig_ent = np.array([r["err_entropy"] for r in rows])
+    design2 = np.column_stack([eps2, eps2**2])
+    # one row per series: its values less their flat limit, their error
+    # estimates, the design columns, the names of the leading coefficients
+    # to report, and the closed-form targets of those that have one
+    series = {
+        "mass": (column("mass_p") - 1.0, column("err_mass_p"), design2,
+                 ("c2", "c4"), {"c2": -(curv / (6 * n)) * j1}),
+        "grad": (column("grad_p") * eps_arr**p - i2, column("err_grad_p") * eps_arr**p,
+                 design2, ("c2", "c4"), {"c2": -(curv / (6 * n)) * j2}),
+        "entropy": (column("entropy") - i1 + n * ln_e, column("err_entropy"),
+                    np.column_stack([eps2 * ln_e, eps2, eps2**2 * ln_e]),
+                    ("clog", "c2"), {"clog": (curv / 6) * j1, "c2": -(curv / (6 * n)) * j3}),
+    }
 
     fits = {}
-    design2 = np.column_stack([eps2, eps2**2])
-    for name, y, sig in (("mass", y_mass, sig_mass), ("grad", y_grad, sig_grad)):
-        coef, err = _wls(design2, y, sig)
-        target = targets[f"{name}_c2"]
-        fits[name] = {
-            "c2": float(coef[0]),
-            "c2_stderr": float(err[0]),
-            "c4": float(coef[1]),
-            "target_c2": target,
-            "rel_dev_c2": abs(coef[0] - target) / abs(target) if target != 0 else abs(coef[0]),
-        }
-    design3 = np.column_stack([eps2 * ln_e, eps2, eps2**2 * ln_e])
-    coef, err = _wls(design3, y_ent, sig_ent)
-    fits["entropy"] = {
-        "clog": float(coef[0]),
-        "clog_stderr": float(err[0]),
-        "c2": float(coef[1]),
-        "c2_stderr": float(err[1]),
-        "target_clog": targets["entropy_clog"],
-        "target_c2": targets["entropy_c2"],
-        "rel_dev_clog": (
-            abs(coef[0] - targets["entropy_clog"]) / abs(targets["entropy_clog"])
-            if targets["entropy_clog"] != 0 else abs(coef[0])
-        ),
-        "rel_dev_c2": (
-            abs(coef[1] - targets["entropy_c2"]) / abs(targets["entropy_c2"])
-            if targets["entropy_c2"] != 0 else abs(coef[1])
-        ),
-    }
+    for name, (y, sigma, design, names, targets) in series.items():
+        coef, err = _wls(design, y, sigma)
+        fit = fits[name] = {}
+        for c, s, key in zip(coef, err, names):
+            fit[key] = float(c)
+            if key in targets:
+                t = targets[key]
+                fit[f"{key}_stderr"] = float(s)
+                fit[f"target_{key}"] = t
+                fit[f"rel_dev_{key}"] = abs(c - t) / abs(t) if t != 0 else abs(c)
 
     return ExpansionReport(
         fits=fits,
@@ -466,6 +458,8 @@ def lower_bound_witness(model: ManifoldModel, p: float, a_const: float, b_const:
         delta = 0.5 * model.injectivity_radius
     base = extremal_spec(n, p, b)
     eps_arr = np.sort(np.asarray(list(eps_grid), dtype=float))[::-1]
+    if len(eps_arr) == 0:
+        raise DomainError("need at least one epsilon value to scan")
     rows = []
     eps_star = math.nan
     for e in eps_arr:

@@ -71,6 +71,9 @@ __all__ = [
     "infimum_scan",
 ]
 
+#: bump test functions in the Euler-Lagrange residual
+_EL_TESTS = 10
+
 
 @dataclass(frozen=True)
 class SymmetricManifoldProfile:
@@ -283,7 +286,11 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     result's stop_reason says why the descent stopped; it has converged
     only on "gtol" (the preconditioned gradient fell below gtol).  C = 0
     returns the exact infimum 0 at the constant with stop_reason "exact".
+    seed, which draws the perturbation of the constant that starts the
+    descent, must be nonnegative.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     _, kappa = _exponents(model.dimension, p, q, C)
     base = constant_profile(model, p, n_nodes)
     if C == 0:
@@ -365,16 +372,13 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
 
 def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: float,
                             nu: float = None, energy_weight: float = None,
-                            qnorm_weight: float = None, n_tests: int = 10) -> float:
-    """Relative weak-form optimality residual at u against smooth bumps.
+                            qnorm_weight: float = None) -> float:
+    """Relative weak-form optimality residual at u against _EL_TESTS smooth bumps.
 
     If nu / A_q / B_q are omitted they are computed from u itself, which
     is the self-consistent choice for a claimed minimizer.
     """
     theta, kappa = _exponents(u.model.dimension, p, q, C)
-    if not (n_tests >= 1 and float(n_tests).is_integer()):
-        raise DomainError(f"need at least 1 test function, got {n_tests}")
-    n_tests = int(n_tests)
     if nu is None or energy_weight is None or qnorm_weight is None:
         _, terms = u.ln_functional(p, q, C, kappa)
         energy_weight, qnorm_weight, nu = _lagrange_weights(terms, kappa)
@@ -384,8 +388,8 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     flux = np.sign(du) * np.abs(du) ** (p - 1.0)
     # smooth bumps spread across the coordinate domain
     span = u.model.scale if u.periodic else math.pi
-    centers = np.linspace(0.12 * span, 0.88 * span, n_tests)
-    width = 1.4 * (centers[1] - centers[0]) if n_tests > 1 else 0.3 * span
+    centers = np.linspace(0.12 * span, 0.88 * span, _EL_TESTS)
+    width = 1.4 * (centers[1] - centers[0])
     resid, scales = [], []
     for v, dv in bump_basis(u.grid, centers, width, period=span if u.periodic else None):
         t_grad = energy_weight * float(np.sum(w * flux * dv * metric))

@@ -441,8 +441,13 @@ def test_output_is_strict_json():
     ("deficit", "--n", "2", "--p", "1.05", "--b", "1e-260", "--n-nodes", "2000"),
     # A lambda leaves the float range
     ("hc", "--n", "3", "--A", "1e300", "--B", "0", "--lambda", "1e300"),
+    # the descent's random start needs a nonnegative seed
+    ("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "1",
+     "--seed", "-1"),
+    ("nu-scan", "--model", "sphere", "--n", "3", "--p", "2", "--q-list", "1.9", "--C", "1",
+     "--seed", "-1"),
 ], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
-        "hc-huge-a-lambda"))
+        "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)

@@ -216,11 +216,6 @@ def test_limit_pde_domain():
         limit_pde_residual(with_zero, 2.0, "fit")
     with pytest.raises(DomainError):
         limit_pde_residual(u, 2.0, "minimize")
-    with pytest.raises(DomainError):
-        limit_pde_residual(u, 2.0, "fit", n_tests=2)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            limit_pde_residual(u, 2.0, "fit", n_tests=bad)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             limit_pde_residual(u, 2.0, bad)

@@ -42,6 +42,14 @@ def test_model_properties():
     with pytest.raises(DomainError):
         ManifoldModel.sphere(3, radius=-1.0)
 
+    # a whole float dimension is stored as an int, so the bubble rule can
+    # count with it
+    flt = ManifoldModel("sphere", 3.0, 1.0)
+    assert type(flt.dimension) is int and flt == sph
+    fits = [fit_expansion(m, 2.0, 1.0, 1.0, [0.02, 0.04, 0.08, 0.1], n_nodes=20_000).fits
+            for m in (flt, sph)]
+    assert fits[0] == fits[1]
+
 
 def test_geodesic_density():
     sph = ManifoldModel.sphere(3)
@@ -364,3 +372,6 @@ def test_witness_domain():
     for b in (math.inf, 1e250):
         with pytest.raises(DomainError):
             lower_bound_witness(sph, 2.0, 0.1, 1.0, eps_grid=[0.05], b=b)
+    # an empty scan has no last margin to report
+    with pytest.raises(DomainError):
+        lower_bound_witness(sph, 2.0, 0.1, 1.0, eps_grid=[])
