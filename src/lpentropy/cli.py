@@ -258,8 +258,8 @@ def _arg(flag: str, type=float, **kwargs) -> tuple:
     return flag, ({"type": type} if type else {}) | kwargs
 
 
-def _nodes(default: int) -> tuple:
-    return _arg("--n-nodes", int, default=default)
+def _nodes(default: int, **kwargs) -> tuple:
+    return _arg("--n-nodes", int, default=default, **kwargs)
 
 
 def _out(what: str) -> tuple:
@@ -278,6 +278,8 @@ _SCALE = _arg("--scale", default=1.0)
 _ASCENT = (_nodes(4000), _arg("--ascent-iters", int, default=250))
 _DESCENT = (_SCALE, _nodes(600), _arg("--max-iters", int, default=60_000),
             _arg("--seed", int, default=0))
+_BUBBLE_NODES = _nodes(200_000, help="most nodes the bubble rule may use per epsilon; "
+                                     "about 1 000 suffice at p = 2")
 
 # name: (handler, help line, argument specs in --help order)
 _COMMANDS = {
@@ -297,11 +299,11 @@ _COMMANDS = {
         *_N_P, _Q_LIST, *_ASCENT, _out("per-q rows"))),
     "bubble": (_cmd_bubble, "bubble expansion coefficients vs closed forms", (
         *_MODEL, _B, _arg("--scale", default=1.0, help="sphere radius or torus side"),
-        _arg("--delta", required=True), _EPS_GRID, _nodes(200_000), _out("per-epsilon rows"))),
+        _arg("--delta", required=True), _EPS_GRID, _BUBBLE_NODES, _out("per-epsilon rows"))),
     "witness": (_cmd_witness, "bubble scan against a candidate inequality", (
         *_MODEL, _arg("--a-const", required=True, help="gradient-term constant A"),
         _arg("--b-const", required=True, help="zeroth-order constant B"), _B, _SCALE,
-        _arg("--delta"), _EPS_GRID, _nodes(200_000),
+        _arg("--delta"), _EPS_GRID, _BUBBLE_NODES,
         _arg("--expect", None, choices=["violation", "none"]), _out("per-epsilon rows"))),
     "minimize": (_cmd_minimize, "minimize the constrained functional", (
         *_MODEL, _Q, _C, *_DESCENT, _out("the minimizing profile"))),

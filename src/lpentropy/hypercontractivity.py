@@ -12,9 +12,10 @@ endpoint) and with c = 1 - sigma, A v + B = A lambda / (sigma c): the t
 integrand is the constant n/(8 lambda) and the m integrand is
 (n/2) (ln(A lambda) - ln sigma - ln c - 1 + (B/(A lambda)) sigma c), whose
 only singularities are the logarithms at sigma = 0 and sigma = 1.  Both are
-integrated by a tanh-sinh rule (Takahasi & Mori 1974) of 449 nodes, step
-2^-6, which takes each node's distance to both ends from the rule itself,
-so sigma and c keep full relative accuracy near either end.  The
+integrated by the package's tanh-sinh rule (Takahasi & Mori 1974;
+profiles._tanh_sinh) of 449 nodes, step 2^-6, which takes each node's
+distance to both ends from the rule itself, so sigma and c keep full
+relative accuracy near either end.  The
 difference from the rule at step 2^-5 is the reported error estimate,
 held to 1e-8 relative (AccuracyNotMet).  Two closed forms check the
 result to 1e-10 (OracleDisagreement): t = (n/(8 lambda)) (1/p - 1/q), and
@@ -42,6 +43,7 @@ import numpy as np
 
 from .errors import AccuracyNotMet, DomainError, OracleDisagreement, Record
 from .manifold_geometry import ManifoldModel
+from .profiles import _tanh_sinh
 
 __all__ = [
     "HCReport",
@@ -79,39 +81,6 @@ def _variance_floor(p_from: float, q_to: float) -> float:
         return 0.25
     hi = 0.0 if math.isinf(q_to) else h(q_to)
     return max(h(p_from), hi)
-
-
-def _tanh_sinh_rule() -> tuple:
-    """Nodes x, their distances 1 - x and the weights of the rule on [0, 1].
-
-    x = 1 / (1 + e^{-pi sinh tau}) at tau = k h, |tau| <= 3.5, h = 2^-6
-    (449 nodes); every other node is the rule at h = 2^-5.  Both distances
-    to the ends come from e = e^{-pi |sinh tau|} without a subtraction.
-    """
-    h = 2.0**-6
-    tau = h * np.arange(-224, 225)
-    e = np.exp(-math.pi * np.abs(np.sinh(tau)))
-    near, far = e / (1.0 + e), 1.0 / (1.0 + e)
-    return (np.where(tau < 0, near, far), np.where(tau < 0, far, near),
-            h * math.pi * np.cosh(tau) * e / (1.0 + e) ** 2)
-
-
-_TS_X, _TS_1MX, _TS_W = _tanh_sinh_rule()
-
-
-def _tanh_sinh(f, sig_lo: float, sig_hi: float) -> tuple:
-    """Integral of f(sigma, 1 - sigma) over [sig_lo, sig_hi] and its error estimate.
-
-    f takes the node arrays sigma and c = 1 - sigma, each a sum of
-    non-negative terms, so both keep full relative accuracy however close a
-    node lies to either end (1 - sig_hi is exact for sig_hi >= 1/2).  The
-    estimate is the difference from the rule at twice the step.
-    """
-    width = sig_hi - sig_lo
-    values = f(sig_lo + width * _TS_X, (1.0 - sig_hi) + width * _TS_1MX) * _TS_W
-    fine = width * float(np.sum(values))
-    coarse = 2.0 * width * float(np.sum(values[::2]))
-    return fine, abs(fine - coarse)
 
 
 def _xlogx(x: float) -> float:
@@ -187,9 +156,9 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
     def m_integrand(sig: np.ndarray, c: np.ndarray) -> np.ndarray:
         return half_n * (ln_al - np.log(sig) - np.log(c) - 1.0 + b_ratio * sig * c)
 
-    t_val, t_err = _tanh_sinh(lambda sig, c: np.full(sig.shape, n / (8.0 * lam)),
-                              sig_lo, sig_hi)
-    m_val, m_err = _tanh_sinh(m_integrand, sig_lo, sig_hi)
+    t_val, t_err = map(float, _tanh_sinh(lambda sig, c: np.full(sig.shape, n / (8.0 * lam)),
+                                         sig_lo, sig_hi))
+    m_val, m_err = map(float, _tanh_sinh(m_integrand, sig_lo, sig_hi))
     if not (t_err <= 1e-8 * max(abs(t_val), 1e-3) and m_err <= 1e-8 * max(abs(m_val), 1e-3)):
         raise AccuracyNotMet(
             f"exponent-path rule missed 1e-8 relative (error estimates {t_err:.2e}, {m_err:.2e})"

@@ -277,8 +277,11 @@ def test_profile_validation():
         RadialProfile(grid=g[::-1], values=np.ones(100), dimension=3)
     with pytest.raises(DomainError):
         RadialProfile(grid=g, values=-np.ones(100), dimension=3)
-    with pytest.raises(DomainError):
-        RadialProfile(grid=g, values=np.ones(100), dimension=1)
+    # a dimension below 2, fractional, or not finite (nan and inf once
+    # escaped as ValueError and OverflowError from int())
+    for n in (1, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            RadialProfile(grid=g, values=np.ones(100), dimension=n)
     with pytest.raises(DomainError):
         lp_norm(RadialProfile(grid=g, values=np.ones(100), dimension=3), 0.5)
 
@@ -387,6 +390,9 @@ def test_extremal_spec_rejects_unnormalizable_rates():
     for b in (math.inf, math.nan, 1e250, 1e-300, 0.0):
         with pytest.raises(DomainError):
             extremal_spec(3, 2.0, b)
+    for n in (1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            extremal_spec(n, 2.0, 1.0)
     assert extremal_spec(3, 2.0, 1e100).amplitude > 0
 
 
