@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special_fn import log_gamma
+from .special_fn import _dimension, log_gamma
 
 __all__ = [
     "InequalityParams",
@@ -37,8 +37,7 @@ __all__ = [
 
 
 def _check_np(n: int, p: float) -> None:
-    if int(n) != n or n < 2:
-        raise DomainError(f"dimension must be an integer n >= 2, got {n}")
+    _dimension(n, 2)
     if not p > 1:
         raise DomainError(f"exponent must satisfy p > 1, got {p}")
 

@@ -25,7 +25,12 @@ class ConvergenceError(RuntimeError):
 
 
 class AccuracyNotMet(ConvergenceError):
-    """A quadrature's error estimate exceeds its tolerance."""
+    """A quadrature's error estimate exceeds its tolerance; estimates holds
+    its last error estimates, or None if it made none."""
+
+    def __init__(self, message: str, estimates=None):
+        super().__init__(message)
+        self.estimates = estimates
 
 
 class OracleDisagreement(ConvergenceError):

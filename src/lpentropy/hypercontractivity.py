@@ -12,13 +12,10 @@ endpoint) and with c = 1 - sigma, A v + B = A lambda / (sigma c): the t
 integrand is the constant n/(8 lambda) and the m integrand is
 (n/2) (ln(A lambda) - ln sigma - ln c - 1 + (B/(A lambda)) sigma c), whose
 only singularities are the logarithms at sigma = 0 and sigma = 1.  Both are
-integrated by the package's tanh-sinh rule (Takahasi & Mori 1974;
-profiles._tanh_sinh) of 449 nodes, step 2^-6, which takes each node's
-distance to both ends from the rule itself, so sigma and c keep full
-relative accuracy near either end.  The
-difference from the rule at step 2^-5 is the reported error estimate,
-held to 1e-8 relative (AccuracyNotMet).  Two closed forms check the
-result to 1e-10 (OracleDisagreement): t = (n/(8 lambda)) (1/p - 1/q), and
+integrated as one stacked integrand by the package's tanh-sinh rule
+(profiles._tanh_sinh), which takes sigma and c from the rule's own
+distances to the ends.  Two closed forms check the result to 1e-10
+(OracleDisagreement): t = (n/(8 lambda)) (1/p - 1/q), and
 m = (n/2) [G(1/p) - G(1/q)] with
 G(sigma) = (ln(A lambda) + 1) sigma - sigma ln sigma + c ln c
 + (B/(A lambda)) (sigma^2/2 - sigma^3/3).  The module loads numpy alone.
@@ -41,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyNotMet, DomainError, OracleDisagreement, Record
+from .errors import DomainError, OracleDisagreement, Record
 from .manifold_geometry import ManifoldModel
 from .profiles import _tanh_sinh
+from .special_fn import _dimension
 
 __all__ = [
     "HCReport",
@@ -108,9 +106,12 @@ def _budget_closed_form(half_n: float, ln_al: float, b_ratio: float,
                      + (_clogc(sig_hi) - _clogc(sig_lo)) + b_ratio * poly)
 
 
+#: the most integrand evaluations of the exponent-path rule (paths take 225)
+_PATH_NODES = 1793
+
+
 def _check_args(n: int, a_const: float, b_const: float, slack: float) -> None:
-    if int(n) != n or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
+    _dimension(n, 1)
     if not (0 < a_const < math.inf and 0 <= b_const < math.inf):
         raise DomainError(f"need finite A > 0 and B >= 0, got ({a_const}, {b_const})")
     if not 0 <= slack < math.inf:
@@ -124,8 +125,10 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
 
     Raises DomainError if A lambda or B/(A lambda) leaves the float range,
     or if the variance curve dips below zero on the exponent path (the
-    potential is then outside its admissible domain),
-    AccuracyNotMet if a rule's error estimate exceeds 1e-8 relative, and
+    potential is then outside its admissible domain), AccuracyNotMet if
+    the rule's error estimates do not reach 1e-13 of the integrals of the
+    absolute integrands within 1 793 nodes (for m, of at least
+    (n/2) (|ln(A lambda)| + 1 + B/(A lambda)) (1/p - 1/q)), and
     OracleDisagreement if the quadrature t or m drifts from its closed form
     by more than 1e-10 relative (m_closed; relative to at least 1e-3).
     """
@@ -153,16 +156,15 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
     ln_al = math.log(a_const * lam)
     b_ratio = b_const / (a_const * lam)
 
-    def m_integrand(sig: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return half_n * (ln_al - np.log(sig) - np.log(c) - 1.0 + b_ratio * sig * c)
+    def integrands(sig: np.ndarray, c: np.ndarray) -> np.ndarray:
+        m = half_n * (ln_al - np.log(sig) - np.log(c) - 1.0 + b_ratio * sig * c)
+        return np.array([np.full(sig.shape, n / (8.0 * lam)), m])
 
-    t_val, t_err = map(float, _tanh_sinh(lambda sig, c: np.full(sig.shape, n / (8.0 * lam)),
-                                         sig_lo, sig_hi))
-    m_val, m_err = map(float, _tanh_sinh(m_integrand, sig_lo, sig_hi))
-    if not (t_err <= 1e-8 * max(abs(t_val), 1e-3) and m_err <= 1e-8 * max(abs(m_val), 1e-3)):
-        raise AccuracyNotMet(
-            f"exponent-path rule missed 1e-8 relative (error estimates {t_err:.2e}, {m_err:.2e})"
-        )
+    # m's rounding follows its terms, at most |m| + 2 (n/2)(|ln(A lam)| + 1 + B/(A lam))
+    m_terms = half_n * (abs(ln_al) + 1.0 + b_ratio) * (sig_hi - sig_lo)
+    (t_val, m_val), (t_err, m_err), _ = _tanh_sinh(integrands, sig_lo, sig_hi, _PATH_NODES,
+                                                   scale=np.array([0.0, m_terms]))
+    t_val, m_val, t_err, m_err = map(float, (t_val, m_val, t_err, m_err))
     t_closed = n / (8.0 * lam) * (sig_hi - sig_lo)
     if not abs(t_val - t_closed) <= 1e-10 * max(abs(t_closed), 1e-300):
         raise OracleDisagreement(
@@ -257,8 +259,7 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     factor k_t / gaussian, or None once the Gaussian factor underflows and
     that ratio leaves the float range.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n}")
+    n = _dimension(n, 1)
     if side <= 0 or t <= 0:
         raise DomainError("need side > 0 and t > 0")
     if not (math.isfinite(side) and math.isfinite(t)):

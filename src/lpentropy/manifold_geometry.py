@@ -26,18 +26,11 @@ where the cutoff starts, so that each panel's integrand is smooth inside
 it.  The core panel runs in ln r from r_0 = eps*1e-7*min(1, b^{-1/p'}), a
 fixed fraction of the core width, to min(delta/2, r_dead), r_dead being the
 radius past which e^{-y} underflows; the ball [0, r_0] is integrated
-analytically.  The panel is integrated by tanh-sinh in ln r, a trapezoid
-rule in the tanh-sinh variable that converges exponentially (Trefethen &
-Weideman, SIAM Rev. 56, 2014), whose step is halved level by level: each
-level evaluates only the new midpoints, in blocks of at most 8 192 nodes,
-and its error estimate is the difference from the level before.
-Refinement stops once every integral's estimate is at most 1e-13 of the
-integral of its absolute integrand, which also bounds its rounding floor;
-n_nodes caps the evaluations (AccuracyNotMet).  Where the core has
-underflowed by delta/2 (r_dead <= delta/2) the cutoff panel [delta/2, delta]
-adds exactly 0; otherwise it is integrated by the package's 449-node
-tanh-sinh rule.  A bubble at p = 2 takes 675 to 900 nodes, one near p = 1
-about 1 800.  Two exponentials per node give all three integrands.
+analytically.  Where the core has underflowed by delta/2 the cutoff panel
+[delta/2, delta] adds exactly 0.  Both panels are integrated by the
+package's tanh-sinh rule (profiles._tanh_sinh), the cutoff panel judged
+against the scale of the core's integrals, and n_nodes caps their
+evaluations (AccuracyNotMet).  Two exponentials per node give all three integrands.
 """
 
 from __future__ import annotations
@@ -49,17 +42,8 @@ import numpy as np
 
 from .constants import entropy_best_constant
 from .errors import AccuracyNotMet, DomainError, Record
-from .profiles import (
-    _TS_X,
-    ExtremalSpec,
-    _blocked_sums,
-    _dimension,
-    _tanh_sinh,
-    _tanh_sinh_nodes,
-    extremal_integrals,
-    extremal_spec,
-)
-from .special_fn import sphere_area
+from .profiles import ExtremalSpec, _missed, _tanh_sinh, extremal_integrals, extremal_spec
+from .special_fn import _dimension, sphere_area
 
 __all__ = [
     "ManifoldModel",
@@ -84,7 +68,7 @@ class ManifoldModel:
     def __post_init__(self):
         if self.kind not in ("sphere", "torus"):
             raise DomainError(f"unknown manifold kind {self.kind!r}")
-        object.__setattr__(self, "dimension", _dimension(self.dimension))
+        object.__setattr__(self, "dimension", _dimension(self.dimension, 2))
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
@@ -179,10 +163,6 @@ class BubbleIntegrals(Record):
 #: changes no node whose core has not underflowed, and keeps y finite
 _LN_Y_DEAD = math.log(746.0)
 
-#: refinement stops once each integral's error estimate is at most this
-#: fraction of the integral of its absolute integrand
-_BUBBLE_RTOL = 1e-13
-
 
 def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
     """(integrals, error estimates, cutoff-panel parts, nodes used) of the bubble.
@@ -199,29 +179,21 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
     each.  Each integrand is weighted by the geodesic sphere area.
 
     The core panel [r_0, min(delta/2, r_dead)] is integrated in u = ln x by
-    tanh-sinh: trapezoid sums in tau over [-3.5, 3.5] with
-    u = u_0 + (u_c - u_0) / (1 + e^{-pi sinh tau}), from step 2^-4, whose
-    step is halved until every estimate |T_h - T_2h| is at most
-    _BUBBLE_RTOL times the integral of the absolute integrand (for the
-    entropy this bounds the rounding floor too); each level's new
-    midpoints are generated and summed block by block by
-    profiles._blocked_sums.  The plain trapezoid rule
-    in u takes fewer nodes where the core is smooth (513 at p = 2), but
-    near p = 1 the panel end at r_dead, where e^{-y} is tiny on the real
-    line but grows like e^{+y} a short way off it, slows it to algebraic
-    convergence near 1e-14 relative, with estimates below the actual error,
-    and it needs 4 097 to 8 193 nodes where tanh-sinh, which clusters its
-    nodes at the ends, needs 1 793; so one rule serves every core.  The
-    head [0, r_0], where u is flat to (1e-7)^{p'}, adds the u-integrand at
-    r_0 over n.  The cutoff panel [delta/2, delta] is integrated in
-    s = (r - delta/2)/(delta/2) by the 449-node tanh-sinh rule, with
-    eta = (1 - s)^2 (1 + 2 s) taken from the rule's accurate 1 - s; its
-    estimate is added to the core's.  Every integrand evaluation counts as
-    a node; a level that would take the count past n_nodes raises
-    AccuracyNotMet.  The radii lie in (0, delta], inside the injectivity
-    radius by BubbleSpec's invariant, so the geodesic density is not
-    checked here.  Constants that leave the float range come out inf or
-    nan and are returned at once, for bubble_integrals to reject.
+    tanh-sinh, which clusters its nodes at the ends: near p = 1 the
+    trapezoid rule in u, slowed by the panel end at r_dead (where e^{-y} is
+    tiny on the real line but grows like e^{+y} a short way off it), needs
+    4 097 to 8 193 nodes where tanh-sinh needs 1 793.  The head [0, r_0],
+    where u is flat to (1e-7)^{p'}, adds the u-integrand at r_0 over n.
+    The cutoff panel [delta/2, delta] is integrated in
+    s = (r - delta/2)/(delta/2), with eta = (1 - s)^2 (1 + 2 s) taken from
+    the rule's accurate 1 - s, against the scale of the core's integrals;
+    its estimate is added to the core's.  n_nodes caps the integrand
+    evaluations of both panels and the head: AccuracyNotMet names the
+    panel's last estimates, or the core's if the cutoff panel made none.
+    The radii lie in (0, delta], inside the injectivity radius by
+    BubbleSpec's invariant, so the geodesic density is not checked here.
+    Constants that leave the float range come out inf or nan and are
+    returned at once, for bubble_integrals to reject.
     """
     model, base, eps, delta = spec.model, spec.base, spec.eps, spec.delta
     n, p, b, pp = model.dimension, base.p, base.b, base.shape_power
@@ -245,7 +217,7 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
         return y, w
 
     def core(ln_x: np.ndarray) -> np.ndarray:
-        """u-integrands (mass, entropy, gradient, |entropy|) on the core panel."""
+        """u-integrands (mass, entropy, gradient) on the core panel."""
         r = np.exp(ln_x)
         r *= eps
         y, mass = density(r, ln_x)
@@ -253,7 +225,7 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
         ent = (ln_amp - y) * mass
         grad = mass * y
         grad *= grad_ratio
-        return np.array([mass, ent, grad, np.abs(ent)])
+        return np.array([mass, ent, grad])
 
     def cutoff(s: np.ndarray, c: np.ndarray) -> np.ndarray:
         """s-integrands on the cutoff panel, c = 1 - s.
@@ -267,61 +239,33 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
         ent = mass * (ln_amp - y + p * (2.0 * np.log(c) + np.log1p(2.0 * s)))
         slope = -6.0 * s * c / (0.5 * delta) - eta * y / ((p - 1.0) * r)
         grad = w * np.abs(slope) ** p
-        return 0.5 * delta * np.array([mass, ent, grad, np.abs(ent)])
+        return 0.5 * delta * np.array([mass, ent, grad])
 
     ln_x0 = math.log(1e-7 * min(1.0, base.core_width))
     ln_half = math.log(0.5 * delta / eps)
     ln_dead = (_LN_Y_DEAD - ln_pb) / pp
-    width = min(ln_half, ln_dead) - ln_x0
-
-    def mapped(tau: np.ndarray) -> np.ndarray:
-        x, _, w = _tanh_sinh_nodes(tau, width)
-        return core(ln_x0 + width * x) * w
-
     head = core(np.array([ln_x0]))[:, 0] / n
-    used = 1
-    cut, cut_err = np.zeros(4), np.zeros(4)
-    if ln_dead > ln_half:
-        cut, cut_err = _tanh_sinh(cutoff, 0.0, 1.0)
-        used += len(_TS_X)
-    # trapezoid sums in tau over [-3.5, 3.5]: 113 nodes at step 2^-4, then
-    # at each level the midpoints of the last, count nodes stride apart
-    h, first, stride, count = 2.0**-4, -3.5, 2.0**-4, 113
-    raw, previous, err = 0.0, None, None
-    while True:
-        if used + count > n_nodes:
-            estimates = "" if err is None else \
-                "; error estimates " + ", ".join(f"{e:.2e}" for e in err[:3])
-            raise AccuracyNotMet(
-                f"the bubble integrals at eps = {eps} miss {_BUBBLE_RTOL:g} relative "
-                f"within {n_nodes} nodes{estimates}"
-            )
-        raw = raw + np.array(_blocked_sums(
-            count, lambda lo, hi: mapped(first + stride * np.arange(lo, hi))))
-        used += count
-        level = h * raw
-        sums = head + level + cut
-        if not np.all(np.isfinite(sums)):
-            return sums[:3], sums[:3], cut[:3], used
-        if previous is not None:
-            err = np.abs(level - previous) + cut_err
-            if np.all(err[:3] <= _BUBBLE_RTOL * sums[[0, 3, 2]]):
-                return sums[:3], err[:3], cut[:3], used
-        previous, stride = level, h
-        h *= 0.5
-        first, count = -3.5 + h, round(7.0 / stride)
+    cut, cut_err, err = np.zeros(3), np.zeros(3), None
+    try:
+        sums, err, used = _tanh_sinh(lambda ln_x, _: core(ln_x), ln_x0,
+                                     min(ln_half, ln_dead), n_nodes - 1)
+        used += 1
+        if np.all(np.isfinite(sums)) and ln_dead > ln_half:
+            cut, cut_err, k = _tanh_sinh(cutoff, 0.0, 1.0, n_nodes - used, scale=np.abs(sums))
+            used += k
+    except AccuracyNotMet as exc:
+        if exc.estimates is not None:
+            err = exc.estimates
+        raise _missed(f"the bubble integrals at eps = {eps}", n_nodes, err) from None
+    return head + sums + cut, err + cut_err, cut, used
 
 
 def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000) -> BubbleIntegrals:
     """Mass, entropy, and gradient-energy integrals of the bubble.
 
-    The two-panel rule of the module docstring: the core panel, in ln r
-    from eps*1e-7*min(1, core width) to delta/2 or to where the core
-    underflows, is refined by step halving until each integral's error
-    estimate (the difference from the level before, plus the cutoff
-    panel's own estimate) is at most 1e-13 of the integral of its absolute
-    integrand.  n_nodes is the most integrand evaluations the rule may use;
-    a bubble that needs more raises AccuracyNotMet.  errors holds the
+    The two-panel rule of the module docstring and _bubble_quadrature.
+    n_nodes is the most integrand evaluations the rule may use; a bubble
+    that needs more raises AccuracyNotMet.  errors holds the
     estimates, cutoff the cutoff panel's part of each integral, nodes the
     evaluations used.  Integrals that leave the float range, and a bubble
     whose core underflows at every node (zero mass), raise DomainError.

@@ -40,24 +40,21 @@ overlap on each side, so the node measure and the stencil of every kept
 node are those of the whole-array rule, and no temporary the size of the
 grid is allocated.  Only the order of summation differs, so a grid of at most
 8 192 nodes, one block, gives the whole-array sums bit for bit.  The
-quadrature route of extremal_integrals and the bubble integrals of
-manifold_geometry build their slices themselves; every integral of a
-RadialProfile (lp_norm, grad_energy, entropy_integral, and the deficits,
-quotients and weak residuals built on them) goes through _profile_sums,
-which hands the callback each block's node measure, grid, values and
-stencil derivative.
+quadrature route of extremal_integrals and _tanh_sinh build their slices
+themselves; every integral of a RadialProfile (lp_norm, grad_energy,
+entropy_integral, and the deficits, quotients and weak residuals built on
+them) goes through _profile_sums, which hands the callback each block's
+node measure, grid, values and stencil derivative.
 
-The package's one tanh-sinh rule (Takahasi & Mori 1974) also lives here:
-_tanh_sinh_nodes maps trapezoid nodes tau onto (0, 1) by
-x = 1 / (1 + e^{-pi sinh tau}), and _tanh_sinh integrates with its
-449-node instance, step 2^-6 and |tau| <= 3.5, estimating the error by
-the rule at twice the step.  The exponent-path integrals of
-hypercontractivity and the bubble integrals of manifold_geometry use it.
+The package's one tanh-sinh rule, _tanh_sinh, also lives here: the
+exponent-path integrals of hypercontractivity and the bubble integrals of
+manifold_geometry use it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,8 +62,8 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import DomainError, OracleDisagreement, Record
-from .special_fn import sphere_area, stretched_exp_moment
+from .errors import AccuracyNotMet, DomainError, OracleDisagreement, Record
+from .special_fn import _dimension, sphere_area, stretched_exp_moment
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -242,39 +239,90 @@ def _blocked_sums(m: int, terms) -> tuple:
     return tuple(math.fsum(column) for column in zip(*partials))
 
 
-def _tanh_sinh_nodes(tau: np.ndarray, h: float) -> tuple:
-    """Tanh-sinh nodes x on (0, 1) at tau, their distances 1 - x, and weights h dx/dtau.
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh_level(level: int) -> tuple:
+    """(step h, x, 1 - x, dx/dtau) at the nodes that level adds to _tanh_sinh.
 
-    x = 1 / (1 + e^{-pi sinh tau}).  Both distances to the ends come from
+    Level 0 is the trapezoid rule in tau over [-3.5, 3.5] at h = 2^-4, 113
+    nodes; each later level halves h and adds the midpoints of the last.
+    x = 1 / (1 + e^{-pi sinh tau}): both distances to the ends come from
     e = e^{-pi |sinh tau|} without a subtraction, so a node keeps full
-    relative accuracy however close it lies to either end.
+    relative accuracy however close it lies to either end.  The cached
+    arrays are read-only.
     """
+    h = 2.0 ** -(4 + level)
+    tau = -3.5 + h * (np.arange(113) if level == 0 else np.arange(1, 112 << level, 2))
     e = np.exp(-math.pi * np.abs(np.sinh(tau)))
     near, far = e / (1.0 + e), 1.0 / (1.0 + e)
-    return (np.where(tau < 0, near, far), np.where(tau < 0, far, near),
-            h * math.pi * np.cosh(tau) * e / (1.0 + e) ** 2)
+    nodes = (np.where(tau < 0, near, far), np.where(tau < 0, far, near),
+             math.pi * np.cosh(tau) * e / (1.0 + e) ** 2)
+    for arr in nodes:
+        arr.flags.writeable = False
+    return (h, *nodes)
 
 
-#: the 449-node tanh-sinh rule on [0, 1]: tau = k 2^-6, |tau| <= 3.5; every
-#: other node is the rule at step 2^-5
-_TS_X, _TS_1MX, _TS_W = _tanh_sinh_nodes(2.0**-6 * np.arange(-224, 225), 2.0**-6)
+#: _tanh_sinh's stopping tolerance, relative
+_TANH_SINH_RTOL = 1e-13
 
 
-def _tanh_sinh(f, lo: float, hi: float) -> tuple:
-    """Integral of f(x, 1 - x) over [lo, hi] (hi <= 1) and its error estimate.
+def _tanh_sinh(f, lo: float, hi: float, max_nodes: int, scale=0.0) -> tuple:
+    """(integrals, error estimates, nodes) of f(x, 1 - x) over [lo, hi].
+
+    The package's one tanh-sinh rule (Takahasi & Mori 1974), exponentially
+    convergent on integrands analytic inside the panel, end singularities
+    included (Trefethen & Weideman, SIAM Rev. 56, 2014).  With
+    x = lo + (hi - lo) / (1 + e^{-pi sinh tau}), it takes trapezoid sums in
+    tau over [-3.5, 3.5] from step 2^-4 (113 nodes); each level halves the
+    step and evaluates only the new midpoints, block by block
+    (_blocked_sums), and its error estimate is the difference from the
+    level before.  It stops once every estimate is at most 1e-13 times
+    max(integral of |f|, scale), scale a number or one per row: the size
+    of a larger integral the panel is part of (a subnormal panel's
+    rounding never meets its own size), or a bound on the terms of an
+    integrand that cancels, whose rounding the estimate carries.  A level
+    whose sums are not finite is returned at once, with infinite
+    estimates, for the caller to reject; a level that would take the
+    nodes (integrand evaluations) past max_nodes raises AccuracyNotMet,
+    carrying the last estimates (None before the second level).
 
     f takes the node arrays x and c = 1 - x, each a sum of non-negative
-    terms, so both keep full relative accuracy however close a node lies
-    to either end (1 - hi is exact for hi >= 1/2).  f returns one integrand
-    or a stack of them along the first axis; the integrals and estimates
-    are the same shape.  The estimate is the difference from the rule at
-    twice the step.
+    terms, so for hi <= 1 both keep full relative accuracy however close
+    a node lies to either end (1 - hi is exact for hi >= 1/2); a panel
+    with hi > 1 uses x alone.  f returns a stack of integrands, one per
+    row, and the integrals and estimates are arrays over its rows.
     """
     width = hi - lo
-    values = np.asarray(f(lo + width * _TS_X, (1.0 - hi) + width * _TS_1MX)) * _TS_W
-    fine = width * np.sum(values, axis=-1)
-    coarse = 2.0 * width * np.sum(values[..., ::2], axis=-1)
-    return fine, np.abs(fine - coarse)
+    raw, previous, err, nodes, level = 0.0, None, None, 0, 0
+    while True:
+        h, x, c, w = _tanh_sinh_level(level)
+        if nodes + len(w) > max_nodes:
+            raise _missed("the tanh-sinh integrals", max_nodes, err)
+
+        def terms(a: int, b: int) -> np.ndarray:
+            """The rows of f dx/dtau on the level's nodes a..b-1, then their absolute values."""
+            v = f(lo + width * x[a:b], (1.0 - hi) + width * c[a:b]) * w[a:b]
+            return np.concatenate([v, np.abs(v)])
+
+        raw = raw + np.array(_blocked_sums(len(w), terms))
+        nodes += len(w)
+        sums, magnitude = ((width * h) * raw).reshape(2, -1)
+        if not np.isfinite(sums).all():
+            return sums, np.full(sums.shape, math.inf), nodes
+        if previous is not None:
+            err = np.abs(sums - previous)
+            if (err <= _TANH_SINH_RTOL * np.maximum(magnitude, scale)).all():
+                return sums, err, nodes
+        previous = sums
+        level += 1
+
+
+def _missed(what: str, max_nodes: int, err) -> AccuracyNotMet:
+    """AccuracyNotMet for integrals (what, plural) that missed _tanh_sinh's
+    tolerance within max_nodes nodes, listing err, their last estimates, or None."""
+    estimates = "" if err is None else \
+        "; error estimates " + ", ".join(f"{e:.2e}" for e in err)
+    return AccuracyNotMet(f"{what} miss {_TANH_SINH_RTOL:g} relative within {max_nodes} "
+                          f"nodes{estimates}", err)
 
 
 def _profile_sums(u: RadialProfile, terms, derivative: bool = False) -> tuple:
@@ -412,7 +460,7 @@ class RadialProfile:
             raise DomainError("values must be finite and nonnegative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dimension", _dimension(self.dimension))
+        object.__setattr__(self, "dimension", _dimension(self.dimension, 2))
         for arr in (self.grid, self.values):
             arr.flags.writeable = False
 
@@ -454,13 +502,6 @@ class RadialProfile:
         # (0, 2) for a header-only file, which then fails the node count
         arr = np.array(rows, dtype=float).reshape(-1, 2)
         return RadialProfile(arr[:, 0], arr[:, 1], dimension)
-
-
-def _dimension(n) -> int:
-    """n as an int; DomainError unless it is a whole number >= 2 (nan and inf are not)."""
-    if not (math.isfinite(n) and n >= 2 and int(n) == n):
-        raise DomainError(f"dimension must be an integer >= 2, got {n}")
-    return int(n)
 
 
 def _check_exponent(name: str, p: float) -> None:
@@ -543,7 +584,7 @@ class ExtremalSpec:
 
 def extremal_spec(n: int, p: float, b: float) -> ExtremalSpec:
     """Closed-form normalized spec of the extremal family."""
-    n = _dimension(n)
+    n = _dimension(n, 2)
     if not p > 1:
         raise DomainError(f"extremal family requires p > 1, got {p}")
     if not 0 < b < math.inf:
@@ -570,7 +611,7 @@ def extremal_profile(
     """
     spec = extremal_spec(n, p, b)
     grid = _extremal_grid(spec, n_nodes)
-    return RadialProfile(grid, spec.value(grid), int(n))
+    return RadialProfile(grid, spec.value(grid), spec.n)
 
 
 def _extremal_grid(spec: ExtremalSpec, n_nodes: int) -> np.ndarray:
@@ -714,4 +755,4 @@ def random_stretched_mixture(
 
     values = component(0)
     values += component(1)
-    return RadialProfile(grid, values, int(n))
+    return RadialProfile(grid, values, n)

@@ -34,15 +34,20 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _dimension(n, least: int) -> int:
+    """n as an int; DomainError unless it is a whole number >= least (nan and inf are not)."""
+    if not (math.isfinite(n) and n >= least and int(n) == n):
+        raise DomainError(f"dimension must be an integer >= {least}, got {n}")
+    return int(n)
+
+
 def sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere in R^n: 2 pi^{n/2} / Gamma(n/2).
 
     sphere_area(1) = 2 (two points), sphere_area(2) = 2 pi,
     sphere_area(3) = 4 pi.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"sphere_area requires an integer n >= 1, got {n}")
-    n = int(n)
+    n = _dimension(n, 1)
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - log_gamma(0.5 * n))
 
 

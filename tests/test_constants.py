@@ -44,6 +44,10 @@ def test_entropy_constant_domain():
         entropy_best_constant(3, 1.0)
     with pytest.raises(DomainError):
         entropy_best_constant(3.5, 2.0)
+    # nan and inf once escaped as ValueError and OverflowError from int()
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            entropy_best_constant(n, 2.0)
 
 
 def test_sobolev_constant_independent_value():
@@ -119,6 +123,9 @@ def test_params_validation():
         InequalityParams(n=3, p=3.0, q=1.0, r=2.0)  # p >= n
     with pytest.raises(DomainError):
         InequalityParams(n=3, p=2.0, q=0.5, r=2.0)  # q < 1
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            InequalityParams(n=n, p=2.0, q=1.5, r=2.0)
 
 
 def test_dpd_family():

@@ -90,7 +90,11 @@ def test_budget_integral_matches_closed_form_on_every_path():
         paths.append((p_from, q_to))
     # near-singular ends, and paths 1e-6 wide
     paths += [(1.0 + 1e-14, 1e15), (1.0, 1.0 + 1e-6), (2.5, 2.5 + 1e-6), (1.0, math.inf)]
-    for p_from, q_to in paths:
+    cases = [(n, a, b, lam, p_from, q_to) for p_from, q_to in paths]
+    # short paths on which the m integrand crosses 0 (ln(A lam) = 1 + ln(sigma c)
+    # at sigma = 0.4), so |m| is far below the rounding of its terms
+    cases += [(3, 1.0, 0.0, math.e * 0.24, 2.5, 2.5 + w) for w in (1e-3, 1e-6, 1e-9)]
+    for n, a, b, lam, p_from, q_to in cases:
         rep = bakry_integrals(n, a, b, lam, p_from=p_from, q_to=q_to)
         closed = _budget_reference(n, a, b, lam, p_from, q_to)
         assert rep.m_closed == pytest.approx(closed, rel=1e-12, abs=1e-15), (p_from, q_to)
@@ -176,8 +180,11 @@ def test_admissibility_guard():
 
 
 def test_parameter_validation():
-    with pytest.raises(DomainError):
-        bakry_integrals(0, 1.0, 0.0, 1.0)
+    # a dimension below 1, fractional or not finite (nan and inf once
+    # escaped as ValueError and OverflowError from int())
+    for n in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bakry_integrals(n, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         bakry_integrals(3, -1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
@@ -253,8 +260,9 @@ def test_heat_norm_ratio_decreases_to_one():
 
 
 def test_heat_norm_validation():
-    with pytest.raises(DomainError):
-        torus_heat_norm(0, 1.0, 0.1)
+    for n in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            torus_heat_norm(n, 1.0, 0.1)
     with pytest.raises(DomainError):
         torus_heat_norm(2, -1.0, 0.1)
     with pytest.raises(DomainError):

@@ -157,27 +157,35 @@ def _quad_bubble(spec):
     return values, errors
 
 
-#: (model, p, delta, eps): three cores that underflow before delta/2, so that
-#: the core panel ends where they do and the cutoff panel adds exactly 0, at
-#: p = 2 and near p = 1, where the core is sharp; then four that reach delta/2
-#: (the n = 4 one at y = 40.5, barely) and put mass on the cutoff panel
+#: (model, p, b, delta, eps, whether the cutoff panel has mass): three cores
+#: that underflow before delta/2, so that the core panel ends where they do
+#: and the cutoff panel adds exactly 0, at p = 2 and near p = 1, where the
+#: core is sharp; four that reach delta/2 (the n = 4 one at y = 40.5,
+#: barely) and put mass on the cutoff panel; and two, on the sphere and the
+#: torus, whose cutoff mass is subnormal (about 5e-320), which the cutoff
+#: panel cannot resolve against its own size
 _REFERENCE_BUBBLES = (
-    (ManifoldModel.sphere(3), 2.0, 1.0, 0.01),
-    (ManifoldModel.sphere(3), 1.05, 1.0, 0.05),
-    (ManifoldModel.sphere(3), 1.02, 1.0, 1e-4),
-    (ManifoldModel.sphere(4, radius=2.0), 1.5, 1.2, 0.2),
-    (ManifoldModel.sphere(3), 2.0, 1.0, 0.3),
-    (ManifoldModel.torus(3, side=1.0), 1.2, 0.25, 0.1),
-    (ManifoldModel.torus(3, side=2.0), 2.0, 0.9, 0.12),
+    (ManifoldModel.sphere(3), 2.0, 1.0, 1.0, 0.01, False),
+    (ManifoldModel.sphere(3), 1.05, 1.0, 1.0, 0.05, False),
+    (ManifoldModel.sphere(3), 1.02, 1.0, 1.0, 1e-4, False),
+    (ManifoldModel.sphere(4, radius=2.0), 1.5, 1.0, 1.2, 0.2, True),
+    (ManifoldModel.sphere(3), 2.0, 1.0, 1.0, 0.3, True),
+    (ManifoldModel.torus(3, side=1.0), 1.2, 1.0, 0.25, 0.1, True),
+    (ManifoldModel.torus(3, side=2.0), 2.0, 1.0, 0.9, 0.12, True),
+    (ManifoldModel.sphere(3), 2.0, 0.98559, 1.0, 0.02583129091012114, True),
+    (ManifoldModel.torus(3, side=2.0), 2.0, 1.216778, 0.9, 0.02583129091012114, True),
 )
 
 
-@pytest.mark.parametrize("model, p, delta, eps", _REFERENCE_BUBBLES)
-def test_bubble_integrals_match_quad_reference(model, p, delta, eps):
+# the ids leave b out, so that an entry at b = 1 keeps its name
+@pytest.mark.parametrize("model, p, b, delta, eps, cut", _REFERENCE_BUBBLES,
+                         ids=[f"model{i}-{p}-{delta}-{eps}"
+                              for i, (_, p, _, delta, eps, _) in enumerate(_REFERENCE_BUBBLES)])
+def test_bubble_integrals_match_quad_reference(model, p, b, delta, eps, cut):
     """Both core rules and the cutoff panel agree with the adaptive reference
     to 1e-12, and the returned estimate covers the difference, up to the
     reference's own error estimate and the rounding of the sums."""
-    spec = BubbleSpec(model=model, base=extremal_spec(model.dimension, p, 1.0),
+    spec = BubbleSpec(model=model, base=extremal_spec(model.dimension, p, b),
                       delta=delta, eps=eps)
     bi = bubble_integrals(spec, n_nodes=20_000)
     ref, ref_err = _quad_bubble(spec)
@@ -185,7 +193,7 @@ def test_bubble_integrals_match_quad_reference(model, p, delta, eps):
         got = getattr(bi, key)
         assert got == pytest.approx(ref[k], rel=1e-12), key
         assert abs(got - ref[k]) <= bi.errors[key] + ref_err[k] + 4e-16 * abs(ref[k]), key
-    assert (bi.cutoff["mass_p"] > 0) == (eps >= 0.1)  # the last four
+    assert (bi.cutoff["mass_p"] > 0) == cut
 
 
 def test_underflowed_core_adds_nothing():

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from whole_array import BLOCK_SIZES, agrees
 
-from lpentropy.errors import DomainError, OracleDisagreement
+from lpentropy.errors import AccuracyNotMet, DomainError, OracleDisagreement
 from lpentropy.profiles import (
     DEFAULT_R_MIN,
     RadialProfile,
     _node_measure,
     _projected_descent,
+    _tanh_sinh,
     bump_basis,
     derivative_matrix,
     entropy_integral,
@@ -586,3 +587,45 @@ def test_projected_descent_property(quadratic):
     assert _preconditioned_gradient_norm(a, target, w, u) < 1e-9
     assert reason == "gtol"
     assert np.max(np.abs(u - target)) < 1e-8
+
+
+def test_tanh_sinh_rule():
+    """The shared tanh-sinh rule: logarithmic end singularities to 1e-13 by
+    its second level (225 nodes), the node cap, a non-finite sum returned at
+    once, and a small integrand that stops at its second level when judged
+    against a scale of 1 rather than its own size."""
+    def ends(x, c):
+        return np.array([np.log(x), np.log(c), np.log(x) * np.log(c)])
+
+    val, err, nodes = _tanh_sinh(ends, 0.0, 1.0, 10_000)
+    exact = np.array([-1.0, -1.0, 2.0 - math.pi**2 / 6.0])
+    assert nodes <= 225
+    np.testing.assert_allclose(val, exact, rtol=1e-13, atol=0.0)
+    assert np.all(err <= 1e-13 * np.abs(exact))
+
+    # the second level needs 225 nodes: no estimate yet
+    with pytest.raises(AccuracyNotMet, match="within 224 nodes$") as exc:
+        _tanh_sinh(ends, 0.0, 1.0, 224)
+    assert exc.value.estimates is None
+
+    def wave(x, c):
+        return np.array([np.cos(200.0 * x)])
+
+    # cos(200 x) needs 897 nodes: the cap at 449 raises with the last estimate
+    with pytest.raises(AccuracyNotMet, match="within 449 nodes; error estimates") as exc:
+        _tanh_sinh(wave, 0.0, 1.0, 449)
+    assert exc.value.estimates.shape == (1,) and exc.value.estimates[0] > 1e-13
+    val, err, nodes = _tanh_sinh(wave, 0.0, 1.0, 897)
+    assert val[0] == pytest.approx(math.sin(200.0) / 200.0, rel=1e-13)
+
+    with np.errstate(over="ignore"):
+        val, err, nodes = _tanh_sinh(lambda x, c: np.array([np.exp(1.0 / x), x]),
+                                     0.0, 1.0, 10_000)
+    assert nodes == 113 and val[0] == math.inf and np.all(err == math.inf)
+
+    def small(x, c):
+        return 1e-20 * wave(x, c)
+
+    assert _tanh_sinh(small, 0.0, 1.0, 10_000)[2] == 897
+    val, err, nodes = _tanh_sinh(small, 0.0, 1.0, 10_000, scale=1.0)
+    assert nodes == 225 and err[0] <= 1e-13

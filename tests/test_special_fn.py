@@ -44,6 +44,10 @@ def test_sphere_area_closed_values():
         sphere_area(0)
     with pytest.raises(DomainError):
         sphere_area(2.5)
+    # nan and inf once escaped as ValueError and OverflowError from int()
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sphere_area(n)
 
 
 def test_stretched_moment_matches_direct_quadrature():
