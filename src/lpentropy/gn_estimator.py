@@ -14,10 +14,11 @@ maximizes the quotient
 over two closed-form trial families (stretched exponentials exp(-r^s) and
 rational bumps (1 + r^s)^{-k}, both reduced to gamma/beta moments) and then
 runs a projected gradient ascent on a discretized radial profile seeded by
-the best family member, by the package's one Armijo driver
-(profiles._projected_descent) applied to -ln Q.  Every reported value is a
-certified lower bound up to quadrature error; none can exceed the sharp
-constant by more than that error.
+the best family member: the one Armijo driver (profiles._projected_descent)
+on -ln Q as the discrete functional, objective and adjoint gradient, that
+the manifold minimizer runs too (profiles._discrete_functional).  Every
+reported value is a certified lower bound up to quadrature error; none can
+exceed the sharp constant by more than that error.
 
 The family values are the exact quotients of the reported members to 1e-11
 relative (checked against 40-digit beta moments for k up to 1e9): the beta
@@ -42,7 +43,8 @@ from scipy import optimize
 
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
 from .errors import DomainError, Record
-from .profiles import RadialProfile, _profile_sums, _projected_descent, derivative_matrix, lp_norm
+from .profiles import (RadialProfile, _discrete_functional, _profile_sums, _projected_descent,
+                       derivative_matrix, lp_norm)
 from .special_fn import log_gamma, sphere_area, stretched_exp_moment
 
 __all__ = [
@@ -290,39 +292,15 @@ def _seed_profile(params: InequalityParams, family: str, info: dict, n_nodes: in
 
 
 def _ascent(u0: RadialProfile, params: InequalityParams, theta: float, max_iters: int):
-    # ascent on ln Q run as descent on -ln Q; negation is exact, so the
-    # iterates are those of an ascent written out directly
+    # ascent on ln Q run as descent on -ln Q = ln int |u'|^p - (p/(theta r)) ln int u^r
+    # + (p(1-theta)/(theta q)) ln int u^q, the package's discrete functional at C = 0
     p, q, r = params.p, params.q, params.r
     mw = u0.cell_measure()
-    mat = derivative_matrix(u0.grid)
-    mat_t = mat.T
-
-    def neg_ln_q(vals: np.ndarray):
-        du = mat @ vals
-        grad_p = float(np.sum(mw * np.abs(du) ** p))
-        mr = float(np.sum(mw * vals**r))
-        mq = float(np.sum(mw * vals**q))
-        if grad_p <= 0 or mr <= 0 or mq <= 0:
-            return None, None
-        val = (
-            (p / theta) * math.log(mr) / r
-            - math.log(grad_p)
-            - (p * (1.0 - theta) / theta) * math.log(mq) / q
-        )
-        return -val, (du, grad_p, mr, mq)
-
-    def neg_gradient(vals: np.ndarray, cache) -> np.ndarray:
-        du, grad_p, mr, mq = cache
-        flux = mw * np.sign(du) * np.abs(du) ** (p - 1.0)
-        return -(
-            (p / theta) * (mw * vals ** (r - 1.0)) / mr
-            - p * (mat_t @ flux) / grad_p
-            - (p * (1.0 - theta) / theta) * (mw * vals ** (q - 1.0)) / mq
-        )
-
-    _, neg_val, iters, reason = _projected_descent(
-        neg_ln_q, neg_gradient, u0.values / lp_norm(u0, q), mw, max_iters, armijo=1e-4
-    )
+    objective, gradient = _discrete_functional(
+        mw, derivative_matrix(u0.grid), p, 0.0,
+        ((r, -p / (theta * r)), (q, p * (1.0 - theta) / (theta * q))))
+    _, neg_val, iters, reason = _projected_descent(objective, gradient, u0.values / lp_norm(u0, q),
+                                                   mw, max_iters, armijo=1e-4)
     return math.exp(-neg_val), iters, reason
 
 

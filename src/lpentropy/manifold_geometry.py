@@ -90,9 +90,13 @@ class ManifoldModel:
     @property
     def volume(self) -> float:
         n = self.dimension
-        if self.kind == "sphere":
-            return sphere_area(n + 1) * self.scale**n
-        return self.scale**n
+        try:
+            vol = (sphere_area(n + 1) if self.kind == "sphere" else 1.0) * self.scale**n
+        except OverflowError:
+            vol = math.inf
+        if not 0 < vol < math.inf:
+            raise DomainError(f"the {self.kind} of scale {self.scale} has no float volume")
+        return vol
 
     @property
     def injectivity_radius(self) -> float:

@@ -20,20 +20,14 @@ B_q int u^q = nu identically.
 
 Profiles are restricted to the symmetric class depending on one
 coordinate: the polar angle on the sphere, one periodic coordinate on
-the torus.  A SymmetricManifoldProfile owns its integration rule: it
-derives its grid and volume weights from its model and node count, and
-its ln_functional is the one place that sums the integrals of J_q.  The
-optimizer is a projected gradient descent on the scale-invariant
-extension of ln J_q, preconditioned by the volume weights, with the
-exact constant profile always kept as a candidate.  It runs the
-package's one Armijo driver, profiles._projected_descent, which the
-Gagliardo-Nirenberg ascent of gn_estimator shares.  A retraction
-rescales each accepted trial to unit Lp norm.  Because ln J_q is
-0-homogeneous, the rescaled point has the trial's value, and its sums
-and derivative are the trial's times powers of the scale, so the
-retraction hands the descent a cache valid at the rescaled point: the
-objective is evaluated once per line-search trial and never after a
-rescaling.
+the torus.  A SymmetricManifoldProfile derives its grid and volume
+weights from its model and node count; its ln_functional is ln J_q,
+extended scale-invariantly, as the package's one discrete functional
+(profiles._discrete_functional), whose objective and adjoint gradient
+the Gagliardo-Nirenberg ascent of gn_estimator runs too.  The minimizer
+descends it by the one Armijo driver (profiles._projected_descent),
+retracts each accepted trial to unit Lp norm by rescaling the trial's
+cached sums, and always keeps the exact constant profile as a candidate.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ from .constants import InequalityParams, derived_exponents, entropy_best_constan
 from .errors import DomainError
 from .gn_estimator import estimate_gn_constant
 from .manifold_geometry import ManifoldModel
-from .profiles import _projected_descent, bump_basis, derivative_matrix
+from .profiles import _discrete_functional, _projected_descent, bump_basis, derivative_matrix
 from .special_fn import sphere_area
 
 __all__ = [
@@ -128,12 +122,10 @@ class SymmetricManifoldProfile:
         return derivative_matrix(self.grid, self.model.scale if self.periodic else None)
 
     def coordinate_derivative(self, values=None) -> np.ndarray:
+        """du/dcoordinate at u, or at values on u's grid: the du that
+        ln_functional caches, the same at any exponents."""
         v = self.values if values is None else np.asarray(values, dtype=float)
-        # D annihilates constants only up to rounding, which |u'|^{p-1}
-        # amplifies as p -> 1; differentiating v - v[0] instead (the same in
-        # exact arithmetic, so D.T stays the adjoint) keeps the derivative
-        # of a constant profile exactly zero
-        return self.derivative_operator @ (v - v[0])
+        return self.ln_functional(2.0, 1.0, 0.0, 0.0, v)[1][-1]
 
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":
         return SymmetricManifoldProfile(model=self.model, values=values)
@@ -148,21 +140,16 @@ class SymmetricManifoldProfile:
         terms is (int u^p, int u^q, energy, du), with energy =
         int |grad u|^p + C int u^p and du the coordinate derivative, kept
         for gradients to reuse.  ln J_q is the scale-invariant form
-        ln J_q(u/||u||_p), or None where an integral in it is not positive.
+        ln J_q(u/||u||_p) = ln(energy) - (1 + q kappa/p) ln int u^p
+        + kappa ln int u^q, or None where an integral in it is not positive.
         """
-        vals = self.values if values is None else values
-        w = self.weights
-        du = self.coordinate_derivative(values)
-        grad = np.abs(du) if self.periodic else np.abs(du) / self.model.scale
-        mass_p = float(np.add.reduce(w * vals**p))
-        mass_q = float(np.add.reduce(w * vals**q))
-        energy = float(np.add.reduce(w * grad**p)) + C * mass_p
-        terms = (mass_p, mass_q, energy, du)
-        if mass_p <= 0 or mass_q <= 0 or energy <= 0:
-            return None, terms
-        return (
-            math.log(energy) + kappa * math.log(mass_q) - (1.0 + q * kappa / p) * math.log(mass_p)
-        ), terms
+        objective, _ = self._ln_functional_pair(p, q, C, kappa)
+        return objective(self.values if values is None else values)
+
+    def _ln_functional_pair(self, p: float, q: float, C: float, kappa: float) -> tuple:
+        """(objective, gradient) of ln_functional on u's grid."""
+        return _discrete_functional(self.weights, self.derivative_operator, p, C,
+                                    ((p, -(1.0 + q * kappa / p)), (q, kappa)), self.metric)
 
 
 def symmetric_profile(model: ManifoldModel, values, n_nodes: int = None) -> SymmetricManifoldProfile:
@@ -208,6 +195,14 @@ def _lagrange_weights(terms, kappa: float) -> tuple:
     return mass_q**kappa, energy * mass_q ** (kappa - 1.0), energy * mass_q**kappa
 
 
+def _exp_value(ln_j: float) -> float:
+    """J_q = exp(ln J_q); DomainError where it leaves the float range."""
+    try:
+        return math.exp(ln_j)
+    except OverflowError:
+        raise DomainError(f"J_q = exp({ln_j:.6g}) leaves the float range") from None
+
+
 def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> float:
     """J_q at u, after rescaling u to unit Lp norm."""
     _, kappa = _exponents(u.model.dimension, p, q, C)
@@ -217,7 +212,7 @@ def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> 
     if energy == 0.0:
         # constants at C = 0: no gradient energy, no zeroth-order term
         return 0.0
-    return math.exp(ln_j)
+    return _exp_value(ln_j)
 
 
 @dataclass(frozen=True)
@@ -285,23 +280,27 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     kept as a candidate, so the returned value never exceeds it.  The
     result's stop_reason says why the descent stopped; it has converged
     only on "gtol" (the preconditioned gradient fell below gtol).  C = 0
-    returns the exact infimum 0 at the constant with stop_reason "exact".
-    seed, which draws the perturbation of the constant that starts the
+    returns the exact infimum 0 at the constant with stop_reason "exact";
+    a C whose constant value leaves the float range is a DomainError.  seed,
+    which draws the perturbation of the constant that starts the
     descent, must be nonnegative.
     """
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     _, kappa = _exponents(model.dimension, p, q, C)
     base = constant_profile(model, p, n_nodes)
+    objective, gradient = base._ln_functional_pair(p, q, C, kappa)
+    ln_const, const_terms = objective(base.values)
     if C == 0:
         # constants are admissible and drive both terms to zero, so the
         # infimum is exactly 0, written out rather than computed
-        _, (_, mass_q, _, _) = base.ln_functional(p, q, C, kappa)
         return MinimizeResult(
             value=0.0, profile=base, iterations=0, stop_reason="exact", el_residual=0.0,
-            energy_weight=mass_q**kappa, qnorm_weight=0.0, used_constant=True,
+            energy_weight=const_terms[1] ** kappa, qnorm_weight=0.0, used_constant=True,
             constant_value=0.0, identity_gap=0.0, p=p, q=q, C=C,
         )
+    # a C whose constant value leaves the float range is refused before any descent step
+    v_const = _exp_value(ln_const)
 
     w = base.weights
     rng = np.random.default_rng(seed)
@@ -312,20 +311,6 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         bump += rng.normal(0, 1.0 / k) * np.cos(math.pi * k * x + rng.uniform(0, 2 * math.pi))
     u = np.maximum(base.values * (1.0 + 0.25 * bump / max(np.max(np.abs(bump)), 1e-12)), 0.0)
 
-    adjoint = base.derivative_operator.T
-    metric = base.metric
-
-    def objective(vals: np.ndarray):
-        return base.ln_functional(p, q, C, kappa, vals)
-
-    def gradient(vals: np.ndarray, cache) -> np.ndarray:
-        mass_p, mass_q, energy, du = cache
-        flux = w * np.sign(du) * np.abs(du * metric) ** (p - 1.0) * metric
-        return (
-            (p * (adjoint @ flux) + C * p * w * vals ** (p - 1.0)) / energy
-            + kappa * q * (w * vals ** (q - 1.0)) / mass_q
-            - (1.0 + q * kappa / p) * p * (w * vals ** (p - 1.0)) / mass_p
-        )
 
     def retract(vals: np.ndarray, cache) -> tuple:
         # the objective is 0-homogeneous, so scaling by 1/s keeps its value,
@@ -340,9 +325,8 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     u, _, iters, reason = _projected_descent(objective, gradient, seed_u, w, max_iters,
                                              armijo=0.25, gtol=gtol, retract=retract)
 
-    ln_descent, descent_terms = base.ln_functional(p, q, C, kappa, u)
-    ln_const, const_terms = base.ln_functional(p, q, C, kappa)
-    v_descent, v_const = math.exp(ln_descent), math.exp(ln_const)
+    ln_descent, descent_terms = objective(u)
+    v_descent = _exp_value(ln_descent)
     # the constant solves the discrete optimality system exactly, so when
     # the descent value only ties it (discretization-level difference),
     # the constant is the better-certified minimizer
@@ -379,12 +363,11 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     is the self-consistent choice for a claimed minimizer.
     """
     theta, kappa = _exponents(u.model.dimension, p, q, C)
+    _, terms = u.ln_functional(p, q, C, kappa)
     if nu is None or energy_weight is None or qnorm_weight is None:
-        _, terms = u.ln_functional(p, q, C, kappa)
         energy_weight, qnorm_weight, nu = _lagrange_weights(terms, kappa)
-    w = u.weights
-    metric = u.metric
-    du = u.coordinate_derivative() * metric
+    w, metric = u.weights, u.metric
+    du = terms[-1] * metric
     flux = np.sign(du) * np.abs(du) ** (p - 1.0)
     # smooth bumps spread across the coordinate domain
     span = u.model.scale if u.periodic else math.pi
@@ -393,11 +376,10 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     resid, scales = [], []
     for v, dv in bump_basis(u.grid, centers, width, period=span if u.periodic else None):
         t_grad = energy_weight * float(np.sum(w * flux * dv * metric))
-        t_mass = energy_weight * C * float(np.sum(w * u.values ** (p - 1.0) * v))
-        t_q = ((1.0 - theta) / theta) * qnorm_weight * float(
-            np.sum(w * u.values ** (q - 1.0) * v)
-        )
-        t_nu = -(nu / theta) * float(np.sum(w * u.values ** (p - 1.0) * v))
+        mass_v = float(np.sum(w * u.values ** (p - 1.0) * v))
+        t_mass = energy_weight * C * mass_v
+        t_q = ((1.0 - theta) / theta) * qnorm_weight * float(np.sum(w * u.values ** (q - 1.0) * v))
+        t_nu = -(nu / theta) * mass_v
         resid.append(t_grad + t_mass + t_q + t_nu)
         scales.append(abs(t_grad) + abs(t_mass) + abs(t_q) + abs(t_nu))
     scale = float(np.linalg.norm(scales))

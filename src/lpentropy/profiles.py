@@ -26,13 +26,13 @@ stencil on the nonuniform grid: centered in the interior, one-sided at
 the ends, or centered everywhere on a periodic grid.  Its weights are
 written once (_centered_coefficients, _one_sided_coefficients) and used
 twice: radial_derivative applies them by array slices, derivative_matrix
-assembles them into a sparse matrix D whose transpose D.T is the exact
-discrete adjoint that the gradient ascent and the manifold minimizer
-need.  Both of those optimizers run the one Armijo projected-gradient
-driver, _projected_descent.  bump_basis supplies the smooth compactly
-supported test functions of the weak-form residuals.  The analytic
-derivative of the extremal family is reserved for the closed-form oracle
-route in extremal_integrals.
+assembles them into a sparse matrix D.  The package's two optimizers,
+the gradient ascent of gn_estimator and the manifold minimizer, share one
+objective and its gradient through the exact adjoint D.T,
+_discrete_functional, and one Armijo driver, _projected_descent.
+bump_basis supplies the smooth compactly supported test functions of the
+weak-form residuals.  The analytic derivative of the extremal family is
+reserved for the closed-form oracle route in extremal_integrals.
 
 Large-grid integrals are summed block by block by _blocked_sums: the
 integrand is evaluated on 8 192-node slices of the grid with one node of
@@ -343,6 +343,45 @@ def _profile_sums(u: RadialProfile, terms, derivative: bool = False) -> tuple:
         return terms(_node_measure(r, n), r, v, dv)
 
     return _blocked_sums(len(u.grid), block)
+
+
+def _discrete_functional(w, operator, p: float, C: float, terms, metric: float = 1.0) -> tuple:
+    """(objective, gradient) of the one discrete functional of both optimizers,
+
+        F(u) = ln( sum_i w_i |metric (D u)_i|^p + C M_p ) + sum_k c_k ln M_k,
+
+    M_t = sum_i w_i u_i^t, terms = ((t_1, c_1), ...), t_1 = p if C != 0.
+    objective(u) is (F(u), or None if the energy or a mass is not positive,
+    and the cache (M_{t_1}, ..., energy, du)); gradient(u, cache) goes
+    through the adjoint D.T.  D acts on u - u[-1], the same in exact
+    arithmetic, so a constant's derivative is 0, not rounding that |Du|^{p-1}
+    amplifies as p -> 1.  Not u - u[0]: that also zeroes a flat radial core,
+    where |Du|^p (p < 2) has unbounded curvature and the ascent's line
+    search stalls (seen at p <= 1.35).
+    """
+    adjoint = operator.T
+
+    def objective(u: np.ndarray) -> tuple:
+        du = operator @ (u - u[-1])
+        masses = [float(np.add.reduce(w * u**t)) for t, _ in terms]
+        energy = float(np.add.reduce(w * np.abs(metric * du) ** p)) + (C * masses[0] if C else 0.0)
+        cache = (*masses, energy, du)
+        if energy <= 0 or min(masses) <= 0:
+            return None, cache
+        return math.log(energy) + sum(c * math.log(m) for (_, c), m in zip(terms, masses)), cache
+
+    def gradient(u: np.ndarray, cache) -> np.ndarray:
+        *masses, energy, du = cache
+        flux = w * np.sign(du) * np.abs(metric * du) ** (p - 1.0) * metric
+        g = p * (adjoint @ flux)
+        if C:
+            g += C * p * w * u ** (p - 1.0)
+        g /= energy
+        for (t, c), m in zip(terms, masses):
+            g += c * t * (w * u ** (t - 1.0)) / m
+        return g
+
+    return objective, gradient
 
 
 def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: float,

@@ -446,8 +446,18 @@ def test_output_is_strict_json():
      "--seed", "-1"),
     ("nu-scan", "--model", "sphere", "--n", "3", "--p", "2", "--q-list", "1.9", "--C", "1",
      "--seed", "-1"),
+    # the model's volume underflows to 0 or overflows
+    ("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "1",
+     "--scale", "1e-200"),
+    ("minimize", "--model", "torus", "--n", "3", "--p", "2", "--q", "1.9", "--C", "1",
+     "--scale", "1e200"),
+    # J_q at the constant, C times the volume factor, overflows
+    ("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "1e308"),
+    ("nu-scan", "--model", "sphere", "--n", "3", "--p", "2", "--q-list", "1.9", "--C", "1e308"),
 ], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
-        "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed"))
+        "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed",
+        "minimize-volume-underflow", "minimize-volume-overflow", "minimize-huge-C",
+        "nu-scan-huge-C"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)
@@ -455,6 +465,17 @@ def test_one_line_domain_error(argv, tmp_path):
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("domain error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bubble_and_witness_need_no_volume():
+    # the torus of side 1e200 has no float volume, which only the minimizer uses
+    res = run_cli("bubble", "--model", "torus", "--n", "3", "--p", "2", "--scale", "1e200",
+                  "--delta", "1", "--eps-grid", "0.01,0.02,0.04,0.08", "--n-nodes", "20000")
+    assert res.returncode == 0, res.stderr
+    res = run_cli("witness", "--model", "torus", "--n", "3", "--p", "2", "--a-const", "0.07",
+                  "--b-const", "1", "--scale", "1e200", "--eps-grid", "0.05")
+    assert res.returncode == 0, res.stderr
+    assert strict_json(res.stdout)["result"]["violated"] is True
 
 
 @pytest.mark.parametrize("b", ["1e10", "1e14"])

@@ -117,6 +117,31 @@ def test_budget_on_a_path_past_the_float_square_root():
     assert rep.m == pytest.approx(float(ref), rel=1e-10)
 
 
+@pytest.mark.parametrize("p_from", [1.5, 2.5, 3.0])
+def test_budget_closed_form_on_short_paths(p_from):
+    """On (p, p + w) the closed form differences sigma ln sigma and c ln c
+    through log1p of the width: it matches G at 40 digits, over the same
+    double endpoints, to 1e-14 of the scale of its terms, where differencing
+    G's terms of size 1 lost up to 1e-16/w of it."""
+    for n, a, b, lam in ((3, 1.0, 0.0, math.e * 0.24), (3, 0.4, 0.9, 0.9 * 0.26 / 0.4 + 0.7)):
+        for width in (1e-3, 1e-6, 1e-9):
+            rep = bakry_integrals(n, a, b, lam, p_from=p_from, q_to=p_from + width)
+            sig_lo, sig_hi = 1.0 / rep.q_to, 1.0 / p_from
+            with mpmath.workdps(40):
+                ln_al, ratio = mpmath.log(a * lam), mpmath.mpf(b) / (a * lam)
+
+                def g(sig):
+                    sig = mpmath.mpf(sig)
+                    c = 1 - sig
+                    return ((ln_al + 1) * sig - sig * mpmath.log(sig) + c * mpmath.log(c)
+                            + ratio * (sig**2 / 2 - sig**3 / 3))
+
+                ref = float(0.5 * n * (g(sig_hi) - g(sig_lo)))
+            terms = 0.5 * n * (abs(math.log(a * lam)) + 1.0 + b / (a * lam)) * (sig_hi - sig_lo)
+            assert abs(rep.m_closed - ref) <= 1e-14 * terms, (n, a, b, width)
+            assert abs(rep.m - rep.m_closed) <= 1e-10 * max(abs(rep.m_closed), terms)
+
+
 def test_budget_disagreement_is_raised(monkeypatch):
     closed = hypercontractivity._budget_closed_form
     monkeypatch.setattr(hypercontractivity, "_budget_closed_form",
@@ -250,6 +275,21 @@ def test_heat_norm_long_time_is_inverse_volume():
     rep = torus_heat_norm(2, 2.0, 100.0)
     assert rep.long_time_limit == pytest.approx(0.25, rel=1e-15)
     assert rep.value == pytest.approx(0.25, rel=1e-10)
+
+
+def test_heat_norm_side_past_the_cutoff_radius():
+    """Once L passes sqrt(4 t ln 1e18), the one lattice term is below 1e-18
+    and the sum is 1 to the bit, as 1 + 2 e^{-L^2/4t} rounds; no square of
+    L is formed, so a side of 1e200 warns nothing (RuntimeWarning is an error
+    here)."""
+    for n, side, t in ((3, 1e200, 1.0), (2, 1e160, 1e150), (3, 20.0, 1.0)):
+        rep = torus_heat_norm(n, side, t)
+        assert (rep.lattice_factor, rep.terms) == (1.0, 1)
+        assert rep.value == rep.gaussian_factor
+    # just inside the radius the term is summed as before
+    rep = torus_heat_norm(1, 12.0, 1.0)
+    assert rep.terms == 2
+    assert rep.lattice_factor == 1.0 + 2.0 * (math.exp(-36.0) + math.exp(-144.0))
 
 
 def test_heat_norm_ratio_decreases_to_one():

@@ -10,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from whole_array import BLOCK_SIZES, agrees
 
+from lpentropy import manifold_minimizer
+from lpentropy.constants import InequalityParams, derived_exponents
 from lpentropy.errors import AccuracyNotMet, DomainError, OracleDisagreement
+from lpentropy.manifold_geometry import ManifoldModel
+from lpentropy.manifold_minimizer import symmetric_profile
 from lpentropy.profiles import (
     DEFAULT_R_MIN,
     RadialProfile,
+    _discrete_functional,
     _node_measure,
     _projected_descent,
     _tanh_sinh,
@@ -587,6 +592,45 @@ def test_projected_descent_property(quadratic):
     assert _preconditioned_gradient_norm(a, target, w, u) < 1e-9
     assert reason == "gtol"
     assert np.max(np.abs(u - target)) < 1e-8
+
+
+def _functional_setups(p: float) -> list:
+    """(name, objective, gradient, u) of each user of the discrete functional at p."""
+    setups = []
+    for n, r in ((3, p), (3, p + 1.0)):
+        # the ascent's -ln Q on a radial grid, at q = 1.2
+        theta = derived_exponents(InequalityParams(n=n, p=p, q=1.2, r=r)).theta
+        grid = np.geomspace(1e-2, 6.0, 160)
+        objective, gradient = _discrete_functional(
+            _node_measure(grid, n), derivative_matrix(grid), p, 0.0,
+            ((r, -p / (theta * r)), (1.2, p * (1.0 - theta) / (theta * 1.2))))
+        setups.append((f"radial r={r}", objective, gradient, np.exp(-grid**2)))
+    # a sphere of radius 2 (metric 1/2) and a periodic torus, both at C > 0;
+    # the profiles' derivatives vanish only where the weight does (the poles)
+    # or on a node of a symmetric stencil, where |du|^p is differenced exactly
+    for model, shape in ((ManifoldModel.sphere(3, 2.0), lambda g: 2.0 + np.cos(g)),
+                         (ManifoldModel.torus(3, side=6.0),
+                          lambda g: 1.0 + 0.3 * np.cos(math.pi * g / 3.0))):
+        u = symmetric_profile(model, shape, n_nodes=120)
+        _, kappa = manifold_minimizer._exponents(3, p, 1.2, 2.0)
+        objective, gradient = u._ln_functional_pair(p, 1.2, 2.0, kappa)
+        setups.append((model.kind, objective, gradient, u.values))
+    return setups
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_discrete_functional_gradient_matches_central_differences(p):
+    """The shared gradient against a central difference of the objective,
+    along smooth relative perturbations u v, with v not constant."""
+    for name, objective, gradient, u in _functional_setups(p):
+        x = np.linspace(0.0, 1.0, len(u))
+        g = gradient(u, objective(u)[1])
+        for v in (np.sin(3.0 * x + 0.5), np.exp(-((x - 0.3) / 0.2) ** 2), x**2 - x):
+            v = u * v
+            h = 1e-6
+            central = (objective(u + h * v)[0] - objective(u - h * v)[0]) / (2.0 * h)
+            # relative to the sum of the terms, since g @ v may cancel
+            assert abs(float(g @ v) - central) <= 1e-6 * float(np.abs(g * v).sum()), (name, p)
 
 
 def test_tanh_sinh_rule():
