@@ -82,10 +82,18 @@ class ManifoldModel:
 
     @property
     def scalar_curvature(self) -> float:
+        """n(n-1)/radius^2 on the sphere, 0 on the torus; DomainError where
+        it leaves the float range."""
         n = self.dimension
-        if self.kind == "sphere":
-            return n * (n - 1) / self.scale**2
-        return 0.0
+        if self.kind == "torus":
+            return 0.0
+        # divided twice: radius^2 would underflow to 0 below 1e-162 (a
+        # ZeroDivisionError) or lose digits as a subnormal
+        curv = n * (n - 1) / self.scale / self.scale
+        if curv == math.inf:
+            raise DomainError(f"the scalar curvature of the sphere of radius {self.scale} "
+                              f"leaves the float range")
+        return curv
 
     @property
     def volume(self) -> float:

@@ -27,7 +27,9 @@ extended scale-invariantly, as the package's one discrete functional
 the Gagliardo-Nirenberg ascent of gn_estimator runs too.  The minimizer
 descends it by the one Armijo driver (profiles._projected_descent),
 retracts each accepted trial to unit Lp norm by rescaling the trial's
-cached sums, and always keeps the exact constant profile as a candidate.
+cached sums, scalars only (the trial's derivative is kept, with the
+factor 1/s that the gradient applies), and always keeps the exact
+constant profile as a candidate.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class SymmetricManifoldProfile:
         """du/dcoordinate at u, or at values on u's grid: the du that
         ln_functional caches, the same at any exponents."""
         v = self.values if values is None else np.asarray(values, dtype=float)
-        return self.ln_functional(2.0, 1.0, 0.0, 0.0, v)[1][-1]
+        return self.ln_functional(2.0, 1.0, 0.0, 0.0, v)[1][3]
 
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":
         return SymmetricManifoldProfile(model=self.model, values=values)
@@ -137,9 +139,10 @@ class SymmetricManifoldProfile:
                       values=None) -> tuple:
         """(ln J_q, terms) at u, or at values on u's grid.
 
-        terms is (int u^p, int u^q, energy, du), with energy =
-        int |grad u|^p + C int u^p and du the coordinate derivative, kept
-        for gradients to reuse.  ln J_q is the scale-invariant form
+        terms is (int u^p, int u^q, energy, du, |du|, 1.0), with energy =
+        int |grad u|^p + C int u^p, du the coordinate derivative and 1.0
+        the factor on du (profiles._discrete_functional), kept for
+        gradients to reuse.  ln J_q is the scale-invariant form
         ln J_q(u/||u||_p) = ln(energy) - (1 + q kappa/p) ln int u^p
         + kappa ln int u^q, or None where an integral in it is not positive.
         """
@@ -191,7 +194,7 @@ def _exponents(n: int, p: float, q: float, C: float) -> tuple:
 
 def _lagrange_weights(terms, kappa: float) -> tuple:
     """(A_q, B_q, nu) from ln_functional's terms at a unit-norm profile."""
-    _, mass_q, energy, _ = terms
+    _, mass_q, energy, *_ = terms
     return mass_q**kappa, energy * mass_q ** (kappa - 1.0), energy * mass_q**kappa
 
 
@@ -206,7 +209,7 @@ def _exp_value(ln_j: float) -> float:
 def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> float:
     """J_q at u, after rescaling u to unit Lp norm."""
     _, kappa = _exponents(u.model.dimension, p, q, C)
-    ln_j, (mass_p, _, energy, _) = u.ln_functional(p, q, C, kappa)
+    ln_j, (mass_p, _, energy, *_) = u.ln_functional(p, q, C, kappa)
     if mass_p <= 0:
         raise DomainError("profile has zero Lp mass")
     if energy == 0.0:
@@ -275,15 +278,15 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     preconditioned by the volume weights, with Armijo backtracking
     (profiles._projected_descent), each accepted point rescaled back to
     unit Lp norm by a retraction that rescales the trial's cached sums and
-    derivative instead of evaluating the objective again.  The exact
-    constant profile solves the discrete optimality system and is always
-    kept as a candidate, so the returned value never exceeds it.  The
-    result's stop_reason says why the descent stopped; it has converged
-    only on "gtol" (the preconditioned gradient fell below gtol).  C = 0
-    returns the exact infimum 0 at the constant with stop_reason "exact";
-    a C whose constant value leaves the float range is a DomainError.  seed,
-    which draws the perturbation of the constant that starts the
-    descent, must be nonnegative.
+    keeps its derivative with the factor 1/s, instead of evaluating the
+    objective again.  The exact constant profile solves the discrete
+    optimality system and is always kept as a candidate, so the returned
+    value never exceeds it.  The result's stop_reason says why the descent
+    stopped; it has converged only on "gtol" (the preconditioned gradient
+    fell below gtol).  C = 0 returns the exact infimum 0 at the constant
+    with stop_reason "exact"; a C whose constant value leaves the float
+    range is a DomainError.  seed, which draws the perturbation of the
+    constant that starts the descent, must be nonnegative.
     """
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
@@ -314,12 +317,14 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
 
     def retract(vals: np.ndarray, cache) -> tuple:
         # the objective is 0-homogeneous, so scaling by 1/s keeps its value,
-        # and each cached term scales by s to the power of its degree; s is
-        # the norm computed from the same sum as a fresh normalization, so
-        # the retracted point is that normalization to the bit
-        mass_p, mass_q, energy, du = cache
+        # and each cached sum scales by s to the power of its degree; the
+        # trial's du and |du| are kept, with the factor 1/s that the
+        # gradient applies, so no array but the point itself is rescaled; s
+        # is the norm computed from the same sum as a fresh normalization,
+        # so the retracted point is that normalization to the bit
+        mass_p, mass_q, energy, du, a, factor = cache
         s = mass_p ** (1.0 / p)
-        return vals / s, (1.0, mass_q / s**q, energy / s**p, du / s)
+        return vals / s, (1.0, mass_q / s**q, energy / s**p, du, a, factor / s)
 
     seed_u = u / base.with_values(u).lp_norm(p)
     u, _, iters, reason = _projected_descent(objective, gradient, seed_u, w, max_iters,
@@ -367,26 +372,28 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     if nu is None or energy_weight is None or qnorm_weight is None:
         energy_weight, qnorm_weight, nu = _lagrange_weights(terms, kappa)
     w, metric = u.weights, u.metric
-    du = terms[-1] * metric
-    flux = np.sign(du) * np.abs(du) ** (p - 1.0)
+    _, _, _, du, a, _ = terms
+    flux = np.copysign(a ** (p - 1.0), du)
     # smooth bumps spread across the coordinate domain
     span = u.model.scale if u.periodic else math.pi
     centers = np.linspace(0.12 * span, 0.88 * span, _EL_TESTS)
     width = 1.4 * (centers[1] - centers[0])
     resid, scales = [], []
     for v, dv in bump_basis(u.grid, centers, width, period=span if u.periodic else None):
-        t_grad = energy_weight * float(np.sum(w * flux * dv * metric))
+        t_grad = energy_weight * metric**p * float(np.sum(w * flux * dv))
         mass_v = float(np.sum(w * u.values ** (p - 1.0) * v))
         t_mass = energy_weight * C * mass_v
         t_q = ((1.0 - theta) / theta) * qnorm_weight * float(np.sum(w * u.values ** (q - 1.0) * v))
         t_nu = -(nu / theta) * mass_v
         resid.append(t_grad + t_mass + t_q + t_nu)
         scales.append(abs(t_grad) + abs(t_mass) + abs(t_q) + abs(t_nu))
-    scale = float(np.linalg.norm(scales))
-    if scale <= 0:
+    # resid and scales are divided by the largest scale, which bounds every
+    # entry of both, before the norms: at a huge C their squares overflow
+    big = max(scales)
+    if big <= 0:
         # every weak-form term vanishes identically (constants at C = 0)
         return 0.0
-    return float(np.linalg.norm(resid)) / scale
+    return float(np.linalg.norm(np.divide(resid, big)) / np.linalg.norm(np.divide(scales, big)))
 
 
 def infimum_scan(model: ManifoldModel, p: float, q_values, C: float,

@@ -29,7 +29,11 @@ twice: radial_derivative applies them by array slices, derivative_matrix
 assembles them into a sparse matrix D.  The package's two optimizers,
 the gradient ascent of gn_estimator and the manifold minimizer, share one
 objective and its gradient through the exact adjoint D.T,
-_discrete_functional, and one Armijo driver, _projected_descent.
+_discrete_functional, and one Armijo driver, _projected_descent.  Their
+cost is Python overhead per numpy call on arrays of a few hundred nodes,
+so each line-search trial is one stacked pass (every sum of the objective
+from one multiplication and one row-wise reduction), the gradient reuses
+that pass's derivative, and the driver builds each trial in place.
 bump_basis supplies the smooth compactly supported test functions of the
 weak-form residuals.  The analytic derivative of the extremal family is
 reserved for the closed-form oracle route in extremal_integrals.
@@ -350,35 +354,60 @@ def _discrete_functional(w, operator, p: float, C: float, terms, metric: float =
 
         F(u) = ln( sum_i w_i |metric (D u)_i|^p + C M_p ) + sum_k c_k ln M_k,
 
-    M_t = sum_i w_i u_i^t, terms = ((t_1, c_1), ...), t_1 = p if C != 0.
-    objective(u) is (F(u), or None if the energy or a mass is not positive,
-    and the cache (M_{t_1}, ..., energy, du)); gradient(u, cache) goes
-    through the adjoint D.T.  D acts on u - u[-1], the same in exact
-    arithmetic, so a constant's derivative is 0, not rounding that |Du|^{p-1}
-    amplifies as p -> 1.  Not u - u[0]: that also zeroes a flat radial core,
-    where |Du|^p (p < 2) has unbounded curvature and the ascent's line
-    search stalls (seen at p <= 1.35).
+    M_t = sum_i w_i u_i^t, terms = ((t_1, c_1), ...), t_1 = p if C != 0,
+    p > 1.  objective(u) is (F(u), or None if the energy or a mass is not
+    positive, and the cache (M_{t_1}, ..., energy, du, |du|, 1.0)).  D acts
+    on u - u[-1], the same in exact arithmetic, so a constant's derivative
+    is 0, not rounding that |Du|^{p-1} amplifies as p -> 1.  Not u - u[0]:
+    that also zeroes a flat radial core, where |Du|^p (p < 2) has unbounded
+    curvature and the ascent's line search stalls (seen at p <= 1.35).
+
+    Each evaluation is one stacked pass: |du|^p and every u^t are written
+    into the rows of one array, multiplied by the stacked weights
+    (w metric^p, w, ...) in one call and summed row by row in another, each
+    row pairwise as np.sum sums it, so M_t is np.sum(w * u**t) to the bit.
+
+    gradient(u, cache) goes through the adjoint D.T and reuses the cached
+    du and |du|.  The cache's last entry is a factor f > 0 such that the
+    derivative at u is f du: a 0-homogeneous F keeps its value under
+    u -> u/s, so a retraction may hand over the trial's du and |du| with
+    f = 1/s and rescale only the scalar sums; the gradient applies
+    f^{p-1} to the flux through its scalar.
     """
     adjoint = operator.T
+    exponents = [t for t, _ in terms]
+    lowered = np.array(exponents)[:, None] - 1.0
+    slopes = [c * t for t, c in terms]
+    stacked = np.vstack([w * metric**p, np.broadcast_to(w, (len(terms), len(w)))])
 
     def objective(u: np.ndarray) -> tuple:
         du = operator @ (u - u[-1])
-        masses = [float(np.add.reduce(w * u**t)) for t, _ in terms]
-        energy = float(np.add.reduce(w * np.abs(metric * du) ** p)) + (C * masses[0] if C else 0.0)
-        cache = (*masses, energy, du)
+        a = np.abs(du)
+        rows = np.empty(stacked.shape)
+        np.power(a, p, out=rows[0])
+        for i, t in enumerate(exponents, 1):
+            np.power(u, t, out=rows[i])
+        rows *= stacked
+        energy, *masses = np.add.reduce(rows, axis=1).tolist()
+        if C:
+            energy += C * masses[0]
+        cache = (*masses, energy, du, a, 1.0)
         if energy <= 0 or min(masses) <= 0:
             return None, cache
         return math.log(energy) + sum(c * math.log(m) for (_, c), m in zip(terms, masses)), cache
 
     def gradient(u: np.ndarray, cache) -> np.ndarray:
-        *masses, energy, du = cache
-        flux = w * np.sign(du) * np.abs(metric * du) ** (p - 1.0) * metric
-        g = p * (adjoint @ flux)
+        *masses, energy, du, a, factor = cache
+        flux = np.power(a, p - 1.0)
+        np.copysign(flux, du, out=flux)
+        flux *= stacked[0]
+        g = adjoint @ flux
+        g *= p * factor ** (p - 1.0) / energy
+        coefs = [s / m for s, m in zip(slopes, masses)]
         if C:
-            g += C * p * w * u ** (p - 1.0)
-        g /= energy
-        for (t, c), m in zip(terms, masses):
-            g += c * t * (w * u ** (t - 1.0)) / m
+            # p (C / energy), not C p / energy: C p may overflow where the ratio does not
+            coefs[0] += p * (C / energy)
+        g += w * np.dot(coefs, u ** lowered)
         return g
 
     return objective, gradient
@@ -391,10 +420,11 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
     Returns (u, value, iterations, stop_reason).  objective(u) returns
     (value, cache), with value None where it is undefined;
     gradient(u, cache) is the gradient of the value at u.  The direction is
-    -gradient / max(w, 1e-3 mean w), so nodes of negligible weight cannot
-    take huge steps.  Each trial point is projected onto u >= 0; an
-    accepted trial grows the next step by 1.8, a rejected one halves it,
-    for at most 30 trials.
+    -gradient / max(w, 1e-3 mean w), taken as the gradient times that
+    reciprocal, computed once, so nodes of negligible weight cannot take
+    huge steps.  Each trial point u + step d is built in one new array and
+    projected onto u >= 0 in place; an accepted trial grows the next step
+    by 1.8, a rejected one halves it, for at most 30 trials.
 
     retract, if given, is retract(cand, cache) -> (u, cache): it maps an
     accepted trial back onto the constraint set and returns a cache valid
@@ -412,7 +442,7 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
     """
     if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
         raise DomainError(f"the iteration cap must be a nonnegative integer, got {max_iters!r}")
-    floor = np.maximum(weights, 1e-3 * float(np.mean(weights)))
+    neg_inv_floor = -1.0 / np.maximum(weights, 1e-3 * float(np.mean(weights)))
     cur, cache = objective(u)
     if cur is None:
         raise DomainError("seed profile is degenerate")
@@ -421,9 +451,9 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
     reason = "max_iters"
     for _ in range(max_iters):
         g = gradient(u, cache)
-        d = -g / floor
+        d = g * neg_inv_floor
         slope = float(np.dot(g, d))
-        if gtol > 0 and float(np.max(np.abs(d))) < gtol:
+        if gtol > 0 and float(np.abs(d).max()) < gtol:
             reason = "gtol"
             break
         if slope >= 0:
@@ -431,7 +461,9 @@ def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: 
             break
         moved = False
         for _ in range(30):
-            cand = np.maximum(u + step * d, 0.0)
+            cand = step * d
+            cand += u
+            np.maximum(cand, 0.0, out=cand)
             val, new_cache = objective(cand)
             if val is not None and val <= cur + armijo * step * slope:
                 u, cur, cache = cand, val, new_cache

@@ -454,10 +454,13 @@ def test_output_is_strict_json():
     # J_q at the constant, C times the volume factor, overflows
     ("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9", "--C", "1e308"),
     ("nu-scan", "--model", "sphere", "--n", "3", "--p", "2", "--q-list", "1.9", "--C", "1e308"),
+    # the scalar curvature n(n-1)/radius^2 overflows
+    ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--scale", "1e-200", "--delta",
+     "1e-200", "--eps-grid", "1e-203,2e-203,4e-203,8e-203"),
 ], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
         "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed",
         "minimize-volume-underflow", "minimize-volume-overflow", "minimize-huge-C",
-        "nu-scan-huge-C"))
+        "nu-scan-huge-C", "bubble-curvature-overflow"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)
@@ -476,6 +479,18 @@ def test_bubble_and_witness_need_no_volume():
                   "--b-const", "1", "--scale", "1e200", "--eps-grid", "0.05")
     assert res.returncode == 0, res.stderr
     assert strict_json(res.stdout)["result"]["violated"] is True
+
+
+def test_minimize_at_a_huge_finite_constant_value():
+    # on a sphere of radius 0.1 the constant's J_q at C = 1e308 is finite, but
+    # C p overflows and the weak-form terms square past the float range
+    res = run_cli("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9",
+                  "--C", "1e308", "--scale", "0.1", "--max-iters", "5")
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    result = strict_json(res.stdout)["result"]
+    assert math.isfinite(result["value"]) and result["value"] <= result["constant_value"]
+    assert math.isfinite(result["el_residual"])
 
 
 @pytest.mark.parametrize("b", ["1e10", "1e14"])

@@ -151,12 +151,19 @@ def test_stop_reason_is_reported():
 
 
 @pytest.mark.parametrize("model, p, q, C", [(SPHERE3, 2.0, 1.9, 4.0),
-                                            (ManifoldModel.torus(3, side=6.0), 1.5, 1.2, 5.0)])
+                                            (ManifoldModel.torus(3, side=6.0), 1.5, 1.2, 5.0),
+                                            (SPHERE3, 1.5, 1.2, 5.0),
+                                            (ManifoldModel.torus(3, side=6.0), 2.0, 1.9, 4.0)])
 def test_retracted_cache_matches_a_fresh_evaluation(monkeypatch, model, p, q, C):
-    # the retraction rescales the trial's cached sums and derivative instead
-    # of evaluating the objective at the rescaled point; check that the two
-    # agree at every accepted step of a short run
+    # the retraction rescales the trial's cached sums, and keeps its
+    # derivative with the factor 1/s that the gradient applies, instead of
+    # evaluating the objective at the rescaled point; check that the cache
+    # and the gradient agree with a fresh evaluation at every accepted step
+    # of a short run
     descent = manifold_minimizer._projected_descent
+    prof = constant_profile(model, p, 200)
+    w, adjoint_size = prof.weights, abs(prof.derivative_operator).T
+    _, kappa = manifold_minimizer._exponents(model.dimension, p, q, C)
     checked = []
 
     def spy(objective, gradient, u, weights, max_iters, armijo, gtol=0.0, retract=None):
@@ -170,7 +177,19 @@ def test_retracted_cache_matches_a_fresh_evaluation(monkeypatch, model, p, q, C)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
             # the fresh derivative differences values of order 1 with stencil
             # weights of order 1/h, so its own rounding is about 1e-14
-            assert float(np.max(np.abs(cache_new[3] - fresh[3]))) <= 1e-13
+            assert fresh[5] == 1.0
+            for k in (3, 4):  # du and |du|
+                assert float(np.max(np.abs(cache_new[5] * cache_new[k] - fresh[k]))) <= 1e-13
+            # the gradients to 1e-12 of the size of the terms they sum, since
+            # these cancel as the descent nears a critical point: the
+            # adjoint's products with the flux w metric^p |du|^{p-1}, and the
+            # largest mass term p (1 + q kappa/p) w u^{p-1} / int u^p
+            mass_p, _, energy, _, a, _ = fresh
+            flux_terms = p / energy * (adjoint_size @ (w * prof.metric**p * a ** (p - 1.0)))
+            mass_term = (p + q * kappa) * w * u_new ** (p - 1.0) / mass_p
+            size = float(np.max(flux_terms)) + float(np.max(mass_term))
+            got, want = gradient(u_new, cache_new), gradient(u_new, fresh)
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * size
             checked.append(value)
             return u_new, cache_new
 

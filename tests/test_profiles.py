@@ -633,6 +633,30 @@ def test_discrete_functional_gradient_matches_central_differences(p):
             assert abs(float(g @ v) - central) <= 1e-6 * float(np.abs(g * v).sum()), (name, p)
 
 
+@pytest.mark.parametrize("m", [600, 4000])
+def test_discrete_functional_sums_match_np_sum_bit_for_bit(m):
+    """The stacked pass sums each row pairwise as np.sum does, at 600 nodes
+    (five of numpy's 128-element pairwise blocks) and at 4 000 (32): the
+    cached masses are np.sum(w * u**t) to the bit, exponent 2 (which
+    u**2.0 squares) included, and at C = 0 the energy is
+    np.sum(w metric^p * |Du|^p)."""
+    rng = np.random.default_rng(m)
+    grid = np.linspace(0.0, 6.0, m, endpoint=False)
+    D = derivative_matrix(grid, period=6.0)
+    metric = 0.7
+    for p, terms in ((2.0, ((2.0, -1.5), (1.9, 0.3), (1.0, 0.2))),
+                     (1.5, ((1.5, -1.2), (1.2, 0.4), (3.0, 0.1)))):
+        for _ in range(50):
+            w = rng.uniform(0.0, 2.0, m)
+            u = rng.uniform(0.0, 3.0, m)
+            u[rng.integers(0, m, m // 20)] = 0.0  # nodes held at the bound
+            objective, _ = _discrete_functional(w, D, p, 0.0, terms, metric)
+            *masses, energy, du, a, factor = objective(u)[1]
+            assert masses == [float(np.sum(w * u**t)) for t, _ in terms]
+            assert np.array_equal(du, D @ (u - u[-1])) and np.array_equal(a, np.abs(du))
+            assert energy == float(np.sum(w * metric**p * np.abs(du) ** p)) and factor == 1.0
+
+
 def test_tanh_sinh_rule():
     """The shared tanh-sinh rule: logarithmic end singularities to 1e-13 by
     its second level (225 nodes), the node cap, a non-finite sum returned at
