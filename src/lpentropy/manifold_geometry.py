@@ -42,7 +42,7 @@ import numpy as np
 
 from .constants import entropy_best_constant
 from .errors import AccuracyNotMet, DomainError, Record
-from .profiles import ExtremalSpec, _missed, _tanh_sinh, extremal_integrals, extremal_spec
+from .profiles import ExtremalSpec, _extremal_closed_forms, _missed, _tanh_sinh, extremal_spec
 from .special_fn import _dimension, sphere_area
 
 __all__ = [
@@ -353,12 +353,20 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
     coefficient with a target also reports key_stderr, target_key and
     rel_dev_key, the deviation relative to the target, or absolute where
     the target is 0 (the flat torus).
+
+    I1, I2 and J1-J3 are the flat extremal's closed forms
+    (profiles._extremal_closed_forms, route one of extremal_integrals, with
+    no oracle run); the fit checks them itself, I1 and I2 as the eps -> 0
+    limits it subtracts and J1-J3 through rel_dev.  At least 4 distinct eps
+    are required.
     """
     n = model.dimension
     base = extremal_spec(n, p, b)
     eps_arr = np.sort(np.asarray(list(eps_grid), dtype=float))
-    if len(eps_arr) < 4:
-        raise DomainError("need at least 4 epsilon values to fit the expansions")
+    # the entropy series has three coefficients: with fewer than four
+    # distinct eps its design is singular or leaves no residual
+    if len(np.unique(eps_arr)) < 4:
+        raise DomainError("need at least 4 distinct epsilon values to fit the expansions")
     warnings = []
     if eps_arr[-1] / eps_arr[0] < math.sqrt(10.0):
         warnings.append(
@@ -366,9 +374,9 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
             "fitted coefficients are poorly separated"
         )
 
-    flat = extremal_integrals(n, p, b)
-    i1, i2 = flat.entropy, flat.grad_energy
-    j1, j2, j3 = flat.mass_moment2, flat.grad_moment2, flat.entropy_moment2
+    flat = _extremal_closed_forms(base)
+    i1, i2 = flat["entropy"], flat["grad_energy"]
+    j1, j2, j3 = flat["mass_moment2"], flat["grad_moment2"], flat["entropy_moment2"]
     curv = model.scalar_curvature
 
     rows, sigmas = [], []
@@ -412,7 +420,7 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
                 t = targets[key]
                 fit[f"{key}_stderr"] = float(s)
                 fit[f"target_{key}"] = t
-                fit[f"rel_dev_{key}"] = abs(c - t) / abs(t) if t != 0 else abs(c)
+                fit[f"rel_dev_{key}"] = float(abs(c - t) / abs(t) if t != 0 else abs(c))
 
     return ExpansionReport(
         fits=fits,

@@ -35,8 +35,12 @@ so each line-search trial is one stacked pass (every sum of the objective
 from one multiplication and one row-wise reduction), the gradient reuses
 that pass's derivative, and the driver builds each trial in place.
 bump_basis supplies the smooth compactly supported test functions of the
-weak-form residuals.  The analytic derivative of the extremal family is
-reserved for the closed-form oracle route in extremal_integrals.
+weak-form residuals.
+
+The Gamma-function closed forms of the extremal family's five integrals
+live in _extremal_closed_forms: route one of extremal_integrals, which
+checks them against its finite-difference oracle, and the flat references
+of manifold_geometry.fit_expansion, which runs no oracle.
 
 Large-grid integrals are summed block by block by _blocked_sums: the
 integrand is evaluated on 8 192-node slices of the grid with one node of
@@ -717,25 +721,13 @@ class ExtremalIntegrals(Record):
     max_rel_difference: float
 
 
-def extremal_integrals(
-    n: int,
-    p: float,
-    b: float,
-    n_nodes: int = 800_000,
-    check_tol: float = 1e-8,
-) -> ExtremalIntegrals:
-    """All five extremal integrals, each computed by two independent routes.
-
-    Route one reduces every integral to stretched_exp_moment via the
-    closed form of the profile; route two integrates the sampled profile
-    with its node measure and finite-difference gradients, summed block
-    by block (_blocked_sums) so that no grid-sized temporary is allocated.
-    A relative disagreement beyond check_tol on any of the five raises
-    OracleDisagreement; a closed form that leaves the float range
-    (overflows, or underflows to 0) raises DomainError.
+def _extremal_closed_forms(spec: ExtremalSpec) -> dict:
+    """The five integrals of ExtremalIntegrals, keyed by field name, each
+    reduced to stretched_exp_moment through the closed form of the profile.
+    A value that leaves the float range (overflows, or underflows to 0)
+    raises DomainError.
     """
-    spec = extremal_spec(n, p, b)
-    a, pp = spec.amplitude, spec.shape_power
+    n, p, b, a, pp = spec.n, spec.p, spec.b, spec.amplitude, spec.shape_power
     om = sphere_area(n)
     beta = p * b
 
@@ -757,10 +749,31 @@ def extremal_integrals(
     except (OverflowError, ValueError):
         # a power overflowed, or the amplitude underflowed to 0 (log 0)
         closed = {}
-    # the relative check below divides by each closed form
+    # extremal_integrals divides by each closed form in its relative check
     if not closed or not all(math.isfinite(v) and v != 0 for v in closed.values()):
         raise DomainError(f"the extremal integrals at b = {b} leave the float range")
+    return closed
 
+
+def extremal_integrals(
+    n: int,
+    p: float,
+    b: float,
+    n_nodes: int = 800_000,
+    check_tol: float = 1e-8,
+) -> ExtremalIntegrals:
+    """All five extremal integrals, each computed by two independent routes.
+
+    Route one is the Gamma-function closed forms
+    (_extremal_closed_forms); route two integrates the sampled profile
+    with its node measure and finite-difference gradients, summed block
+    by block (_blocked_sums) so that no grid-sized temporary is allocated.
+    A relative disagreement beyond check_tol on any of the five raises
+    OracleDisagreement; a closed form that leaves the float range
+    (overflows, or underflows to 0) raises DomainError.
+    """
+    spec = extremal_spec(n, p, b)
+    closed = _extremal_closed_forms(spec)
     grid = _extremal_grid(spec, n_nodes)
 
     def terms(lo: int, hi: int) -> tuple:

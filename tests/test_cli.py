@@ -457,10 +457,16 @@ def test_output_is_strict_json():
     # the scalar curvature n(n-1)/radius^2 overflows
     ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--scale", "1e-200", "--delta",
      "1e-200", "--eps-grid", "1e-203,2e-203,4e-203,8e-203"),
+    # fewer than 4 distinct eps for the three entropy coefficients
+    ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--delta", "1",
+     "--eps-grid", "0.01,0.01,0.01,0.01"),
+    ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--delta", "1",
+     "--eps-grid", "0.01,0.01,0.02,0.02"),
 ], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
         "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed",
         "minimize-volume-underflow", "minimize-volume-overflow", "minimize-huge-C",
-        "nu-scan-huge-C", "bubble-curvature-overflow"))
+        "nu-scan-huge-C", "bubble-curvature-overflow", "bubble-one-distinct-eps",
+        "bubble-two-distinct-eps"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)
@@ -468,6 +474,16 @@ def test_one_line_domain_error(argv, tmp_path):
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("domain error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bubble_near_p_one():
+    # the flat references are closed forms: no finite-difference oracle
+    # whose O(h^2) error near p = 1 exceeds its 1e-8 check
+    res = run_cli("bubble", "--model", "sphere", "--n", "3", "--p", "1.003", "--b", "1",
+                  "--delta", "1", "--eps-grid", "0.01,0.02,0.04,0.08")
+    assert res.returncode == 0, res.stderr
+    fits = strict_json(res.stdout)["result"]["fits"]
+    assert fits["mass"]["rel_dev_c2"] <= 1e-6 and fits["grad"]["rel_dev_c2"] <= 1e-6
 
 
 def test_bubble_and_witness_need_no_volume():

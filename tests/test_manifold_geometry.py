@@ -17,7 +17,7 @@ from lpentropy.manifold_geometry import (
     geodesic_density,
     lower_bound_witness,
 )
-from lpentropy.profiles import extremal_spec, plogp
+from lpentropy.profiles import extremal_integrals, extremal_spec, plogp
 from lpentropy.special_fn import sphere_area
 
 
@@ -296,6 +296,60 @@ def test_torus_expansion_is_flat():
     ):
         fit = rep.fits[name]
         assert abs(fit[coef_key]) <= 3.0 * fit[err_key], name
+    for fit in rep.fits.values():
+        assert all(type(v) is float for v in fit.values()), fit
+
+
+@pytest.mark.parametrize("p", [1.003, 1.001])
+def test_expansion_near_p_one(p):
+    """Near p = 1 the flat references come from their closed forms, where
+    the 800k-node oracle of extremal_integrals misses its 1e-8 check."""
+    eps_grid = [0.01, 0.02, 0.04, 0.08]
+    rep = fit_expansion(ManifoldModel.sphere(3), p, 1.0, delta=1.0, eps_grid=eps_grid)
+    assert rep.fits["mass"]["rel_dev_c2"] <= 1e-6
+    assert rep.fits["grad"]["rel_dev_c2"] <= 1e-6
+    rep = fit_expansion(ManifoldModel.torus(3, 2.0), p, 1.0, delta=0.9, eps_grid=eps_grid)
+    for name in ("mass", "grad"):
+        fit = rep.fits[name]
+        assert abs(fit["c2"]) <= 3.0 * fit["c2_stderr"], name
+
+
+def test_expansion_builds_no_oracle_grid(monkeypatch):
+    import lpentropy.profiles as profiles
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_expansion sampled the extremal oracle")
+
+    monkeypatch.setattr(profiles, "_extremal_grid", refuse)
+    monkeypatch.setattr(profiles, "extremal_integrals", refuse)
+    rep = fit_expansion(ManifoldModel.sphere(3), 2.0, 1.0, delta=1.0,
+                        eps_grid=np.geomspace(0.01, 0.1, 8))
+    assert rep.fits["mass"]["rel_dev_c2"] < 0.01
+
+
+def test_expansion_memory_peak():
+    """An 8-eps fit holds about one bubble's rule at a time: about 53 KB,
+    where sampling the 800k-node oracle grid held 12.8 MB."""
+    sph, eps_grid = ManifoldModel.sphere(3), np.geomspace(0.01, 0.1, 8)
+    tracemalloc.start()
+    try:
+        fit_expansion(sph, 2.0, 1.0, delta=1.0, eps_grid=eps_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200_000
+
+
+@pytest.mark.parametrize("n, p, b", [(3, 2.0, 1.0), (3, 1.5, 0.7), (4, 2.0, 1.2), (5, 1.3, 1.0)])
+def test_expansion_reference_is_the_closed_form_route(n, p, b):
+    """The fit's flat references are route one of extremal_integrals, bit for bit."""
+    rep = fit_expansion(ManifoldModel.sphere(n), p, b, delta=1.0,
+                        eps_grid=[0.01, 0.02, 0.04, 0.08], n_nodes=20_000)
+    flat = extremal_integrals(n, p, b)
+    assert rep.reference == {"entropy": flat.entropy, "grad": flat.grad_energy,
+                             "j1": flat.mass_moment2, "j2": flat.grad_moment2,
+                             "j3": flat.entropy_moment2,
+                             "scalar_curvature": ManifoldModel.sphere(n).scalar_curvature}
 
 
 # Reference outputs of the README `bubble` and `witness` commands, and of
@@ -395,6 +449,10 @@ def test_expansion_window_warning():
     assert any("window" in w for w in rep.warnings)
     with pytest.raises(DomainError):
         fit_expansion(sph, 2.0, 1.0, delta=1.0, eps_grid=[0.05, 0.1])
+    # the entropy series has three coefficients: four values, but too few distinct ones
+    for eps_grid in ([0.01] * 4, [0.01, 0.01, 0.02, 0.02, 0.04]):
+        with pytest.raises(DomainError, match="distinct"):
+            fit_expansion(sph, 2.0, 1.0, delta=1.0, eps_grid=eps_grid, n_nodes=60_000)
 
 
 def test_witness_below_sharp_constant():
