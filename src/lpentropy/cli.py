@@ -63,9 +63,7 @@ def _float_list(text: str) -> list:
 def _model_from(args) -> ManifoldModel:
     from .manifold_geometry import ManifoldModel
 
-    if args.model == "sphere":
-        return ManifoldModel.sphere(args.n, args.scale)
-    return ManifoldModel.torus(args.n, args.scale)
+    return ManifoldModel(kind=args.model, dimension=args.n, scale=args.scale)
 
 
 def _emit(args, result: dict) -> None:

@@ -38,8 +38,20 @@ __all__ = [
 
 def _check_np(n: int, p: float) -> None:
     _dimension(n, 2)
-    if not p > 1:
-        raise DomainError(f"exponent must satisfy p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise DomainError(f"exponent must satisfy 1 < p < inf, got {p}")
+
+
+def _exp_in_range(name: str, log_x: float) -> float:
+    """exp(log_x); DomainError where it leaves the float range (overflows,
+    or underflows to 0)."""
+    try:
+        x = math.exp(log_x)
+    except OverflowError:
+        x = math.inf
+    if not 0 < x < math.inf:
+        raise DomainError(f"{name} = exp({log_x:.6g}) leaves the float range")
+    return x
 
 
 @dataclass(frozen=True)
@@ -104,7 +116,7 @@ def entropy_best_constant(n: int, p: float) -> float:
         - 0.5 * p * math.log(math.pi)
         + (p / n) * (log_gamma(0.5 * n + 1.0) - log_gamma(n * (p - 1.0) / p + 1.0))
     )
-    return math.exp(log_k)
+    return _exp_in_range("the entropy constant", log_k)
 
 
 def sobolev_bound_constant(n: int, p: float) -> float:
@@ -127,7 +139,7 @@ def sobolev_bound_constant(n: int, p: float) -> float:
             - log_gamma(n * (p - 1.0) / p + 1.0)
         )
     )
-    return math.exp(log_k)
+    return _exp_in_range("the Sobolev bound constant", log_k)
 
 
 def derived_exponents(params: InequalityParams) -> DerivedExponents:

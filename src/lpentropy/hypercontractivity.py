@@ -250,7 +250,8 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     that dual sum is below the same cutoff, the value is 1/volume to double
     precision and is returned as such, with terms = 0 and the lattice
     factor k_t / gaussian, or None once the Gaussian factor underflows and
-    that ratio leaves the float range.
+    that ratio leaves the float range.  A side whose 1/L^n overflows is a
+    DomainError.
     """
     n = _dimension(n, 1)
     if side <= 0 or t <= 0:
@@ -258,7 +259,10 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     if not (math.isfinite(side) and math.isfinite(t)):
         raise DomainError(f"need finite side and t, got side={side}, t={t}")
     gauss = (4.0 * math.pi * t) ** (-0.5 * n)
-    limit = side ** (-float(n))
+    try:
+        limit = side ** (-float(n))
+    except OverflowError:
+        raise DomainError(f"1/side^n at side={side}, n={n} leaves the float range") from None
     # terms below 1e-18 cannot move the sum at double precision
     if 4.0 * math.pi**2 * t / (side * side) > math.log(1e18):
         ratio = limit / gauss if gauss > 0 else math.inf

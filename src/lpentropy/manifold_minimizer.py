@@ -21,7 +21,7 @@ B_q int u^q = nu identically.
 Profiles are restricted to the symmetric class depending on one
 coordinate: the polar angle on the sphere, one periodic coordinate on
 the torus.  A SymmetricManifoldProfile derives its grid and volume
-weights from its model and node count; its ln_functional is ln J_q,
+weights from its model and node count; its _ln_functional_pair is ln J_q,
 extended scale-invariantly, as the package's one discrete functional
 (profiles._discrete_functional), whose objective and adjoint gradient
 the Gagliardo-Nirenberg ascent of gn_estimator runs too.  The minimizer
@@ -35,7 +35,7 @@ constant profile as a candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -49,8 +49,8 @@ import numpy as np
 # the library imported (ROADMAP item 1).
 import scipy.integrate  # noqa: F401
 
-from .constants import InequalityParams, derived_exponents, entropy_best_constant
-from .errors import DomainError
+from .constants import InequalityParams, _exp_in_range, derived_exponents, entropy_best_constant
+from .errors import DomainError, Record
 from .gn_estimator import estimate_gn_constant
 from .manifold_geometry import ManifoldModel
 from .profiles import _discrete_functional, _projected_descent, bump_basis, derivative_matrix
@@ -69,6 +69,8 @@ __all__ = [
 
 #: bump test functions in the Euler-Lagrange residual
 _EL_TESTS = 10
+#: the descent converges once the preconditioned gradient's sup-norm is below this
+_GTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,34 +125,19 @@ class SymmetricManifoldProfile:
         """Sparse second-order derivative D in the coordinate; D.T is its adjoint."""
         return derivative_matrix(self.grid, self.model.scale if self.periodic else None)
 
-    def coordinate_derivative(self, values=None) -> np.ndarray:
-        """du/dcoordinate at u, or at values on u's grid: the du that
-        ln_functional caches, the same at any exponents."""
-        v = self.values if values is None else np.asarray(values, dtype=float)
-        return self.ln_functional(2.0, 1.0, 0.0, 0.0, v)[1][3]
-
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":
         return SymmetricManifoldProfile(model=self.model, values=values)
 
     def lp_norm(self, p: float) -> float:
         return float(np.sum(self.weights * self.values**p)) ** (1.0 / p)
 
-    def ln_functional(self, p: float, q: float, C: float, kappa: float,
-                      values=None) -> tuple:
-        """(ln J_q, terms) at u, or at values on u's grid.
-
-        terms is (int u^p, int u^q, energy, du, |du|, 1.0), with energy =
-        int |grad u|^p + C int u^p, du the coordinate derivative and 1.0
-        the factor on du (profiles._discrete_functional), kept for
-        gradients to reuse.  ln J_q is the scale-invariant form
-        ln J_q(u/||u||_p) = ln(energy) - (1 + q kappa/p) ln int u^p
-        + kappa ln int u^q, or None where an integral in it is not positive.
-        """
-        objective, _ = self._ln_functional_pair(p, q, C, kappa)
-        return objective(self.values if values is None else values)
-
     def _ln_functional_pair(self, p: float, q: float, C: float, kappa: float) -> tuple:
-        """(objective, gradient) of ln_functional on u's grid."""
+        """(objective, gradient) of ln J_q(u/||u||_p) = ln(energy)
+        - (1 + q kappa/p) ln int u^p + kappa ln int u^q on u's grid, with
+        energy = int |grad u|^p + C int u^p.  objective(values) is (ln J_q,
+        or None where an integral in it is not positive, and terms =
+        (int u^p, int u^q, energy, du, |du|, 1.0)), the cache of
+        profiles._discrete_functional."""
         return _discrete_functional(self.weights, self.derivative_operator, p, C,
                                     ((p, -(1.0 + q * kappa / p)), (q, kappa)), self.metric)
 
@@ -193,43 +180,37 @@ def _exponents(n: int, p: float, q: float, C: float) -> tuple:
 
 
 def _lagrange_weights(terms, kappa: float) -> tuple:
-    """(A_q, B_q, nu) from ln_functional's terms at a unit-norm profile."""
+    """(A_q, B_q, nu) from the objective's terms at a unit-norm profile."""
     _, mass_q, energy, *_ = terms
     return mass_q**kappa, energy * mass_q ** (kappa - 1.0), energy * mass_q**kappa
-
-
-def _exp_value(ln_j: float) -> float:
-    """J_q = exp(ln J_q); DomainError where it leaves the float range."""
-    try:
-        return math.exp(ln_j)
-    except OverflowError:
-        raise DomainError(f"J_q = exp({ln_j:.6g}) leaves the float range") from None
 
 
 def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> float:
     """J_q at u, after rescaling u to unit Lp norm."""
     _, kappa = _exponents(u.model.dimension, p, q, C)
-    ln_j, (mass_p, _, energy, *_) = u.ln_functional(p, q, C, kappa)
+    ln_j, (mass_p, _, energy, *_) = u._ln_functional_pair(p, q, C, kappa)[0](u.values)
     if mass_p <= 0:
         raise DomainError("profile has zero Lp mass")
     if energy == 0.0:
         # constants at C = 0: no gradient energy, no zeroth-order term
         return 0.0
-    return _exp_value(ln_j)
+    return _exp_in_range("J_q", ln_j)
 
 
 @dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(Record):
     """Outcome of the functional minimization.
 
     value is nu = J_q at the returned profile; energy_weight and
     qnorm_weight are the Lagrange-type weights A_q and B_q, satisfying
     qnorm_weight * int u^q = value up to floating point, with
-    identity_gap = |qnorm_weight * int u^q - value|.  constant_value is
-    J_q at the unit-norm constant, the ceiling of value.  stop_reason is
-    why the descent stopped (profiles._projected_descent), or "exact" at
-    C = 0, where no descent runs; converged means the descent met its
-    gradient tolerance or the value is exact.
+    identity_gap = |qnorm_weight * int u^q - value|.  el_residual is
+    euler_lagrange_residual at the profile.  constant_value is J_q at the
+    unit-norm constant, the ceiling of value.  stop_reason is why the
+    descent stopped (profiles._projected_descent), or "exact" at C = 0,
+    where no descent runs; converged means the descent met its gradient
+    tolerance or the value is exact.  as_dict holds every field but the
+    profile, which the CLI writes as its --out table, and converged.
     """
 
     value: float
@@ -251,26 +232,14 @@ class MinimizeResult:
         return self.stop_reason in ("gtol", "exact")
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "converged": self.converged,
-            "el_residual": self.el_residual,
-            "energy_weight": self.energy_weight,
-            "qnorm_weight": self.qnorm_weight,
-            "used_constant": self.used_constant,
-            "p": self.p,
-            "q": self.q,
-            "C": self.C,
-            "identity_gap": self.identity_gap,
-            "constant_value": self.constant_value,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "profile"}
+        out["converged"] = self.converged
+        return out
 
 
 def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
                            n_nodes: int = 600, max_iters: int = 60_000,
-                           gtol: float = 1e-9, seed: int = 0) -> MinimizeResult:
+                           seed: int = 0) -> MinimizeResult:
     """Minimize J_q over nonnegative symmetric profiles with ||u||_p = 1.
 
     Projected gradient descent on ln J_q extended scale-invariantly (the
@@ -283,7 +252,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     optimality system and is always kept as a candidate, so the returned
     value never exceeds it.  The result's stop_reason says why the descent
     stopped; it has converged only on "gtol" (the preconditioned gradient
-    fell below gtol).  C = 0 returns the exact infimum 0 at the constant
+    fell below _GTOL).  C = 0 returns the exact infimum 0 at the constant
     with stop_reason "exact"; a C whose constant value leaves the float
     range is a DomainError.  seed, which draws the perturbation of the
     constant that starts the descent, must be nonnegative.
@@ -303,7 +272,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
             constant_value=0.0, identity_gap=0.0, p=p, q=q, C=C,
         )
     # a C whose constant value leaves the float range is refused before any descent step
-    v_const = _exp_value(ln_const)
+    v_const = _exp_in_range("J_q", ln_const)
 
     w = base.weights
     rng = np.random.default_rng(seed)
@@ -328,10 +297,10 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
 
     seed_u = u / base.with_values(u).lp_norm(p)
     u, _, iters, reason = _projected_descent(objective, gradient, seed_u, w, max_iters,
-                                             armijo=0.25, gtol=gtol, retract=retract)
+                                             armijo=0.25, gtol=_GTOL, retract=retract)
 
     ln_descent, descent_terms = objective(u)
-    v_descent = _exp_value(ln_descent)
+    v_descent = _exp_in_range("J_q", ln_descent)
     # the constant solves the discrete optimality system exactly, so when
     # the descent value only ties it (discretization-level difference),
     # the constant is the better-certified minimizer
@@ -341,13 +310,12 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         best, used_const, terms = base, True, const_terms
 
     a_q, b_q, nu = _lagrange_weights(terms, kappa)
-    resid = euler_lagrange_residual(best, p, q, C, nu=nu, energy_weight=a_q, qnorm_weight=b_q)
     return MinimizeResult(
         value=nu,
         profile=best,
         iterations=iters,
         stop_reason=reason,
-        el_residual=resid,
+        el_residual=euler_lagrange_residual(best, p, q, C),
         energy_weight=a_q,
         qnorm_weight=b_q,
         used_constant=used_const,
@@ -359,18 +327,15 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     )
 
 
-def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: float,
-                            nu: float = None, energy_weight: float = None,
-                            qnorm_weight: float = None) -> float:
+def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> float:
     """Relative weak-form optimality residual at u against _EL_TESTS smooth bumps.
 
-    If nu / A_q / B_q are omitted they are computed from u itself, which
-    is the self-consistent choice for a claimed minimizer.
+    nu, A_q and B_q are computed from u itself, which is the
+    self-consistent choice for a claimed minimizer.
     """
     theta, kappa = _exponents(u.model.dimension, p, q, C)
-    _, terms = u.ln_functional(p, q, C, kappa)
-    if nu is None or energy_weight is None or qnorm_weight is None:
-        energy_weight, qnorm_weight, nu = _lagrange_weights(terms, kappa)
+    _, terms = u._ln_functional_pair(p, q, C, kappa)[0](u.values)
+    energy_weight, qnorm_weight, nu = _lagrange_weights(terms, kappa)
     w, metric = u.weights, u.metric
     _, _, _, du, a, _ = terms
     flux = np.copysign(a ** (p - 1.0), du)

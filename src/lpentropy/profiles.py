@@ -13,7 +13,7 @@ the node measures sum to the volume omega_{n-1} r_M^n / n of the ball to
 machine precision, and it converges at second order for smooth
 integrands under grid refinement.  RadialProfile stores no weights: the
 node measure is built from the grid wherever an integral needs it
-(RadialProfile.cell_measure, _profile_sums, extremal_integrals).
+(RadialProfile.cell_measure, _profile_sums, _extremal_quadrature).
 
 The extremal family a exp(-b r^{p'}) is one profile dilated by its core
 width b^{-1/p'} (ExtremalSpec.core_width), so its grids run from
@@ -48,11 +48,12 @@ overlap on each side, so the node measure and the stencil of every kept
 node are those of the whole-array rule, and no temporary the size of the
 grid is allocated.  Only the order of summation differs, so a grid of at most
 8 192 nodes, one block, gives the whole-array sums bit for bit.  The
-quadrature route of extremal_integrals and _tanh_sinh build their slices
-themselves; every integral of a RadialProfile (lp_norm, grad_energy,
-entropy_integral, and the deficits, quotients and weak residuals built on
-them) goes through _profile_sums, which hands the callback each block's
-node measure, grid, values and stencil derivative.
+quadrature route of extremal_integrals (_extremal_quadrature) and
+_tanh_sinh build their slices themselves; every integral of a
+RadialProfile (lp_norm, grad_energy, entropy_integral, and the deficits,
+quotients and weak residuals built on them) goes through _profile_sums,
+which hands the callback each block's node measure, grid, values and
+stencil derivative.
 
 The package's one tanh-sinh rule, _tanh_sinh, also lives here: the
 exponent-path integrals of hypercontractivity and the bubble integrals of
@@ -110,6 +111,9 @@ TAIL_CUTOFF = 1e-16
 #: temporaries are reused from the heap instead of being returned to the OS
 #: and faulted in again on every allocation, and they stay in L2 cache
 _BLOCK_NODES = 8192
+
+#: relative tolerance of the two-route check of extremal_integrals
+_ORACLE_TOL = 1e-8
 
 
 def plogp(u: np.ndarray, p: float) -> np.ndarray:
@@ -755,25 +759,12 @@ def _extremal_closed_forms(spec: ExtremalSpec) -> dict:
     return closed
 
 
-def extremal_integrals(
-    n: int,
-    p: float,
-    b: float,
-    n_nodes: int = 800_000,
-    check_tol: float = 1e-8,
-) -> ExtremalIntegrals:
-    """All five extremal integrals, each computed by two independent routes.
-
-    Route one is the Gamma-function closed forms
-    (_extremal_closed_forms); route two integrates the sampled profile
-    with its node measure and finite-difference gradients, summed block
-    by block (_blocked_sums) so that no grid-sized temporary is allocated.
-    A relative disagreement beyond check_tol on any of the five raises
-    OracleDisagreement; a closed form that leaves the float range
-    (overflows, or underflows to 0) raises DomainError.
-    """
-    spec = extremal_spec(n, p, b)
-    closed = _extremal_closed_forms(spec)
+def _extremal_quadrature(spec: ExtremalSpec, n_nodes: int) -> tuple:
+    """The five integrals of ExtremalIntegrals, in its field order, from
+    the profile sampled on its n_nodes-node grid with the node measure and
+    finite-difference gradients of RadialProfile, summed block by block
+    (_blocked_sums) so that no grid-sized temporary is allocated."""
+    p = spec.p
     grid = _extremal_grid(spec, n_nodes)
 
     def terms(lo: int, hi: int) -> tuple:
@@ -784,18 +775,32 @@ def extremal_integrals(
         gp = np.abs(radial_derivative(r, u)) ** p
         ent = plogp(u, p)
         r2 = r**2
-        # in the order of the keys of closed
         return mw * ent, mw * gp, mw * u**p * r2, mw * gp * r2, mw * ent * r2
 
-    quad = dict(zip(closed, _blocked_sums(len(grid), terms)))
+    return _blocked_sums(len(grid), terms)
+
+
+def extremal_integrals(n: int, p: float, b: float, n_nodes: int = 800_000) -> ExtremalIntegrals:
+    """All five extremal integrals, each computed by two independent routes.
+
+    Route one is the Gamma-function closed forms
+    (_extremal_closed_forms); route two integrates the sampled profile on
+    n_nodes nodes (_extremal_quadrature).  A relative disagreement beyond
+    _ORACLE_TOL on any of the five raises OracleDisagreement; a closed
+    form that leaves the float range (overflows, or underflows to 0)
+    raises DomainError.
+    """
+    spec = extremal_spec(n, p, b)
+    closed = _extremal_closed_forms(spec)
+    quad = dict(zip(closed, _extremal_quadrature(spec, n_nodes)))
 
     rel = {k: abs(quad[k] - closed[k]) / abs(closed[k]) for k in closed}
     worst = max(rel.values())
-    if worst > check_tol:
+    if worst > _ORACLE_TOL:
         bad = max(rel, key=rel.get)
         raise OracleDisagreement(
             f"closed-form and quadrature routes disagree on {bad}: "
-            f"{closed[bad]:.12e} vs {quad[bad]:.12e} (rel {rel[bad]:.3e} > {check_tol:.1e})"
+            f"{closed[bad]:.12e} vs {quad[bad]:.12e} (rel {rel[bad]:.3e} > {_ORACLE_TOL:.1e})"
         )
     return ExtremalIntegrals(
         entropy=closed["entropy"],

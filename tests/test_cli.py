@@ -462,11 +462,20 @@ def test_output_is_strict_json():
      "--eps-grid", "0.01,0.01,0.01,0.01"),
     ("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--delta", "1",
      "--eps-grid", "0.01,0.01,0.02,0.02"),
+    # the closed-form entropy and Sobolev constants overflow; p must be finite
+    ("constants", "--n", "3", "--p", "216"),
+    ("constants", "--n", "400", "--p", "300"),
+    ("constants", "--n", "3", "--p", "inf"),
+    # the long-time limit 1/side^n of the torus heat kernel overflows
+    ("heat-norm", "--n", "3", "--scale", "1e-120", "--t", "1e-3"),
+    ("heat-norm", "--n", "200", "--scale", "0.01", "--t", "1"),
 ], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
         "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed",
         "minimize-volume-underflow", "minimize-volume-overflow", "minimize-huge-C",
         "nu-scan-huge-C", "bubble-curvature-overflow", "bubble-one-distinct-eps",
-        "bubble-two-distinct-eps"))
+        "bubble-two-distinct-eps", "constants-entropy-overflow",
+        "constants-sobolev-overflow", "constants-infinite-p", "heat-norm-tiny-side",
+        "heat-norm-high-dimension"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)

@@ -23,6 +23,11 @@ SPHERE3 = ManifoldModel.sphere(3)
 TORUS3 = ManifoldModel.torus(3, side=2.0)
 
 
+def _functional_du(u):
+    # du/dcoordinate as the functional takes it: D acts on u - u[-1]
+    return u.derivative_operator @ (u.values - u.values[-1])
+
+
 def test_constant_profile_exactness():
     for model in (SPHERE3, TORUS3):
         for p in (1.1, 1.5, 2.0):
@@ -30,7 +35,7 @@ def test_constant_profile_exactness():
             assert u.lp_norm(p) == pytest.approx(1.0, abs=1e-14)
             assert float(np.sum(u.weights)) == pytest.approx(model.volume, rel=1e-13)
             # no rounding dust for |u'|^{p-1} to amplify: constants are critical
-            assert not np.any(u.coordinate_derivative())
+            assert not np.any(_functional_du(u))
             assert euler_lagrange_residual(u, p, 1.0, 1.0) < 1e-12
 
 
@@ -69,12 +74,12 @@ def test_coordinate_derivative_accuracy():
     errs = []
     for n_nodes in (200, 400):
         u = symmetric_profile(SPHERE3, lambda g: 2.0 + np.cos(g), n_nodes=n_nodes)
-        d = u.coordinate_derivative()
+        d = _functional_du(u)
         errs.append(float(np.max(np.abs(d + np.sin(u.grid)))))
     assert errs[0] / errs[1] > 3.2  # second order
 
     v = symmetric_profile(TORUS3, lambda g: 2.0 + np.cos(math.pi * g), n_nodes=400)
-    d = v.coordinate_derivative()
+    d = _functional_du(v)
     exact = -math.pi * np.sin(math.pi * v.grid)
     assert float(np.max(np.abs(d - exact))) < 1e-3
 
@@ -138,16 +143,38 @@ def test_minimize_zero_constant():
     assert (res.stop_reason, res.converged) == ("exact", True)
 
 
-def test_stop_reason_is_reported():
+def test_stop_reason_is_reported(monkeypatch):
     capped = minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=64, max_iters=20)
     assert capped.iterations == 20
     assert (capped.stop_reason, capped.converged) == ("max_iters", False)
     # a tolerance the seed already meets stops before the first step
-    loose = minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=64, gtol=1e6)
+    monkeypatch.setattr(manifold_minimizer, "_GTOL", 1e6)
+    loose = minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=64)
     assert (loose.iterations, loose.stop_reason, loose.converged) == (0, "gtol", True)
     for res in (capped, loose):
         record = res.as_dict()
         assert (record["stop_reason"], record["converged"]) == (res.stop_reason, res.converged)
+
+
+def test_record_keys():
+    # every field but the profile, which --out writes as a table, and converged
+    res = minimize_gn_functional(SPHERE3, 2.0, 1.9, 1.0, n_nodes=64, max_iters=5)
+    assert set(res.as_dict()) == {
+        "value", "iterations", "stop_reason", "converged", "el_residual", "energy_weight",
+        "qnorm_weight", "used_constant", "p", "q", "C", "identity_gap", "constant_value"}
+
+
+@pytest.mark.parametrize("model, p, q, C, wins", [
+    (SPHERE3, 2.0, 1.9, 1.0, "constant"),
+    (SPHERE3, 2.0, 1.9, 4.0, "descent"),
+    (ManifoldModel.torus(3, side=6.0), 1.5, 1.2, 5.0, "constant"),
+    (ManifoldModel.torus(3, side=6.0), 2.0, 1.5, 5.0, "descent"),
+])
+def test_result_residual_is_the_public_residual(model, p, q, C, wins):
+    # the result's el_residual is euler_lagrange_residual at its profile, to the bit
+    res = minimize_gn_functional(model, p, q, C, n_nodes=300, max_iters=1000)
+    assert res.used_constant == (wins == "constant")
+    assert res.el_residual == euler_lagrange_residual(res.profile, p, q, C)
 
 
 @pytest.mark.parametrize("model, p, q, C", [(SPHERE3, 2.0, 1.9, 4.0),

@@ -19,6 +19,7 @@ from lpentropy.profiles import (
     DEFAULT_R_MIN,
     RadialProfile,
     _discrete_functional,
+    _extremal_quadrature,
     _node_measure,
     _projected_descent,
     _tanh_sinh,
@@ -191,9 +192,9 @@ def test_saturation_identity_every_rate():
 
 
 def test_route_disagreement_is_detected():
-    # a deliberately starved grid cannot hit an absurdly tight tolerance
+    # a deliberately starved grid cannot meet the 1e-8 check
     with pytest.raises(OracleDisagreement):
-        extremal_integrals(3, 1.5, 1.0, n_nodes=5_000, check_tol=1e-12)
+        extremal_integrals(3, 1.5, 1.0, n_nodes=5_000)
 
 
 def test_blocked_quadrature_matches_whole_array():
@@ -216,9 +217,9 @@ def test_blocked_quadrature_matches_whole_array():
                 "grad_moment2": float(np.sum(mw * gp * r2)),
                 "entropy_moment2": float(np.sum(mw * plogp(u.values, p) * r2)),
             }
-            got = extremal_integrals(n, p, b, n_nodes=n_nodes, check_tol=math.inf)
+            got = dict(zip(expected, _extremal_quadrature(extremal_spec(n, p, b), n_nodes)))
             for key, val in expected.items():
-                assert got.quadrature[key] == pytest.approx(val, rel=1e-14), (n_nodes, key)
+                assert got[key] == pytest.approx(val, rel=1e-14), (n_nodes, key)
 
 
 def test_profile_integrals_match_whole_array():
