@@ -231,13 +231,16 @@ def ultracontractivity_check(n: int, a_const: float, b_const: float, t_grid,
 
 @dataclass(frozen=True)
 class HeatNormReport(Record):
-    """On-diagonal heat kernel of a flat cubic torus at time t."""
+    """On-diagonal heat kernel of a flat cubic torus at time t.
+
+    long_time_limit is 1/volume, or None where that underflows to 0.
+    """
 
     value: float
     gaussian_factor: float
     lattice_factor: float | None
     terms: int
-    long_time_limit: float
+    long_time_limit: float | None
 
 
 def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
@@ -250,7 +253,8 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     that dual sum is below the same cutoff, the value is 1/volume to double
     precision and is returned as such, with terms = 0 and the lattice
     factor k_t / gaussian, or None once the Gaussian factor underflows and
-    that ratio leaves the float range.  A side whose 1/L^n overflows is a
+    that ratio leaves the float range.  The long-time limit 1/L^n is None
+    where it underflows to 0; a side whose 1/L^n overflows is a
     DomainError.
     """
     n = _dimension(n, 1)
@@ -271,7 +275,7 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
             gaussian_factor=gauss,
             lattice_factor=ratio if math.isfinite(ratio) else None,
             terms=0,
-            long_time_limit=limit,
+            long_time_limit=limit or None,
         )
     # a term with jL past radius is below 1e-18; for L past it 1 + 2e^{-L^2/4t} is 1
     radius = math.sqrt(4.0 * t * math.log(1e18))
@@ -283,7 +287,7 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
         gaussian_factor=gauss,
         lattice_factor=s**n,
         terms=j_max,
-        long_time_limit=limit,
+        long_time_limit=limit or None,
     )
 
 

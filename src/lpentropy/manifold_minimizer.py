@@ -54,7 +54,6 @@ from .errors import DomainError, Record
 from .gn_estimator import estimate_gn_constant
 from .manifold_geometry import ManifoldModel
 from .profiles import _discrete_functional, _projected_descent, bump_basis, derivative_matrix
-from .special_fn import sphere_area
 
 __all__ = [
     "SymmetricManifoldProfile",
@@ -79,16 +78,18 @@ class SymmetricManifoldProfile:
 
     Built from the model and the nodal values alone.  grid, derived from
     the node count, is uniform: the polar angle in [0, pi] with endpoints
-    (sphere), or the periodic coordinate in [0, L) (torus).  weights are
-    the nodes' volume weights: trapezoid weights of the zonal volume
-    element rescaled to the exact volume (sphere), or volume / nodes
-    (torus).  metric is |grad u| / |du/dcoordinate|: 1/radius or 1.
+    (sphere), or the periodic coordinate in [0, L) (torus), whose period L
+    is period (None on the sphere).  weights are the nodes' volume weights:
+    the node density, sin^{n-1} of the polar angle (sphere) or 1 (torus),
+    rescaled to the exact volume.  metric is |grad u| / |du/dcoordinate|:
+    1/radius or 1.
     """
 
     model: ManifoldModel
     values: np.ndarray
     grid: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    period: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -97,33 +98,28 @@ class SymmetricManifoldProfile:
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise DomainError("profile values must be finite and nonnegative")
         m = len(values)
-        if self.periodic:
-            grid = np.linspace(0.0, self.model.scale, m, endpoint=False)
-            weights = np.full(m, self.model.volume / m)
+        if self.model.kind == "torus":
+            period = self.model.scale
+            grid = np.linspace(0.0, period, m, endpoint=False)
+            density = np.ones(m)
         else:
+            period = None
             grid = np.linspace(0.0, math.pi, m)
-            n, rho = self.model.dimension, self.model.scale
-            weights = np.full(m, grid[1] - grid[0])
-            weights[0] *= 0.5
-            weights[-1] *= 0.5
-            weights = weights * np.sin(grid) ** (n - 1) * sphere_area(n) * rho**n
-            weights *= self.model.volume / float(np.sum(weights))
+            density = np.sin(grid) ** (self.model.dimension - 1)
+        weights = density * (self.model.volume / float(np.sum(density)))
         for name, arr in (("grid", grid), ("values", values), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def periodic(self) -> bool:
-        return self.model.kind == "torus"
+        object.__setattr__(self, "period", period)
 
     @property
     def metric(self) -> float:
-        return 1.0 if self.periodic else 1.0 / self.model.scale
+        return 1.0 if self.period else 1.0 / self.model.scale
 
     @cached_property
     def derivative_operator(self):
         """Sparse second-order derivative D in the coordinate; D.T is its adjoint."""
-        return derivative_matrix(self.grid, self.model.scale if self.periodic else None)
+        return derivative_matrix(self.grid, self.period)
 
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":
         return SymmetricManifoldProfile(model=self.model, values=values)
@@ -168,10 +164,8 @@ def constant_profile(model: ManifoldModel, p: float, n_nodes: int = None) -> Sym
 def _exponents(n: int, p: float, q: float, C: float) -> tuple:
     if not 1 < p <= 2:
         raise DomainError(f"require 1 < p <= 2, got p={p}")
-    if not p < n:
-        raise DomainError(f"require p < dimension, got p={p}, n={n}")
-    if not 1 <= q < p:
-        raise DomainError(f"require 1 <= q < p, got q={q}")
+    if not q < p:
+        raise DomainError(f"require q < p, got q={q}")
     if not 0 <= C < math.inf:
         raise DomainError(f"require a finite C >= 0, got {C}")
     theta = derived_exponents(InequalityParams(n=n, p=p, q=q, r=p)).theta
@@ -277,7 +271,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     w = base.weights
     rng = np.random.default_rng(seed)
     # smooth low-frequency seed perturbation around the constant
-    x = base.grid / (model.scale if base.periodic else math.pi)
+    x = base.grid / (base.period or math.pi)
     bump = np.zeros_like(x)
     for k in range(1, 4):
         bump += rng.normal(0, 1.0 / k) * np.cos(math.pi * k * x + rng.uniform(0, 2 * math.pi))
@@ -340,11 +334,11 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     _, _, _, du, a, _ = terms
     flux = np.copysign(a ** (p - 1.0), du)
     # smooth bumps spread across the coordinate domain
-    span = u.model.scale if u.periodic else math.pi
+    span = u.period or math.pi
     centers = np.linspace(0.12 * span, 0.88 * span, _EL_TESTS)
     width = 1.4 * (centers[1] - centers[0])
     resid, scales = [], []
-    for v, dv in bump_basis(u.grid, centers, width, period=span if u.periodic else None):
+    for v, dv in bump_basis(u.grid, centers, width, period=u.period):
         t_grad = energy_weight * metric**p * float(np.sum(w * flux * dv))
         mass_v = float(np.sum(w * u.values ** (p - 1.0) * v))
         t_mass = energy_weight * C * mass_v

@@ -277,7 +277,7 @@ def _tanh_sinh_level(level: int) -> tuple:
 _TANH_SINH_RTOL = 1e-13
 
 
-def _tanh_sinh(f, lo: float, hi: float, max_nodes: int, scale=0.0) -> tuple:
+def _tanh_sinh(f, lo: float, hi: float, max_nodes: int, scale=0.0, rounding=0.0) -> tuple:
     """(integrals, error estimates, nodes) of f(x, 1 - x) over [lo, hi].
 
     The package's one tanh-sinh rule (Takahasi & Mori 1974), exponentially
@@ -291,9 +291,13 @@ def _tanh_sinh(f, lo: float, hi: float, max_nodes: int, scale=0.0) -> tuple:
     max(integral of |f|, scale), scale a number or one per row: the size
     of a larger integral the panel is part of (a subnormal panel's
     rounding never meets its own size), or a bound on the terms of an
-    integrand that cancels, whose rounding the estimate carries.  A level
-    whose sums are not finite is returned at once, with infinite
-    estimates, for the caller to reject; a level that would take the
+    integrand that cancels, whose rounding the estimate carries.  The
+    returned estimates are at least rounding times the integral of |f|,
+    rounding a number or one per row: the relative rounding of the
+    integrand, which the difference of two levels cannot see (the floor
+    QUADPACK puts under its Gauss-Kronrod estimates, Piessens et al.
+    1983).  A level whose sums are not finite is returned at once, with
+    infinite estimates, for the caller to reject; a level that would take the
     nodes (integrand evaluations) past max_nodes raises AccuracyNotMet,
     carrying the last estimates (None before the second level).
 
@@ -323,7 +327,7 @@ def _tanh_sinh(f, lo: float, hi: float, max_nodes: int, scale=0.0) -> tuple:
         if previous is not None:
             err = np.abs(sums - previous)
             if (err <= _TANH_SINH_RTOL * np.maximum(magnitude, scale)).all():
-                return sums, err, nodes
+                return sums, np.maximum(err, rounding * magnitude), nodes
         previous = sums
         level += 1
 
@@ -802,15 +806,7 @@ def extremal_integrals(n: int, p: float, b: float, n_nodes: int = 800_000) -> Ex
             f"closed-form and quadrature routes disagree on {bad}: "
             f"{closed[bad]:.12e} vs {quad[bad]:.12e} (rel {rel[bad]:.3e} > {_ORACLE_TOL:.1e})"
         )
-    return ExtremalIntegrals(
-        entropy=closed["entropy"],
-        grad_energy=closed["grad_energy"],
-        mass_moment2=closed["mass_moment2"],
-        grad_moment2=closed["grad_moment2"],
-        entropy_moment2=closed["entropy_moment2"],
-        quadrature=quad,
-        max_rel_difference=worst,
-    )
+    return ExtremalIntegrals(**closed, quadrature=quad, max_rel_difference=worst)
 
 
 def random_stretched_mixture(

@@ -410,12 +410,15 @@ def test_heat_norm_outside_input_exit_codes():
 
 
 def test_output_is_strict_json():
-    # heat-norm past the Gaussian underflow, hc with its unbounded default
-    # --q-to, an hc path with no heat bound, a witness scan that finds no
-    # violation: each has a non-finite entry, written as null
+    # heat-norm past the Gaussian underflow, heat-norm whose long-time limit
+    # 1/L^3 = 1e-600 underflows, hc with its unbounded default --q-to, an hc
+    # path with no heat bound, a witness scan that finds no violation: each
+    # has an entry with no float value, written as null
     cases = [
         (("heat-norm", "--n", "3", "--scale", "1", "--t", "1e300"),
          lambda r: r["lattice_factor"]),
+        (("heat-norm", "--n", "3", "--scale", "1e200", "--t", "1"),
+         lambda r: r["long_time_limit"]),
         (("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5"),
          lambda r: r["q_to"]),
         (("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5",
@@ -427,6 +430,7 @@ def test_output_is_strict_json():
     for argv, entry in cases:
         res = run_cli(*argv)
         assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
         assert entry(strict_json(res.stdout)["result"]) is None
 
 

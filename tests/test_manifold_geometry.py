@@ -163,7 +163,9 @@ def _quad_bubble(spec):
 #: core is sharp; four that reach delta/2 (the n = 4 one at y = 40.5,
 #: barely) and put mass on the cutoff panel; and two, on the sphere and the
 #: torus, whose cutoff mass is subnormal (about 5e-320), which the cutoff
-#: panel cannot resolve against its own size
+#: panel cannot resolve against its own size; and a fourth core near p = 1,
+#: at eps = 1e-7, whose estimate is the rounding of its integrands, which
+#: the level difference cannot see
 _REFERENCE_BUBBLES = (
     (ManifoldModel.sphere(3), 2.0, 1.0, 1.0, 0.01, False),
     (ManifoldModel.sphere(3), 1.05, 1.0, 1.0, 0.05, False),
@@ -174,6 +176,7 @@ _REFERENCE_BUBBLES = (
     (ManifoldModel.torus(3, side=2.0), 2.0, 1.0, 0.9, 0.12, True),
     (ManifoldModel.sphere(3), 2.0, 0.98559, 1.0, 0.02583129091012114, True),
     (ManifoldModel.torus(3, side=2.0), 2.0, 1.216778, 0.9, 0.02583129091012114, True),
+    (ManifoldModel.sphere(3), 1.02, 1.0, 1.0, 1e-7, False),
 )
 
 
