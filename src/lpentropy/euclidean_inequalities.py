@@ -15,15 +15,16 @@ residual for the limiting nonlinear PDE
 
 with Delta_p u = -div(|grad u|^{p-2} grad u).
 
-Every integral here is summed block by block over the profile's grid by
-profiles._profile_sums, so no call allocates a float array the size of the
-grid, apart from the cumulative mass and the log-radius that place the
-residual's test window.  The deficit, gap, slack and log-norm derivative
-each make one pass over u as given: with m = int u^p, G = int |grad u|^p
-and E = int u^p ln u^p, v = u/||u||_p has int |grad v|^p = G/m and
-int v^p ln v^p = E/m - ln m, and ln ||u||_t = (ln int u^t)/t;
-deficit_report returns m^{1/p}, G and E with the deficit.  The weak
-residual evaluates its bump test functions on each block's slice of the grid.
+Every integral here is summed block by block over the profile's grid
+(profiles._profile_sums, or its blocks for the residual), so no call
+allocates a float array the size of the grid, apart from the cumulative
+mass and the log-radius that place the residual's test window.  The
+deficit, gap, slack and log-norm derivative each make one pass over u as
+given: with m = int u^p, G = int |grad u|^p and E = int u^p ln u^p,
+v = u/||u||_p has int |grad v|^p = G/m and int v^p ln v^p = E/m - ln m,
+and ln ||u||_t = (ln int u^t)/t; deficit_report returns m^{1/p}, G and E
+with the deficit.  The weak residual evaluates each bump test function
+only on the blocks its support meets.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 
 from .constants import entropy_best_constant
 from .errors import DomainError, Record
-from .profiles import RadialProfile, _profile_sums, bump_basis, plogp
+from .profiles import (RadialProfile, _add_blocks, _blocks, _node_measure, _profile_sums,
+                       bump_basis, plogp, radial_derivative)
 
 __all__ = [
     "DeficitReport",
@@ -194,7 +196,12 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit") -> PdeResidualReport
     l2 norm of (r_1, ..., r_K) is used (the residual is linear in C).
     The returned residual is normalized by the size of the individual
     terms, so values near 1 mean "not remotely a solution".  The bumps
-    are evaluated block by block on the slices of profiles._profile_sums.
+    are evaluated block by block on the slices of profiles._blocked_sums,
+    and only where they live: a block that no bump's support meets is
+    skipped (no measure, no derivative, no logarithm), and a block that
+    some meet evaluates only those.  Every bump vanishes exactly off its
+    support, and a zero block adds exactly 0 to the fsum of the blocks, so
+    the sums are those of every bump on every block, bit for bit.
     """
     n = _check_p_range(u, p)
     if np.any(u.values <= 0):
@@ -221,21 +228,35 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit") -> PdeResidualReport
     centers = np.linspace(lo, hi, _PDE_TESTS)
     width = 1.6 * (hi - lo) / (_PDE_TESTS - 1)
 
-    def terms(mw, r, v, dv):
+    # the sums of (grad, mass, rhs) for each bump, block by block as in
+    # _profile_sums; a bump adds only on the blocks its support meets
+    grid, values = u.grid, u.values
+    partials = [np.zeros((_PDE_TESTS, 3))]
+    for i, j, a, b in _blocks(len(grid)):
+        r = grid[i:j]
+        # bump_basis's coordinate x = (ln r - c)/width at the slice's end
+        # nodes: x is monotone along the grid, so a bump whose |x| < 1 at no
+        # node of the slice lies past one of its ends
+        x = (np.log(r[[0, -1]]) - centers[:, None]) / width
+        live = np.flatnonzero((x[:, 1] > -1.0) & (x[:, 0] < 1.0))
+        if not live.size:
+            continue
+        v = values[i:j]
+        mw = _node_measure(r, n)
+        dv = radial_derivative(r, v)
         # each weight is the left factor of its integrands (mw * flux * dv,
         # mw * u_pm1 * v, ...), which keeps the bits of the whole-array products
         u_pm1 = v ** (p - 1.0)
         grad_w = mw * (np.sign(dv) * np.abs(dv) ** (p - 1.0))
         mass_w = mw * u_pm1
         rhs_w = mw * (u_pm1 + (p / n) * (u_pm1 * p * np.log(v)))
-        for b, db in bump_basis(np.log(r), centers, width, jacobian=r):
-            yield grad_w * db
-            yield mass_w * b
-            yield rhs_w * b
-
-    sums = _profile_sums(u, terms, derivative=True)
+        rows = np.array([(grad_w * db, mass_w * bump, rhs_w * bump)
+                         for bump, db in bump_basis(np.log(r), centers[live], width, jacobian=r)])
+        part = np.zeros((_PDE_TESTS, 3))
+        part[live] = np.add.reduce(rows[..., a:b], axis=-1)
+        partials.append(part)
     # contiguous copies: np.dot on strided views may sum in another order
-    grad_t, mass_t, rhs_t = (np.array(sums[k::3]) for k in range(3))
+    grad_t, mass_t, rhs_t = np.ascontiguousarray(_add_blocks(partials).T)
     rhs_t = -inv_k * rhs_t
 
     base = grad_t + rhs_t

@@ -233,10 +233,12 @@ def ultracontractivity_check(n: int, a_const: float, b_const: float, t_grid,
 class HeatNormReport(Record):
     """On-diagonal heat kernel of a flat cubic torus at time t.
 
-    long_time_limit is 1/volume, or None where that underflows to 0.
+    value is the kernel, or None where it underflows to 0 (it is positive,
+    so 0 is no value of it); long_time_limit is 1/volume, or None where
+    that underflows to 0.
     """
 
-    value: float
+    value: float | None
     gaussian_factor: float
     lattice_factor: float | None
     terms: int
@@ -253,9 +255,9 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     that dual sum is below the same cutoff, the value is 1/volume to double
     precision and is returned as such, with terms = 0 and the lattice
     factor k_t / gaussian, or None once the Gaussian factor underflows and
-    that ratio leaves the float range.  The long-time limit 1/L^n is None
-    where it underflows to 0; a side whose 1/L^n overflows is a
-    DomainError.
+    that ratio leaves the float range.  The value and the long-time limit
+    1/L^n are None where they underflow to 0; a side whose 1/L^n overflows
+    is a DomainError.
     """
     n = _dimension(n, 1)
     if side <= 0 or t <= 0:
@@ -271,7 +273,7 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     if 4.0 * math.pi**2 * t / (side * side) > math.log(1e18):
         ratio = limit / gauss if gauss > 0 else math.inf
         return HeatNormReport(
-            value=limit,
+            value=limit or None,
             gaussian_factor=gauss,
             lattice_factor=ratio if math.isfinite(ratio) else None,
             terms=0,
@@ -283,7 +285,7 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     j = np.arange(1, j_max + 1)
     s = 1.0 if side > radius else 1.0 + 2.0 * float(np.sum(np.exp(-((j * side) ** 2) / (4.0 * t))))
     return HeatNormReport(
-        value=gauss * s**n,
+        value=gauss * s**n or None,
         gaussian_factor=gauss,
         lattice_factor=s**n,
         terms=j_max,

@@ -30,7 +30,11 @@ analytically.  Where the core has underflowed by delta/2 the cutoff panel
 [delta/2, delta] adds exactly 0.  Both panels are integrated by the
 package's tanh-sinh rule (profiles._tanh_sinh), the cutoff panel judged
 against the scale of the core's integrals, and n_nodes caps their
-evaluations (AccuracyNotMet).  Two exponentials per node give all three integrands.
+evaluations (AccuracyNotMet).  Two exponentials per node give all three
+integrands.  fit_expansion and lower_bound_witness integrate their whole
+eps grid together (_bubble_grid), one pass of the rule per level for
+every bubble still running, each bubble exactly as bubble_integrals
+gives it alone.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import entropy_best_constant
-from .errors import AccuracyNotMet, DomainError, Record
+from .errors import DomainError, Record
 from .profiles import ExtremalSpec, _extremal_closed_forms, _missed, _tanh_sinh, extremal_spec
 from .special_fn import _dimension, sphere_area
 
@@ -183,12 +187,14 @@ _LN_Y_DEAD = math.log(746.0)
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
-    """(integrals, error estimates, cutoff-panel parts, nodes used) of the bubble.
+def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
+    """(integrals, error estimates, cutoff-panel parts, nodes used) of the
+    bubbles specs, all of one (model, base, delta) family.
 
-    The first three are arrays over (mass, entropy, gradient).  With
-    A = eps^{-n/p} a, x = r/eps and y = p b x^{p'}, the bubble is
-    u = eta A e^{-y/p}, so where the cutoff eta is 1 (r <= delta/2)
+    The first three are (bubbles, 3) arrays over (mass, entropy, gradient),
+    and nodes has one count per bubble.  With A = eps^{-n/p} a,
+    x = r/eps and y = p b x^{p'}, the bubble is u = eta A e^{-y/p}, so
+    where the cutoff eta is 1 (r <= delta/2)
 
         u^p = A^p e^{-y},   u^p ln u^p = u^p (p ln A - y),
         |u'|^p = A^p (b p'/eps)^p x^{p'} e^{-y}     (as (p' - 1) p = p'):
@@ -210,23 +216,34 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
     the rounding of its integrands, 4 eps p' times the integral of their
     absolute values (_ROUNDING), which the level difference cannot see:
     near p = 1 it is the estimate.  n_nodes caps the integrand
-    evaluations of both panels and the head: AccuracyNotMet names the
-    panel's last estimates, or the core's if the cutoff panel made none.
-    The radii lie in (0, delta], inside the injectivity radius by
-    BubbleSpec's invariant, so the geodesic density is not checked here.
-    Constants that leave the float range come out inf or nan and are
-    returned at once, for bubble_integrals to reject.
+    evaluations of both panels and the head.  The radii lie in (0, delta],
+    inside the injectivity radius by BubbleSpec's invariant, so the
+    geodesic density is not checked here.
+
+    Each panel is one call of the rule's member axis (profiles._tanh_sinh)
+    over the bubbles, the eps-dependent constants one per bubble, so each
+    pass of a level evaluates the panel of every bubble still running, and
+    every bubble's integrals, estimates and nodes are those it gets alone.
+    Nothing is raised here: a bubble that missed its cap reports more
+    nodes than n_nodes, with the missing panel's last estimates, or the
+    core's if the cutoff panel made none (nan if neither did); constants
+    that leave the float range come out inf or nan.  _bubble_grid turns
+    both into the errors of bubble_integrals.
     """
-    model, base, eps, delta = spec.model, spec.base, spec.eps, spec.delta
+    model, base, delta = specs[0].model, specs[0].base, specs[0].delta
     n, p, b, pp = model.dimension, base.p, base.b, base.shape_power
     ln_pb = math.log(p * b)
-    ln_amp = p * math.log(base.amplitude) - n * math.log(eps)  # p ln A
-    mass_scale = sphere_area(n) * np.float64(base.amplitude) ** p * np.float64(eps) ** -n
-    grad_ratio = np.float64(b * pp / eps) ** p / (p * b)
+    # the constants of each bubble, each computed as for that bubble alone
+    eps = np.array([spec.eps for spec in specs])
+    ln_amp = np.array([p * math.log(base.amplitude) - n * math.log(e) for e in eps])  # p ln A
+    amp_p = sphere_area(n) * np.float64(base.amplitude) ** p
+    mass_scale = np.array([amp_p * np.float64(e) ** -n for e in eps])
+    grad_ratio = np.array([np.float64(b * pp / e) ** p / (p * b) for e in eps])
     rho = model.scale if model.kind == "sphere" else None
 
-    def density(r: np.ndarray, ln_x: np.ndarray) -> tuple:
-        """y and the r-density omega A^p area^{n-1} e^{-y} of u^p where eta = 1."""
+    def density(r: np.ndarray, ln_x: np.ndarray, m: np.ndarray) -> tuple:
+        """y and the r-density omega A^p area^{n-1} e^{-y} of u^p where eta = 1,
+        on the nodes (bubbles m, nodes)."""
         y = ln_x * pp
         y += ln_pb
         np.minimum(y, _LN_Y_DEAD, out=y)
@@ -235,81 +252,114 @@ def _bubble_quadrature(spec: BubbleSpec, n_nodes: int) -> tuple:
         w = np.exp(-y)
         for _ in range(n - 1):
             w *= area
-        w *= mass_scale
+        w *= mass_scale[m, None]
         return y, w
 
-    def core(ln_x: np.ndarray) -> np.ndarray:
-        """u-integrands (mass, entropy, gradient) on the core panel."""
+    def core(ln_x: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """u-integrands ((mass, entropy, gradient), bubbles m, nodes) on the core panel."""
         r = np.exp(ln_x)
-        r *= eps
-        y, mass = density(r, ln_x)
+        r *= eps[m, None]
+        y, mass = density(r, ln_x, m)
         mass *= r
-        ent = (ln_amp - y) * mass
+        ent = (ln_amp[m, None] - y) * mass
         grad = mass * y
-        grad *= grad_ratio
+        grad *= grad_ratio[m, None]
         return np.array([mass, ent, grad])
 
-    def cutoff(s: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """s-integrands on the cutoff panel, c = 1 - s.
+    def cutoff(s: np.ndarray, c: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """s-integrands on the cutoff panel, c = 1 - s, as core's.
 
         u' = A e^{-y/p} (eta' - eta y / ((p - 1) r)), eta' = -6 s c / (delta/2).
+        Every bubble's cutoff panel is s in [0, 1], so the rows of s and c
+        are the same nodes, and what does not depend on eps is taken once.
         """
+        s, c = s[0], c[0]
         r = (0.5 * delta) * (1.0 + s)
-        y, w = density(r, np.log(r / eps))
+        y, w = density(r, np.log(r / eps[m, None]), m)
         eta = c * c * (1.0 + 2.0 * s)
         mass = w * eta**p
-        ent = mass * (ln_amp - y + p * (2.0 * np.log(c) + np.log1p(2.0 * s)))
+        ent = mass * (ln_amp[m, None] - y + p * (2.0 * np.log(c) + np.log1p(2.0 * s)))
         slope = -6.0 * s * c / (0.5 * delta) - eta * y / ((p - 1.0) * r)
         grad = w * np.abs(slope) ** p
         return 0.5 * delta * np.array([mass, ent, grad])
 
     ln_x0 = math.log(1e-7 * min(1.0, base.core_width))
-    ln_half = math.log(0.5 * delta / eps)
+    ln_half = np.array([math.log(0.5 * delta / e) for e in eps])
     ln_dead = (_LN_Y_DEAD - ln_pb) / pp
     rounding = _ROUNDING * pp
-    head = core(np.array([ln_x0]))[:, 0] / n
-    cut, cut_err, err = np.zeros(3), np.zeros(3), None
-    try:
-        sums, err, used = _tanh_sinh(lambda ln_x, _: core(ln_x), ln_x0,
-                                     min(ln_half, ln_dead), n_nodes - 1, rounding=rounding)
-        used += 1
-        if np.all(np.isfinite(sums)) and ln_dead > ln_half:
-            cut, cut_err, k = _tanh_sinh(cutoff, 0.0, 1.0, n_nodes - used, scale=np.abs(sums),
-                                         rounding=rounding)
-            used += k
-    except AccuracyNotMet as exc:
-        if exc.estimates is not None:
-            err = exc.estimates
-        raise _missed(f"the bubble integrals at eps = {eps}", n_nodes, err) from None
-    return head + sums + cut, err + cut_err, cut, used
+    head = core(np.full((len(specs), 1), ln_x0), np.arange(len(specs)))[:, :, 0].T / n
+    sums, err, used = _tanh_sinh(lambda ln_x, _, m: core(ln_x, m), np.full(len(specs), ln_x0),
+                                 np.minimum(ln_half, ln_dead), n_nodes - 1, rounding=rounding)
+    used += 1
+    cut, cut_err = np.zeros_like(sums), np.zeros_like(sums)
+    # the cutoff panel of each bubble whose core kept within its cap, with
+    # finite sums, and has not underflowed by delta/2
+    run = np.flatnonzero((used <= n_nodes) & np.isfinite(sums).all(axis=1) & (ln_dead > ln_half))
+    if run.size:
+        cut[run], cut_err[run], k = _tanh_sinh(
+            lambda s, c, m: cutoff(s, c, run[m]), np.zeros(run.size), np.ones(run.size),
+            n_nodes - used[run], scale=np.abs(sums[run]), rounding=rounding)
+        used[run] += k
+    errors = err + cut_err
+    missed = run[used[run] > n_nodes]
+    errors[missed] = np.where(np.isnan(cut_err[missed]), err[missed], cut_err[missed])
+    return head + sums + cut, errors, cut, used
+
+
+def _bubble_grid(model: ManifoldModel, base: ExtremalSpec, delta: float, eps, n_nodes: int):
+    """The BubbleIntegrals of the bubbles at each eps, in the order given.
+
+    One _bubble_quadrature call integrates them all.  The results are
+    yielded one by one, and the first eps that fails raises, as it would
+    one bubble at a time: DomainError for an invalid BubbleSpec (once
+    every eps before it is yielded), AccuracyNotMet where the rule missed
+    its cap, DomainError for integrals that leave the float range or a
+    bubble whose core underflows at every node (zero mass).
+    """
+    specs, invalid = [], None
+    for e in eps:
+        try:
+            specs.append(BubbleSpec(model=model, base=base, delta=delta, eps=float(e)))
+        except DomainError as exc:
+            invalid = exc
+            break
+    if specs:
+        # constants outside the float range come out inf or nan, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _bubble_quadrature(specs, n_nodes)
+        keys = ("mass_p", "entropy", "grad_p")
+        for spec, sums, errs, cut, nodes in zip(specs, *rows):
+            if nodes > n_nodes:
+                estimates = None if np.isnan(errs).any() else errs
+                raise _missed(f"the bubble integrals at eps = {spec.eps}", n_nodes, estimates)
+            mass, ent, grad = map(float, sums)
+            if not all(map(math.isfinite, (mass, ent, grad))):
+                raise DomainError(f"the bubble integrals at eps = {spec.eps} leave the float range")
+            if not mass > 0:
+                # the core eps^{-n/p} a exp(-b (r/eps)^{p'}) underflows at every node
+                raise DomainError(
+                    f"the bubble at eps = {spec.eps}, b = {spec.base.b} has no mass on its grid: "
+                    f"its core underflows at every node"
+                )
+            yield BubbleIntegrals(mass_p=mass, entropy=ent, grad_p=grad, eps=spec.eps,
+                                  errors=dict(zip(keys, map(float, errs))),
+                                  cutoff=dict(zip(keys, map(float, cut))), nodes=int(nodes))
+    if invalid is not None:
+        raise invalid
 
 
 def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000) -> BubbleIntegrals:
     """Mass, entropy, and gradient-energy integrals of the bubble.
 
-    The two-panel rule of the module docstring and _bubble_quadrature.
-    n_nodes is the most integrand evaluations the rule may use; a bubble
-    that needs more raises AccuracyNotMet.  errors holds the
-    estimates, cutoff the cutoff panel's part of each integral, nodes the
-    evaluations used.  Integrals that leave the float range, and a bubble
-    whose core underflows at every node (zero mass), raise DomainError.
+    The two-panel rule of the module docstring and _bubble_quadrature, as
+    the one-member case of _bubble_grid.  n_nodes is the most integrand
+    evaluations the rule may use; a bubble that needs more raises
+    AccuracyNotMet.  errors holds the estimates, cutoff the cutoff panel's
+    part of each integral, nodes the evaluations used.  Integrals that
+    leave the float range, and a bubble whose core underflows at every
+    node (zero mass), raise DomainError.
     """
-    # constants outside the float range come out inf or nan, rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums, errs, cut, nodes = _bubble_quadrature(spec, n_nodes)
-    keys = ("mass_p", "entropy", "grad_p")
-    mass, ent, grad = map(float, sums)
-    if not all(map(math.isfinite, (mass, ent, grad))):
-        raise DomainError(f"the bubble integrals at eps = {spec.eps} leave the float range")
-    if not mass > 0:
-        # the core eps^{-n/p} a exp(-b (r/eps)^{p'}) underflows at every node
-        raise DomainError(
-            f"the bubble at eps = {spec.eps}, b = {spec.base.b} has no mass on its grid: "
-            f"its core underflows at every node"
-        )
-    return BubbleIntegrals(mass_p=mass, entropy=ent, grad_p=grad, eps=spec.eps,
-                           errors=dict(zip(keys, map(float, errs))),
-                           cutoff=dict(zip(keys, map(float, cut))), nodes=nodes)
+    return next(_bubble_grid(spec.model, spec.base, spec.delta, [spec.eps], n_nodes))
 
 
 #: the least relative uncertainty fit_expansion assigns a bubble integral:
@@ -392,11 +442,9 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
     curv = model.scalar_curvature
 
     rows, sigmas = [], []
-    for e in eps_arr:
-        spec = BubbleSpec(model=model, base=base, delta=delta, eps=float(e))
-        bi = bubble_integrals(spec, n_nodes=n_nodes)
+    for bi in _bubble_grid(model, base, delta, eps_arr, n_nodes):
         values = {"mass_p": bi.mass_p, "entropy": bi.entropy, "grad_p": bi.grad_p}
-        rows.append({"eps": float(e), **values,
+        rows.append({"eps": bi.eps, **values,
                      **{f"err_{k}": v for k, v in bi.errors.items()}})
         # the cutoff panel's share is a beyond-all-orders effect of the
         # cutoff that the series in eps^2 cannot represent
@@ -482,15 +530,13 @@ def lower_bound_witness(model: ManifoldModel, p: float, a_const: float, b_const:
         raise DomainError("need at least one epsilon value to scan")
     rows = []
     eps_star = math.nan
-    for e in eps_arr:
-        spec = BubbleSpec(model=model, base=base, delta=delta, eps=float(e))
-        bi = bubble_integrals(spec, n_nodes=n_nodes)
+    for bi in _bubble_grid(model, base, delta, eps_arr, n_nodes):
         lhs = bi.entropy / bi.mass_p + (n / p - 1.0) * math.log(bi.mass_p)
         rhs = (n / p) * math.log(a_const * bi.grad_p + b_const * bi.mass_p)
         margin = lhs - rhs
         if margin > 0 and math.isnan(eps_star):
-            eps_star = float(e)
-        rows.append({"eps": float(e), "lhs": lhs, "rhs": rhs, "margin": margin})
+            eps_star = bi.eps
+        rows.append({"eps": bi.eps, "lhs": lhs, "rhs": rhs, "margin": margin})
     sharp = entropy_best_constant(n, p)
     return WitnessReport(
         violated=not math.isnan(eps_star),

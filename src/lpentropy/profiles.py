@@ -46,18 +46,24 @@ Large-grid integrals are summed block by block by _blocked_sums: the
 integrand is evaluated on 8 192-node slices of the grid with one node of
 overlap on each side, so the node measure and the stencil of every kept
 node are those of the whole-array rule, and no temporary the size of the
-grid is allocated.  Only the order of summation differs, so a grid of at most
-8 192 nodes, one block, gives the whole-array sums bit for bit.  The
-quadrature route of extremal_integrals (_extremal_quadrature) and
-_tanh_sinh build their slices themselves; every integral of a
-RadialProfile (lp_norm, grad_energy, entropy_integral, and the deficits,
-quotients and weak residuals built on them) goes through _profile_sums,
-which hands the callback each block's node measure, grid, values and
-stencil derivative.
+grid is allocated.  A block's integrands are stacked and summed by one
+np.add.reduce over the node axis, which sums each row pairwise as np.sum
+does, and the blocks are added by math.fsum.  Only the order of summation
+differs from the whole-array sums, so a grid of at most 8 192 nodes, one
+block, gives them bit for bit.  The quadrature route of
+extremal_integrals (_extremal_quadrature) and _tanh_sinh build their
+slices themselves; every integral of a RadialProfile (lp_norm,
+grad_energy, entropy_integral, and the deficits and quotients built on
+them) goes through _profile_sums, which hands the callback each block's
+node measure, grid, values and stencil derivative.  The weak residual of
+euclidean_inequalities walks the same blocks (_blocks) itself, to skip
+those where its test bumps vanish.
 
 The package's one tanh-sinh rule, _tanh_sinh, also lives here: the
 exponent-path integrals of hypercontractivity and the bubble integrals of
-manifold_geometry use it.
+manifold_geometry use it.  Its member axis integrates a family of panels
+(the bubbles of an eps grid) with one pass per level, each member exactly
+as it would be alone.
 """
 
 from __future__ import annotations
@@ -111,6 +117,17 @@ TAIL_CUTOFF = 1e-16
 #: temporaries are reused from the heap instead of being returned to the OS
 #: and faulted in again on every allocation, and they stay in L2 cache
 _BLOCK_NODES = 8192
+
+#: member-nodes per pass of _tanh_sinh's member axis: the members of a
+#: level are evaluated in groups of at most this many nodes in all, since a
+#: pass holds a few (rows, members, nodes) stacks.  On the sphere's 8-eps
+#: fit grid (test_expansion_memory_peak allows 200 KB) the peak was 86 KB
+#: with 1 024, 156 KB with 2 048 and 228 KB with 4 096; 2 048 stacks 18
+#: members at the first level (113 nodes) and 2 at the fifth (896), and
+#: the sphere and torus fits and a 6-eps witness took 6.7 ms with 1 024,
+#: 6.4 ms with 2 048 and 6.2 ms with 4 096 (median of 15, one core of a
+#: shared 2-core Xeon)
+_MEMBER_NODES = 2048
 
 #: relative tolerance of the two-route check of extremal_integrals
 _ORACLE_TOL = 1e-8
@@ -231,24 +248,43 @@ def bump_basis(coord: np.ndarray, centers, width: float, jacobian=1.0,
     return basis
 
 
-def _blocked_sums(m: int, terms) -> tuple:
-    """Sums over the nodes 0..m-1 (m >= 3) of the arrays that terms returns.
+def _blocks(m: int):
+    """The blocks of _blocked_sums over the nodes 0..m-1 (m >= 3).
 
-    terms(lo, hi) evaluates the weighted integrands on the nodes lo..hi-1
-    and returns a sequence of arrays of length hi - lo.  The grid is walked
-    in blocks of _BLOCK_NODES nodes; each slice reaches one node past its
-    block on each side (two on the left for a one-node tail, which the
-    one-sided end stencil needs), so local measures and stencils see every
-    neighbour of the nodes kept, and each node is kept in exactly one block.
-    The block sums are added with math.fsum.
+    Yields (lo, hi, a, b): the grid is walked in blocks of _BLOCK_NODES
+    nodes, and each block is evaluated on the slice lo..hi-1, which reaches
+    one node past it on each side (two on the left for a one-node tail,
+    which the one-sided end stencil needs), so local measures and stencils
+    see every neighbour of the nodes kept; its kept nodes are a..b-1 of the
+    slice, and each node is kept in exactly one block.
     """
-    partials = []
     for start in range(0, m, _BLOCK_NODES):
         stop = min(start + _BLOCK_NODES, m)
         lo = max(min(start - 1, m - 3), 0)
-        hi = min(stop + 1, m)
-        partials.append([float(np.sum(t[start - lo:stop - lo])) for t in terms(lo, hi)])
-    return tuple(math.fsum(column) for column in zip(*partials))
+        yield lo, min(stop + 1, m), start - lo, stop - lo
+
+
+def _add_blocks(partials: list) -> np.ndarray:
+    """The block sums of _blocked_sums, all of one shape, added with math.fsum
+    element by element: a block whose sums are all 0 adds exactly nothing."""
+    columns = zip(*(part.ravel() for part in partials))
+    return np.array([math.fsum(col) for col in columns]).reshape(partials[0].shape)
+
+
+def _blocked_sums(m: int, terms) -> np.ndarray:
+    """Sums over the nodes 0..m-1 (m >= 3) of the integrands that terms returns.
+
+    terms(lo, hi) evaluates the weighted integrands on the nodes lo..hi-1
+    of one block's slice (_blocks) and returns them stacked along a last
+    axis of length hi - lo: one array of any leading shape (the
+    (2, rows, members) stacks of _tanh_sinh), or a sequence of rows.  Each block's stack
+    is reduced over its kept nodes by one np.add.reduce over that axis,
+    which sums every row pairwise, as np.sum sums it alone, and the block
+    sums are added with math.fsum (_add_blocks).  Returns an array of the
+    leading shape.
+    """
+    return _add_blocks([np.add.reduce(np.asarray(terms(lo, hi))[..., a:b], axis=-1)
+                        for lo, hi, a, b in _blocks(m)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,7 +313,7 @@ def _tanh_sinh_level(level: int) -> tuple:
 _TANH_SINH_RTOL = 1e-13
 
 
-def _tanh_sinh(f, lo: float, hi: float, max_nodes: int, scale=0.0, rounding=0.0) -> tuple:
+def _tanh_sinh(f, lo, hi, max_nodes, scale=0.0, rounding=0.0) -> tuple:
     """(integrals, error estimates, nodes) of f(x, 1 - x) over [lo, hi].
 
     The package's one tanh-sinh rule (Takahasi & Mori 1974), exponentially
@@ -306,30 +342,91 @@ def _tanh_sinh(f, lo: float, hi: float, max_nodes: int, scale=0.0, rounding=0.0)
     a node lies to either end (1 - hi is exact for hi >= 1/2); a panel
     with hi > 1 uses x alone.  f returns a stack of integrands, one per
     row, and the integrals and estimates are arrays over its rows.
+
+    Member axis: with lo and hi arrays, one pass per level integrates a
+    family of panels, its members, such as the bubbles of an eps grid.
+    max_nodes is then a number or one per member, and scale a number, one
+    per row or one row per member.  f(x, c, members) gets the nodes of the
+    members still running, as (members, nodes) arrays, and their indices;
+    it returns a new (rows, members, nodes) array, which the rule scales in
+    place (rows first, so that each integrand is one contiguous array).  A
+    member drops out at the level where it would stop alone: once it meets
+    the tolerance, or its sums are not finite, or its next level would
+    pass its cap.  The members of a level are evaluated in groups of at
+    most _MEMBER_NODES nodes in all (one member at least), and each
+    member's rows are reduced on their own, so its integrals, estimates
+    and nodes are those of its one-member call bit for bit.  Nothing is
+    raised: a member that missed its cap reports its last estimates (nan
+    before its second level) and, as nodes, the evaluations it had made
+    plus the level it could not take, which is more than its cap.  The
+    integrals and estimates are (members, rows) arrays (one nan column if
+    no member took the first level), and nodes has one count per member.
+    The call with numbers for lo and hi is the one-member case, which
+    raises.
     """
-    width = hi - lo
-    raw, previous, err, nodes, level = 0.0, None, None, 0, 0
-    while True:
+    if np.ndim(lo) == 0:
+        sums, err, nodes = _tanh_sinh(lambda x, c, _: f(x[0], c[0])[:, None], np.array([lo]),
+                                      np.array([hi]), max_nodes, scale, rounding)
+        if nodes[0] > max_nodes:
+            estimates = None if np.isnan(err[0]).any() else err[0]
+            raise _missed("the tanh-sinh integrals", max_nodes, estimates)
+        return sums[0], err[0], int(nodes[0])
+    width, count = hi - lo, len(lo)
+    cap = np.zeros(count, dtype=int) + max_nodes
+    scale = np.zeros((count, 1)) + scale
+    used = np.zeros(count, dtype=int)
+    live = np.arange(count)
+    # one nan column until the first level tells the rows of f
+    raw, sums, err = None, np.full((count, 1), math.nan), np.full((count, 1), math.nan)
+    nodes, level = 0, 0
+    while live.size:
         h, x, c, w = _tanh_sinh_level(level)
-        if nodes + len(w) > max_nodes:
-            raise _missed("the tanh-sinh integrals", max_nodes, err)
+        over = nodes + len(w) > cap[live]
+        used[live[over]] = nodes + len(w)
+        live = live[~over]
+        if not live.size:
+            break
 
-        def terms(a: int, b: int) -> np.ndarray:
-            """The rows of f dx/dtau on the level's nodes a..b-1, then their absolute values."""
-            v = f(lo + width * x[a:b], (1.0 - hi) + width * c[a:b]) * w[a:b]
-            return np.concatenate([v, np.abs(v)])
+        def terms(members: np.ndarray, a: int, b: int) -> np.ndarray:
+            """f dx/dtau on the level's nodes a..b-1 of the members, and its
+            absolute value: (2, rows, members, nodes)."""
+            span = width[members, None]
+            v = f(lo[members, None] + span * x[a:b], (1.0 - hi[members, None]) + span * c[a:b],
+                  members)
+            # in place: numpy buffers a broadcast product in a temporary of
+            # its size (up to 64 KiB), which beside v and the stack below
+            # made the peak of a pass
+            v *= w[a:b]
+            out = np.empty((2,) + v.shape)
+            out[0] = v
+            np.abs(v, out=out[1])
+            return out
 
-        raw = raw + np.array(_blocked_sums(len(w), terms))
+        group = max(1, _MEMBER_NODES // len(w))
+        level_raw = np.concatenate([
+            _blocked_sums(len(w), functools.partial(terms, live[i:i + group]))
+            for i in range(0, live.size, group)], axis=2)
+        if raw is None:
+            raw = np.zeros((2, count, level_raw.shape[1]))
+            sums = np.zeros(raw.shape[1:])
+            err = np.full(sums.shape, math.nan)
+        raw[:, live] += level_raw.transpose(0, 2, 1)
         nodes += len(w)
-        sums, magnitude = ((width * h) * raw).reshape(2, -1)
-        if not np.isfinite(sums).all():
-            return sums, np.full(sums.shape, math.inf), nodes
-        if previous is not None:
-            err = np.abs(sums - previous)
-            if (err <= _TANH_SINH_RTOL * np.maximum(magnitude, scale)).all():
-                return sums, np.maximum(err, rounding * magnitude), nodes
-        previous = sums
+        new, magnitude = (width[live] * h)[:, None] * raw[:, live]
+        finite = np.isfinite(new).all(axis=1)
+        done = ~finite
+        err[live[done]] = math.inf
+        if level:
+            ok = live[finite]
+            diff = np.abs(new[finite] - sums[ok])
+            met = (diff <= _TANH_SINH_RTOL * np.maximum(magnitude[finite], scale[ok])).all(axis=1)
+            err[ok] = np.where(met[:, None], np.maximum(diff, rounding * magnitude[finite]), diff)
+            done[finite] = met
+        sums[live] = new
+        used[live[done]] = nodes
+        live = live[~done]
         level += 1
+    return sums, err, used
 
 
 def _missed(what: str, max_nodes: int, err) -> AccuracyNotMet:
@@ -358,7 +455,7 @@ def _profile_sums(u: RadialProfile, terms, derivative: bool = False) -> tuple:
         dv = radial_derivative(r, v) if derivative else None
         return terms(_node_measure(r, n), r, v, dv)
 
-    return _blocked_sums(len(u.grid), block)
+    return tuple(_blocked_sums(len(u.grid), block).tolist())
 
 
 def _discrete_functional(w, operator, p: float, C: float, terms, metric: float = 1.0) -> tuple:
@@ -781,7 +878,7 @@ def _extremal_quadrature(spec: ExtremalSpec, n_nodes: int) -> tuple:
         r2 = r**2
         return mw * ent, mw * gp, mw * u**p * r2, mw * gp * r2, mw * ent * r2
 
-    return _blocked_sums(len(grid), terms)
+    return tuple(_blocked_sums(len(grid), terms).tolist())
 
 
 def extremal_integrals(n: int, p: float, b: float, n_nodes: int = 800_000) -> ExtremalIntegrals:

@@ -419,6 +419,10 @@ def test_output_is_strict_json():
          lambda r: r["lattice_factor"]),
         (("heat-norm", "--n", "3", "--scale", "1e200", "--t", "1"),
          lambda r: r["long_time_limit"]),
+        # a positive kernel that underflows: 1/L^3 = 1e-330 in the long-time
+        # branch, (4 pi t)^{-3/2} near 1e-324 in the short-time one
+        (("heat-norm", "--n", "3", "--scale", "1e110", "--t", "1e300"), lambda r: r["value"]),
+        (("heat-norm", "--n", "3", "--scale", "1e110", "--t", "1e215"), lambda r: r["value"]),
         (("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5"),
          lambda r: r["q_to"]),
         (("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5",

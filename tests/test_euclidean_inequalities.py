@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from whole_array import BLOCK_SIZES, agrees
+from whole_array import BLOCK, BLOCK_SIZES, agrees, row_sums
 
 from lpentropy.constants import entropy_best_constant
 from lpentropy.errors import DomainError
@@ -247,8 +247,9 @@ def _whole_array_functionals(u, p, q, dq):
     }
 
 
-def _whole_array_pde(u, p, C, n_tests=12):
-    """The weak residual from whole-array bumps: (residual, c, per_test, scale)."""
+def _whole_array_pde(u, p, C, n_tests=12, total=lambda a: float(np.sum(a))):
+    """The weak residual from whole-array bumps: (residual, c, per_test,
+    scale), each integrand summed by total."""
     n, mw, du = u.dimension, u.cell_measure(), u.derivative()
     cum = np.cumsum(mw * u.values**p)
     cum /= cum[-1]
@@ -260,10 +261,10 @@ def _whole_array_pde(u, p, C, n_tests=12):
     u_pm1 = u.values ** (p - 1.0)
     source = u_pm1 + (p / n) * (u_pm1 * p * np.log(u.values))
     bumps = bump_basis(log_r, np.linspace(lo, hi, n_tests), width, jacobian=u.grid)
-    grad_t = np.array([float(np.sum(mw * flux * dv)) for v, dv in bumps])
-    mass_t = np.array([float(np.sum(mw * u_pm1 * v)) for v, dv in bumps])
+    grad_t = np.array([total(mw * flux * dv) for v, dv in bumps])
+    mass_t = np.array([total(mw * u_pm1 * v) for v, dv in bumps])
     inv_k = 1.0 / entropy_best_constant(n, p)
-    rhs_t = np.array([-inv_k * float(np.sum(mw * source * v)) for v, dv in bumps])
+    rhs_t = np.array([-inv_k * total(mw * source * v) for v, dv in bumps])
     base = grad_t + rhs_t
     c = -float(np.dot(base, mass_t) / np.dot(mass_t, mass_t)) if C == "fit" else C
     res = base + c * mass_t
@@ -299,6 +300,33 @@ def test_limit_pde_residual_matches_whole_array():
                 assert agrees(rep.scale, scale, n_nodes), (n, p, n_nodes, C)
                 for got, val in zip(rep.per_test, per_test, strict=True):
                     assert agrees(got, val, n_nodes, 1e-14 * scale), (n, p, n_nodes, C)
+
+
+def test_limit_pde_residual_skips_blocks_exactly(monkeypatch):
+    """The residual evaluates the bumps only on the blocks their supports
+    meet (on a 200k-node mixture, on fewer blocks than the grid has), and
+    still gets the sums of every bump over every block, bit for bit: the
+    whole-array integrands summed block by block."""
+    import lpentropy.euclidean_inequalities as ei
+
+    def blocked(a):
+        return row_sums(len(a), lambda lo, hi: (a[lo:hi],))[0]
+
+    measured = []
+    measure = ei._node_measure
+    monkeypatch.setattr(ei, "_node_measure", lambda r, n: measured.append(len(r)) or measure(r, n))
+    for n, p in PAIRS:
+        for n_nodes in BLOCK_SIZES:
+            u = random_stretched_mixture(n, np.random.default_rng(n_nodes + 7 * n), n_nodes=n_nodes)
+            for C in ("fit", 0.3):
+                measured.clear()
+                rep = limit_pde_residual(u, p, C)
+                expected = _whole_array_pde(u, p, C, total=blocked)
+                assert (rep.residual, rep.c_value, rep.per_test, rep.scale) == expected, \
+                    (n, p, n_nodes, C)
+                assert len(measured) <= -(-n_nodes // BLOCK)
+            if n_nodes == 200_000:
+                assert len(measured) < -(-n_nodes // BLOCK), (n, p)
 
 
 def _peak_bytes(fn):

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from tanh_sinh_reference import member_by_member
 
+import lpentropy.manifold_geometry as mg
 from lpentropy.constants import entropy_best_constant
 from lpentropy.errors import AccuracyNotMet, DomainError
 from lpentropy.manifold_geometry import (
@@ -226,9 +228,9 @@ def test_bubble_integrals_core_underflow(monkeypatch):
     # a typed error, not mass 0
     import lpentropy.manifold_geometry as mg
 
-    zeros = np.zeros(3)
+    zeros = np.zeros((1, 3))
     monkeypatch.setattr(mg, "_bubble_quadrature",
-                        lambda spec, n_nodes: (zeros, zeros, zeros, 1))
+                        lambda specs, n_nodes: (zeros, zeros, zeros, np.ones(1, dtype=int)))
     spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1.0),
                       delta=1.0, eps=0.05)
     with pytest.raises(DomainError, match="underflows"):
@@ -496,3 +498,63 @@ def test_witness_domain():
     # an empty scan has no last margin to report
     with pytest.raises(DomainError):
         lower_bound_witness(sph, 2.0, 0.1, 1.0, eps_grid=[])
+
+
+def _one_eps_at_a_time(monkeypatch, model, base, delta, eps, n_nodes=200_000):
+    """bubble_integrals at each eps, every panel by the one-panel loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mg, "_tanh_sinh", member_by_member)
+        return [bubble_integrals(BubbleSpec(model=model, base=base, delta=delta, eps=float(e)),
+                                 n_nodes) for e in eps]
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("p", [1.02, 1.05, 1.5, 2.0])
+def test_bubble_grid_is_one_eps_at_a_time(monkeypatch, kind, n, p):
+    """A grid's bubbles, all from one pass per level, equal every field of
+    the one-panel rule run one eps at a time (values, errors, cutoff and
+    nodes, bit for bit), and so does bubble_integrals, the one-member case:
+    on the grid of test_bubble_outputs_pinned, the fit windows of the
+    benchmark's draws and its witness grid, in descending order."""
+    model = ManifoldModel.sphere(n) if kind == "sphere" else ManifoldModel.torus(n, 2.0)
+    fit_delta = 1.0 if kind == "sphere" else 0.9
+    grids = [(1.0, fit_delta, [0.01, 0.02, 0.04, 0.08]),
+             (0.8, fit_delta, np.geomspace(0.008, 0.08, 8)),
+             (1.25, fit_delta, np.geomspace(0.012, 0.12, 8)),
+             (1.0, 0.5 * model.injectivity_radius, np.geomspace(0.02, 0.2, 6)[::-1])]
+    for b, delta, eps in grids:
+        base = extremal_spec(n, p, b)
+        expected = repr(_one_eps_at_a_time(monkeypatch, model, base, delta, eps))
+        assert repr(list(mg._bubble_grid(model, base, delta, eps, 200_000))) == expected, (b, delta)
+        alone = [bubble_integrals(BubbleSpec(model=model, base=base, delta=delta, eps=float(e)))
+                 for e in eps]
+        assert repr(alone) == expected, (b, delta)
+
+
+def test_grid_raises_for_the_first_failing_eps_in_its_own_order(monkeypatch):
+    """At n_nodes = 1000 the three 1 123-node bubbles of the sphere grid
+    miss their cap: fit_expansion raises for the first of them in ascending
+    order, lower_bound_witness for the first in descending order, each the
+    exception one eps at a time gives, message and estimates; a miss also
+    comes before a later invalid eps."""
+    sph, base = ManifoldModel.sphere(3), extremal_spec(3, 2.0, 1.0)
+    eps = np.geomspace(0.01, 0.1, 8)
+    nodes = [bi.nodes for bi in _one_eps_at_a_time(monkeypatch, sph, base, 1.0, eps)]
+    assert nodes == [898] * 3 + [1123] * 3 + [675] * 2
+    for call, first in (
+        (lambda: fit_expansion(sph, 2.0, 1.0, 1.0, eps, n_nodes=1000), eps[3]),
+        (lambda: lower_bound_witness(sph, 2.0, 0.07, 1.0, eps, delta=1.0, n_nodes=1000), eps[5]),
+    ):
+        with pytest.raises(AccuracyNotMet) as ref:
+            _one_eps_at_a_time(monkeypatch, sph, base, 1.0, [first], n_nodes=1000)
+        assert str(ref.value).startswith(f"the bubble integrals at eps = {first} miss 1e-13 "
+                                         f"relative within 1000 nodes; error estimates")
+        with pytest.raises(AccuracyNotMet) as exc:
+            call()
+        assert str(exc.value) == str(ref.value)
+        assert exc.value.estimates.tolist() == ref.value.estimates.tolist()
+    with pytest.raises(AccuracyNotMet, match="at eps = 0.04 miss"):
+        fit_expansion(sph, 2.0, 1.0, 1.0, [0.01, 0.02, 0.04, 0.3, 0.6], n_nodes=1000)
+    with pytest.raises(DomainError, match="got eps=0.6"):
+        fit_expansion(sph, 2.0, 1.0, 1.0, [0.01, 0.02, 0.04, 0.3, 0.6])

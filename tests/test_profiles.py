@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from whole_array import BLOCK_SIZES, agrees
+from tanh_sinh_reference import member_by_member
+from whole_array import BLOCK, BLOCK_SIZES, agrees, row_sums
 
-from lpentropy import manifold_minimizer
+from lpentropy import manifold_minimizer, profiles
 from lpentropy.constants import InequalityParams, derived_exponents
 from lpentropy.errors import AccuracyNotMet, DomainError, OracleDisagreement
 from lpentropy.manifold_geometry import ManifoldModel
@@ -18,6 +19,7 @@ from lpentropy.manifold_minimizer import symmetric_profile
 from lpentropy.profiles import (
     DEFAULT_R_MIN,
     RadialProfile,
+    _blocked_sums,
     _discrete_functional,
     _extremal_quadrature,
     _node_measure,
@@ -698,3 +700,48 @@ def test_tanh_sinh_rule():
     assert _tanh_sinh(small, 0.0, 1.0, 10_000)[2] == 897
     val, err, nodes = _tanh_sinh(small, 0.0, 1.0, 10_000, scale=1.0)
     assert nodes == 225 and err[0] <= 1e-13
+
+
+def test_blocked_sums_reduce_a_stack_as_row_sums():
+    """One np.add.reduce over a stacked block sums every row as one np.sum
+    per row and block does, for a stack of any leading shape and for a
+    sequence of rows."""
+    rng = np.random.default_rng(7)
+    for m in BLOCK_SIZES:
+        for shape in ((3,), (2, 3, 4)) if m < 3 * BLOCK + 100 else ((3,),):
+            data = rng.standard_normal(shape + (m,)) * rng.uniform(0.0, 1e3, shape + (1,))
+            rows = data.reshape(-1, m)
+            expected = list(row_sums(m, lambda lo, hi: rows[:, lo:hi]))
+            got = _blocked_sums(m, lambda lo, hi: data[..., lo:hi])
+            assert got.shape == shape and got.ravel().tolist() == expected, (m, shape)
+            got = _blocked_sums(m, lambda lo, hi: tuple(rows[:, lo:hi]))
+            assert got.tolist() == expected, (m, shape)
+
+
+def test_tanh_sinh_member_axis_is_one_panel_at_a_time(monkeypatch):
+    """Every member of a stacked call gets the integrals, estimates and
+    nodes of the one-panel loop bit for bit, whichever groups _MEMBER_NODES
+    splits a level into; a member that misses its cap reports the loop's
+    last estimates (nan before its second level) and more nodes than its
+    cap, and the others run on."""
+    k = np.array([1.0, 400.0, 200.0, 5.0, 400.0, 0.5, 200.0, 90.0])
+    lo = np.array([0.0, 0.1, 0.0, 0.25, 0.0, 0.5, 0.0, 0.3])
+    hi = np.array([1.0, 0.9, 1.0, 0.75, 1.0, 1.0, 1.0, 1.0])
+    caps = np.array([10_000, 10_000, 897, 10_000, 1_000, 10_000, 449, 200])
+    scale = np.array([[0.0, 0.0, 0.0]] * 7 + [[1.0, 1.0, 1.0]])
+
+    def f(x, c, m):
+        return np.stack([np.cos(k[m, None] * x), np.log(x) * np.log(c), x * c])
+
+    want_sums, want_err, want_nodes = member_by_member(f, lo, hi, caps, scale)
+    missed = want_nodes > caps
+    assert want_nodes[~missed].tolist() == [225, 897, 897, 225, 225]
+    assert missed.tolist() == [False] * 4 + [True, False, True, True]
+    assert np.isnan(want_err[7]).all() and not np.isnan(want_err[[4, 6]]).any()
+    for member_nodes in (113, 2048, 1 << 20):
+        monkeypatch.setattr(profiles, "_MEMBER_NODES", member_nodes)
+        sums, err, nodes = _tanh_sinh(f, lo, hi, caps, scale)
+        assert np.array_equal(err, want_err, equal_nan=True), member_nodes
+        assert np.array_equal(sums[~missed], want_sums[~missed]), member_nodes
+        assert np.array_equal(nodes[~missed], want_nodes[~missed]), member_nodes
+        assert (nodes[missed] > caps[missed]).all(), member_nodes
