@@ -154,6 +154,8 @@ def _cmd_deficit(args) -> tuple:
     from .euclidean_inequalities import deficit_report, limit_pde_residual
     from .profiles import RadialProfile, extremal_profile
 
+    if args.C is not None and not args.pde_residual:
+        raise DomainError("--C is the coefficient of --pde-residual, which is not given")
     if args.profile is not None:
         u = RadialProfile.from_csv(args.profile, dimension=args.n)
     else:
@@ -225,6 +227,9 @@ def _cmd_hc(args) -> tuple:
     from .hypercontractivity import bakry_integrals, ultracontractivity_check
 
     if args.t_grid is not None:
+        if args.lam is not None or (args.p_from, args.q_to) != (1.0, math.inf):
+            raise DomainError("--t-grid runs the full path (1, infinity) with lambda = n/(8t) "
+                              "at each t: it takes no --lambda, --p-from or --q-to")
         report = ultracontractivity_check(args.n, args.A, args.B, args.t_grid,
                                           slack=args.slack)
         return report.as_dict(), report.rows

@@ -85,12 +85,19 @@ class DeficitReport(Record):
 
 
 def deficit_report(u: RadialProfile, p: float) -> DeficitReport:
-    """entropy_deficit of u with ||u||_p, int |grad u|^p and int u^p ln u^p."""
+    """entropy_deficit of u with ||u||_p, int |grad u|^p and int u^p ln u^p.
+
+    A gradient energy or entropy that leaves the float range (|u'|^p
+    overflows node by node on a steep profile) is a DomainError.
+    """
     n = _check_p_range(u, p)
-    mass, grad, entropy = _profile_sums(
-        u, lambda mw, r, v, dv: (mw * v**p, mw * np.abs(dv) ** p, mw * plogp(v, p)),
-        derivative=True)
+    with np.errstate(over="ignore"):
+        mass, grad, entropy = _profile_sums(
+            u, lambda mw, r, v, dv: (mw * v**p, mw * np.abs(dv) ** p, mw * plogp(v, p)),
+            derivative=True)
     ln_m = _log_mass(mass)
+    if not (math.isfinite(grad) and math.isfinite(entropy)):
+        raise DomainError("the profile's gradient energy or entropy leaves the float range")
     # exactly constant values leave only finite-difference dust in grad,
     # so catch that case by inspection rather than by thresholding
     if grad <= 0 or np.ptp(u.values) == 0:
@@ -264,13 +271,27 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit") -> PdeResidualReport
         c_val = -float(np.dot(base, mass_t) / np.dot(mass_t, mass_t))
     else:
         c_val = float(C)
-    res = base + c_val * mass_t
-    scale_vec = np.abs(grad_t) + abs(c_val) * np.abs(mass_t) + np.abs(rhs_t)
-    scale = float(np.linalg.norm(scale_vec))
-    if scale <= 0:
+    with np.errstate(over="ignore"):
+        terms = np.array([grad_t, c_val * mass_t, rhs_t])
+    if not np.isfinite(terms).all():
+        raise DomainError(f"the weak-form term C int u^(p-1) v at C = {c_val!r} leaves the "
+                          f"float range")
+    res = base + terms[1]
+    # both norms of the vectors times 2^-k, k the binary exponent of the
+    # largest term: no square overflows, and a power of two scales exactly,
+    # so the ratio and the scale, taken back by 2^k, keep every finite bit
+    k = math.frexp(float(np.max(np.abs(terms))))[1]
+    scale_vec = np.abs(np.ldexp(terms, -k)).sum(axis=0)
+    norm = float(np.linalg.norm(scale_vec))
+    if norm <= 0:
         raise DomainError("degenerate test basis: all weak-form terms vanish")
+    try:
+        scale = math.ldexp(norm, k)
+    except OverflowError:
+        raise DomainError(f"the norm of the weak-form terms at C = {c_val!r} leaves the "
+                          f"float range") from None
     return PdeResidualReport(
-        residual=float(np.linalg.norm(res)) / scale,
+        residual=float(np.linalg.norm(np.ldexp(res, -k))) / norm,
         c_value=c_val,
         c_fitted=fitted,
         per_test=tuple(float(x) for x in res),

@@ -14,8 +14,10 @@ integrand is the constant n/(8 lambda) and the m integrand is
 only singularities are the logarithms at sigma = 0 and sigma = 1.  Both are
 integrated as one stacked integrand by the package's tanh-sinh rule
 (profiles._tanh_sinh), which takes sigma and c from the rule's own
-distances to the ends.  Two closed forms check the result to 1e-10
-(OracleDisagreement): t = (n/(8 lambda)) (1/p - 1/q), and
+distances to the ends; the path is the rule's one member, and
+bakry_integrals raises where it misses the node cap.  Two closed forms
+check the result to 1e-10 (OracleDisagreement): t = (n/(8 lambda))
+(1/p - 1/q), and
 m = (n/2) [G(1/p) - G(1/q)] with
 G(sigma) = (ln(A lambda) + 1) sigma - sigma ln sigma + c ln c
 + (B/(A lambda)) (sigma^2/2 - sigma^3/3).  The module loads numpy alone.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, OracleDisagreement, Record
 from .manifold_geometry import ManifoldModel
-from .profiles import _tanh_sinh
+from .profiles import _missed, _tanh_sinh
 from .special_fn import _dimension
 
 __all__ = [
@@ -149,15 +151,18 @@ def bakry_integrals(n: int, a_const: float, b_const: float, lam: float,
     ln_al = math.log(a_const * lam)
     b_ratio = b_const / (a_const * lam)
 
-    def integrands(sig: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def integrands(sig: np.ndarray, c: np.ndarray, _) -> np.ndarray:
         m = half_n * (ln_al - np.log(sig) - np.log(c) - 1.0 + b_ratio * sig * c)
         return np.array([np.full(sig.shape, n / (8.0 * lam)), m])
 
     # m's rounding follows its terms, at most |m| + 2 (n/2)(|ln(A lam)| + 1 + B/(A lam))
     m_terms = half_n * (abs(ln_al) + 1.0 + b_ratio) * (sig_hi - sig_lo)
-    (t_val, m_val), (t_err, m_err), _ = _tanh_sinh(integrands, sig_lo, sig_hi, _PATH_NODES,
-                                                   scale=np.array([0.0, m_terms]))
-    t_val, m_val, t_err, m_err = map(float, (t_val, m_val, t_err, m_err))
+    # the path is the rule's one member
+    sums, err, nodes = _tanh_sinh(integrands, np.array([sig_lo]), np.array([sig_hi]),
+                                  _PATH_NODES, scale=np.array([0.0, m_terms]))
+    if nodes[0] > _PATH_NODES:
+        raise _missed("the tanh-sinh integrals", _PATH_NODES, err[0])
+    t_val, m_val, t_err, m_err = map(float, (*sums[0], *err[0]))
     t_closed = n / (8.0 * lam) * (sig_hi - sig_lo)
     if not abs(t_val - t_closed) <= 1e-10 * max(abs(t_closed), 1e-300):
         raise OracleDisagreement(
@@ -256,15 +261,21 @@ def torus_heat_norm(n: int, side: float, t: float) -> HeatNormReport:
     precision and is returned as such, with terms = 0 and the lattice
     factor k_t / gaussian, or None once the Gaussian factor underflows and
     that ratio leaves the float range.  The value and the long-time limit
-    1/L^n are None where they underflow to 0; a side whose 1/L^n overflows
-    is a DomainError.
+    1/L^n are None where they underflow to 0; a Gaussian factor or a
+    1/L^n that overflows is a DomainError.
     """
     n = _dimension(n, 1)
     if side <= 0 or t <= 0:
         raise DomainError("need side > 0 and t > 0")
     if not (math.isfinite(side) and math.isfinite(t)):
         raise DomainError(f"need finite side and t, got side={side}, t={t}")
-    gauss = (4.0 * math.pi * t) ** (-0.5 * n)
+    try:
+        gauss = (4.0 * math.pi * t) ** (-0.5 * n)
+    except OverflowError:
+        # the kernel is at least this factor at short times, and past 1/L^n,
+        # which then overflows too, at long times: it has no float value
+        raise DomainError(f"the Gaussian factor (4 pi t)^(-n/2) at t={t}, n={n} leaves the "
+                          f"float range") from None
     try:
         limit = side ** (-float(n))
     except OverflowError:

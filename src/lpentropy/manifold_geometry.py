@@ -31,10 +31,12 @@ analytically.  Where the core has underflowed by delta/2 the cutoff panel
 package's tanh-sinh rule (profiles._tanh_sinh), the cutoff panel judged
 against the scale of the core's integrals, and n_nodes caps their
 evaluations (AccuracyNotMet).  Two exponentials per node give all three
-integrands.  fit_expansion and lower_bound_witness integrate their whole
-eps grid together (_bubble_grid), one pass of the rule per level for
-every bubble still running, each bubble exactly as bubble_integrals
-gives it alone.
+integrands.  An eps grid is integrated together (_bubble_grid), one pass
+of the rule per level for every bubble still running, each bubble
+exactly as it would be alone, and comes back as arrays, one row per eps.
+bubble_integrals builds its BubbleIntegrals record from a one-eps grid,
+and fit_expansion and lower_bound_witness take their columns and rows
+from a whole grid.
 """
 
 from __future__ import annotations
@@ -227,8 +229,8 @@ def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
     Nothing is raised here: a bubble that missed its cap reports more
     nodes than n_nodes, with the missing panel's last estimates, or the
     core's if the cutoff panel made none (nan if neither did); constants
-    that leave the float range come out inf or nan.  _bubble_grid turns
-    both into the errors of bubble_integrals.
+    that leave the float range come out inf or nan.  _bubble_grid raises
+    for both.
     """
     model, base, delta = specs[0].model, specs[0].base, specs[0].delta
     n, p, b, pp = model.dimension, base.p, base.b, base.shape_power
@@ -306,15 +308,18 @@ def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
     return head + sums + cut, errors, cut, used
 
 
-def _bubble_grid(model: ManifoldModel, base: ExtremalSpec, delta: float, eps, n_nodes: int):
-    """The BubbleIntegrals of the bubbles at each eps, in the order given.
+def _bubble_grid(model: ManifoldModel, base: ExtremalSpec, delta: float, eps,
+                 n_nodes: int) -> tuple:
+    """(eps, integrals, errors, cutoff, nodes) of the bubbles at each eps.
 
-    One _bubble_quadrature call integrates them all.  The results are
-    yielded one by one, and the first eps that fails raises, as it would
-    one bubble at a time: DomainError for an invalid BubbleSpec (once
-    every eps before it is yielded), AccuracyNotMet where the rule missed
-    its cap, DomainError for integrals that leave the float range or a
-    bubble whose core underflows at every node (zero mass).
+    One _bubble_quadrature call integrates them all, and its arrays are
+    returned as they are: one row per eps, in the order given, with
+    columns (mass, entropy, gradient), and one node count per eps.  The
+    first eps that fails raises, as it would one bubble at a time:
+    AccuracyNotMet where the rule missed its cap, DomainError for
+    integrals that leave the float range or a bubble whose core underflows
+    at every node (zero mass), and DomainError for an invalid BubbleSpec,
+    once every eps before it has passed these checks.  eps is not empty.
     """
     specs, invalid = [], None
     for e in eps:
@@ -323,43 +328,48 @@ def _bubble_grid(model: ManifoldModel, base: ExtremalSpec, delta: float, eps, n_
         except DomainError as exc:
             invalid = exc
             break
-    if specs:
-        # constants outside the float range come out inf or nan, rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = _bubble_quadrature(specs, n_nodes)
-        keys = ("mass_p", "entropy", "grad_p")
-        for spec, sums, errs, cut, nodes in zip(specs, *rows):
-            if nodes > n_nodes:
-                estimates = None if np.isnan(errs).any() else errs
-                raise _missed(f"the bubble integrals at eps = {spec.eps}", n_nodes, estimates)
-            mass, ent, grad = map(float, sums)
-            if not all(map(math.isfinite, (mass, ent, grad))):
-                raise DomainError(f"the bubble integrals at eps = {spec.eps} leave the float range")
-            if not mass > 0:
-                # the core eps^{-n/p} a exp(-b (r/eps)^{p'}) underflows at every node
-                raise DomainError(
-                    f"the bubble at eps = {spec.eps}, b = {spec.base.b} has no mass on its grid: "
-                    f"its core underflows at every node"
-                )
-            yield BubbleIntegrals(mass_p=mass, entropy=ent, grad_p=grad, eps=spec.eps,
-                                  errors=dict(zip(keys, map(float, errs))),
-                                  cutoff=dict(zip(keys, map(float, cut))), nodes=int(nodes))
+    if not specs:
+        raise invalid
+    # constants outside the float range come out inf or nan, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, errors, cut, nodes = _bubble_quadrature(specs, n_nodes)
+    for spec, row, errs, used in zip(specs, sums, errors, nodes):
+        if used > n_nodes:
+            raise _missed(f"the bubble integrals at eps = {spec.eps}", n_nodes, errs)
+        if not np.isfinite(row).all():
+            raise DomainError(f"the bubble integrals at eps = {spec.eps} leave the float range")
+        if not row[0] > 0:
+            # the core eps^{-n/p} a exp(-b (r/eps)^{p'}) underflows at every node
+            raise DomainError(
+                f"the bubble at eps = {spec.eps}, b = {spec.base.b} has no mass on its grid: "
+                f"its core underflows at every node"
+            )
     if invalid is not None:
         raise invalid
+    return np.array([spec.eps for spec in specs]), sums, errors, cut, nodes
+
+
+#: the columns of _bubble_grid's arrays, as BubbleIntegrals names them
+_KEYS = ("mass_p", "entropy", "grad_p")
 
 
 def bubble_integrals(spec: BubbleSpec, n_nodes: int = 200_000) -> BubbleIntegrals:
     """Mass, entropy, and gradient-energy integrals of the bubble.
 
-    The two-panel rule of the module docstring and _bubble_quadrature, as
-    the one-member case of _bubble_grid.  n_nodes is the most integrand
-    evaluations the rule may use; a bubble that needs more raises
-    AccuracyNotMet.  errors holds the estimates, cutoff the cutoff panel's
-    part of each integral, nodes the evaluations used.  Integrals that
-    leave the float range, and a bubble whose core underflows at every
-    node (zero mass), raise DomainError.
+    The two-panel rule of the module docstring and _bubble_quadrature, on
+    a one-eps _bubble_grid.  n_nodes is the most integrand evaluations the
+    rule may use; a bubble that needs more raises AccuracyNotMet.  errors
+    holds the estimates, cutoff the cutoff panel's part of each integral,
+    nodes the evaluations used.  Integrals that leave the float range, and
+    a bubble whose core underflows at every node (zero mass), raise
+    DomainError.
     """
-    return next(_bubble_grid(spec.model, spec.base, spec.delta, [spec.eps], n_nodes))
+    eps, sums, errors, cut, nodes = _bubble_grid(spec.model, spec.base, spec.delta,
+                                                 [spec.eps], n_nodes)
+    mass, ent, grad = sums[0].tolist()
+    return BubbleIntegrals(mass_p=mass, entropy=ent, grad_p=grad, eps=float(eps[0]),
+                           errors=dict(zip(_KEYS, errors[0].tolist())),
+                           cutoff=dict(zip(_KEYS, cut[0].tolist())), nodes=int(nodes[0]))
 
 
 #: the least relative uncertainty fit_expansion assigns a bubble integral:
@@ -441,18 +451,13 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
     j1, j2, j3 = flat["mass_moment2"], flat["grad_moment2"], flat["entropy_moment2"]
     curv = model.scalar_curvature
 
-    rows, sigmas = [], []
-    for bi in _bubble_grid(model, base, delta, eps_arr, n_nodes):
-        values = {"mass_p": bi.mass_p, "entropy": bi.entropy, "grad_p": bi.grad_p}
-        rows.append({"eps": bi.eps, **values,
-                     **{f"err_{k}": v for k, v in bi.errors.items()}})
-        # the cutoff panel's share is a beyond-all-orders effect of the
-        # cutoff that the series in eps^2 cannot represent
-        sigmas.append({k: max(bi.errors[k] + abs(bi.cutoff[k]), _SIGMA_FLOOR * abs(v))
-                       for k, v in values.items()})
-
-    def column(key: str, table: list = rows) -> np.ndarray:
-        return np.array([r[key] for r in table])
+    eps_rows, values, errors, cut, _ = _bubble_grid(model, base, delta, eps_arr, n_nodes)
+    rows = [{"eps": e, **dict(zip(_KEYS, v)), **{f"err_{k}": x for k, x in zip(_KEYS, er)}}
+            for e, v, er in zip(eps_rows.tolist(), values.tolist(), errors.tolist())]
+    # the cutoff panel's share is a beyond-all-orders effect of the
+    # cutoff that the series in eps^2 cannot represent
+    sigmas = np.maximum(errors + np.abs(cut), _SIGMA_FLOOR * np.abs(values))
+    (mass, ent, grad), (s_mass, s_ent, s_grad) = values.T, sigmas.T
 
     eps2 = eps_arr**2
     ln_e = np.log(eps_arr)
@@ -461,11 +466,10 @@ def fit_expansion(model: ManifoldModel, p: float, b: float, delta: float,
     # uncertainties sigma, the design columns, the names of the leading coefficients
     # to report, and the closed-form targets of those that have one
     series = {
-        "mass": (column("mass_p") - 1.0, column("mass_p", sigmas), design2,
-                 ("c2", "c4"), {"c2": -(curv / (6 * n)) * j1}),
-        "grad": (column("grad_p") * eps_arr**p - i2, column("grad_p", sigmas) * eps_arr**p,
+        "mass": (mass - 1.0, s_mass, design2, ("c2", "c4"), {"c2": -(curv / (6 * n)) * j1}),
+        "grad": (grad * eps_arr**p - i2, s_grad * eps_arr**p,
                  design2, ("c2", "c4"), {"c2": -(curv / (6 * n)) * j2}),
-        "entropy": (column("entropy") - i1 + n * ln_e, column("entropy", sigmas),
+        "entropy": (ent - i1 + n * ln_e, s_ent,
                     np.column_stack([eps2 * ln_e, eps2, eps2**2 * ln_e]),
                     ("clog", "c2"), {"clog": (curv / 6) * j1, "c2": -(curv / (6 * n)) * j3}),
     }
@@ -530,13 +534,14 @@ def lower_bound_witness(model: ManifoldModel, p: float, a_const: float, b_const:
         raise DomainError("need at least one epsilon value to scan")
     rows = []
     eps_star = math.nan
-    for bi in _bubble_grid(model, base, delta, eps_arr, n_nodes):
-        lhs = bi.entropy / bi.mass_p + (n / p - 1.0) * math.log(bi.mass_p)
-        rhs = (n / p) * math.log(a_const * bi.grad_p + b_const * bi.mass_p)
+    eps_rows, values, _, _, _ = _bubble_grid(model, base, delta, eps_arr, n_nodes)
+    for eps, (mass, ent, grad) in zip(eps_rows.tolist(), values.tolist()):
+        lhs = ent / mass + (n / p - 1.0) * math.log(mass)
+        rhs = (n / p) * math.log(a_const * grad + b_const * mass)
         margin = lhs - rhs
         if margin > 0 and math.isnan(eps_star):
-            eps_star = bi.eps
-        rows.append({"eps": bi.eps, "lhs": lhs, "rhs": rhs, "margin": margin})
+            eps_star = eps
+        rows.append({"eps": eps, "lhs": lhs, "rhs": rhs, "margin": margin})
     sharp = entropy_best_constant(n, p)
     return WitnessReport(
         violated=not math.isnan(eps_star),

@@ -61,9 +61,12 @@ those where its test bumps vanish.
 
 The package's one tanh-sinh rule, _tanh_sinh, also lives here: the
 exponent-path integrals of hypercontractivity and the bubble integrals of
-manifold_geometry use it.  Its member axis integrates a family of panels
-(the bubbles of an eps grid) with one pass per level, each member exactly
-as it would be alone.
+manifold_geometry use it.  It has one calling form, arrays in and out:
+it integrates a family of panels, its members (the bubbles of an eps
+grid, or hypercontractivity's one exponent path), with one pass per
+level, each member exactly as it would be alone, and it raises nothing.
+A member that misses its node cap is reported in the arrays; the public
+function that called the rule raises AccuracyNotMet for it (_missed).
 """
 
 from __future__ import annotations
@@ -314,7 +317,8 @@ _TANH_SINH_RTOL = 1e-13
 
 
 def _tanh_sinh(f, lo, hi, max_nodes, scale=0.0, rounding=0.0) -> tuple:
-    """(integrals, error estimates, nodes) of f(x, 1 - x) over [lo, hi].
+    """(integrals, error estimates, nodes) of f(x, 1 - x) over each panel
+    [lo[i], hi[i]].
 
     The package's one tanh-sinh rule (Takahasi & Mori 1974), exponentially
     convergent on integrands analytic inside the panel, end singularities
@@ -323,54 +327,43 @@ def _tanh_sinh(f, lo, hi, max_nodes, scale=0.0, rounding=0.0) -> tuple:
     tau over [-3.5, 3.5] from step 2^-4 (113 nodes); each level halves the
     step and evaluates only the new midpoints, block by block
     (_blocked_sums), and its error estimate is the difference from the
-    level before.  It stops once every estimate is at most 1e-13 times
-    max(integral of |f|, scale), scale a number or one per row: the size
-    of a larger integral the panel is part of (a subnormal panel's
-    rounding never meets its own size), or a bound on the terms of an
-    integrand that cancels, whose rounding the estimate carries.  The
-    returned estimates are at least rounding times the integral of |f|,
-    rounding a number or one per row: the relative rounding of the
-    integrand, which the difference of two levels cannot see (the floor
-    QUADPACK puts under its Gauss-Kronrod estimates, Piessens et al.
-    1983).  A level whose sums are not finite is returned at once, with
-    infinite estimates, for the caller to reject; a level that would take the
-    nodes (integrand evaluations) past max_nodes raises AccuracyNotMet,
-    carrying the last estimates (None before the second level).
+    level before.  A panel stops once every estimate is at most 1e-13
+    times max(integral of |f|, scale): the size of a larger integral the
+    panel is part of (a subnormal panel's rounding never meets its own
+    size), or a bound on the terms of an integrand that cancels, whose
+    rounding the estimate carries.  The returned estimates are at least
+    rounding times the integral of |f|, rounding a number or one per row:
+    the relative rounding of the integrand, which the difference of two
+    levels cannot see (the floor QUADPACK puts under its Gauss-Kronrod
+    estimates, Piessens et al. 1983).
 
-    f takes the node arrays x and c = 1 - x, each a sum of non-negative
-    terms, so for hi <= 1 both keep full relative accuracy however close
-    a node lies to either end (1 - hi is exact for hi >= 1/2); a panel
-    with hi > 1 uses x alone.  f returns a stack of integrands, one per
-    row, and the integrals and estimates are arrays over its rows.
+    lo and hi are arrays, one panel per entry: the members, such as the
+    bubbles of an eps grid or the one exponent path of
+    hypercontractivity.  One pass per level integrates every member still
+    running.  max_nodes is a number or one per member, and scale a number,
+    one per row or one row per member.  f(x, c, members) gets the nodes of
+    those members, as (members, nodes) arrays x and c = 1 - x, each a sum
+    of non-negative terms, so for hi <= 1 both keep full relative accuracy
+    however close a node lies to either end (1 - hi is exact for
+    hi >= 1/2); a panel with hi > 1 uses x alone.  It returns a new
+    (rows, members, nodes) stack of integrands, which the rule scales in
+    place (rows first, so that each integrand is one contiguous array).
 
-    Member axis: with lo and hi arrays, one pass per level integrates a
-    family of panels, its members, such as the bubbles of an eps grid.
-    max_nodes is then a number or one per member, and scale a number, one
-    per row or one row per member.  f(x, c, members) gets the nodes of the
-    members still running, as (members, nodes) arrays, and their indices;
-    it returns a new (rows, members, nodes) array, which the rule scales in
-    place (rows first, so that each integrand is one contiguous array).  A
-    member drops out at the level where it would stop alone: once it meets
-    the tolerance, or its sums are not finite, or its next level would
-    pass its cap.  The members of a level are evaluated in groups of at
-    most _MEMBER_NODES nodes in all (one member at least), and each
-    member's rows are reduced on their own, so its integrals, estimates
-    and nodes are those of its one-member call bit for bit.  Nothing is
-    raised: a member that missed its cap reports its last estimates (nan
-    before its second level) and, as nodes, the evaluations it had made
-    plus the level it could not take, which is more than its cap.  The
-    integrals and estimates are (members, rows) arrays (one nan column if
-    no member took the first level), and nodes has one count per member.
-    The call with numbers for lo and hi is the one-member case, which
-    raises.
+    A member drops out at the level where it would stop alone: once it
+    meets the tolerance, or its sums are not finite (returned at once,
+    with infinite estimates, for the caller to reject), or its next level
+    would take its nodes (integrand evaluations) past its cap.  The
+    members of a level are evaluated in groups of at most _MEMBER_NODES
+    nodes in all (one member at least), and each member's rows are
+    reduced on their own, so its integrals, estimates and nodes are bit
+    for bit those of a call with it alone.  The integrals and estimates are
+    (members, rows) arrays (one nan column if no member took the first
+    level), and nodes has one count per member.  Nothing is raised: a
+    member that missed its cap reports its last estimates (nan before its
+    second level) and, as nodes, the evaluations it had made plus the
+    level it could not take, which is more than its cap; the caller
+    raises (_missed).
     """
-    if np.ndim(lo) == 0:
-        sums, err, nodes = _tanh_sinh(lambda x, c, _: f(x[0], c[0])[:, None], np.array([lo]),
-                                      np.array([hi]), max_nodes, scale, rounding)
-        if nodes[0] > max_nodes:
-            estimates = None if np.isnan(err[0]).any() else err[0]
-            raise _missed("the tanh-sinh integrals", max_nodes, estimates)
-        return sums[0], err[0], int(nodes[0])
     width, count = hi - lo, len(lo)
     cap = np.zeros(count, dtype=int) + max_nodes
     scale = np.zeros((count, 1)) + scale
@@ -431,7 +424,14 @@ def _tanh_sinh(f, lo, hi, max_nodes, scale=0.0, rounding=0.0) -> tuple:
 
 def _missed(what: str, max_nodes: int, err) -> AccuracyNotMet:
     """AccuracyNotMet for integrals (what, plural) that missed _tanh_sinh's
-    tolerance within max_nodes nodes, listing err, their last estimates, or None."""
+    tolerance within max_nodes nodes, listing err, their last estimates.
+
+    err contains nan where there is no estimate yet, as _tanh_sinh reports
+    a member that missed before its second level; the error's estimates
+    are then None.
+    """
+    if np.isnan(err).any():
+        err = None
     estimates = "" if err is None else \
         "; error estimates " + ", ".join(f"{e:.2e}" for e in err)
     return AccuracyNotMet(f"{what} miss {_TANH_SINH_RTOL:g} relative within {max_nodes} "

@@ -16,7 +16,8 @@ def one_panel(f, lo: float, hi: float, max_nodes: int, scale=0.0, rounding=0.0) 
     the rule of profiles._tanh_sinh for one panel, which raises
     AccuracyNotMet where the next level would pass max_nodes."""
     width = hi - lo
-    raw, previous, err, nodes, level = 0.0, None, None, 0, 0
+    # no estimate before the second level
+    raw, previous, err, nodes, level = 0.0, None, np.full(1, math.nan), 0, 0
     while True:
         h, x, c, w = _tanh_sinh_level(level)
         if nodes + len(w) > max_nodes:

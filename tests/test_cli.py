@@ -477,13 +477,28 @@ def test_output_is_strict_json():
     # the long-time limit 1/side^n of the torus heat kernel overflows
     ("heat-norm", "--n", "3", "--scale", "1e-120", "--t", "1e-3"),
     ("heat-norm", "--n", "200", "--scale", "0.01", "--t", "1"),
+    # the Gaussian factor (4 pi t)^(-n/2) overflows: the kernel has no float value
+    ("heat-norm", "--n", "3", "--scale", "1", "--t", "1e-320"),
+    ("heat-norm", "--n", "3", "--scale", "1", "--t", "1e-300"),
+    ("heat-norm", "--n", "1000", "--scale", "1", "--t", "1e-3"),
+    # |u'|^p of a steep extremal overflows node by node
+    ("deficit", "--n", "3", "--p", "2", "--b", "1e200"),
+    # a flag that the chosen form would ignore
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5", "--t-grid", "0.01",
+     "--p-from", "1.5", "--out", "{tmp}/x.csv"),
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--lambda", "5", "--t-grid", "0.01"),
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.01", "--p-from", "1.5"),
+    ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.01", "--q-to", "3"),
+    ("deficit", "--n", "3", "--p", "2", "--C", "5"),
 ], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
         "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed",
         "minimize-volume-underflow", "minimize-volume-overflow", "minimize-huge-C",
         "nu-scan-huge-C", "bubble-curvature-overflow", "bubble-one-distinct-eps",
         "bubble-two-distinct-eps", "constants-entropy-overflow",
         "constants-sobolev-overflow", "constants-infinite-p", "heat-norm-tiny-side",
-        "heat-norm-high-dimension"))
+        "heat-norm-high-dimension", "heat-norm-subnormal-t", "heat-norm-tiny-t",
+        "heat-norm-huge-n", "deficit-huge-b", "hc-t-grid-lambda-p-from-out",
+        "hc-t-grid-lambda", "hc-t-grid-p-from", "hc-t-grid-q-to", "deficit-C-without-residual"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)
@@ -491,6 +506,17 @@ def test_one_line_domain_error(argv, tmp_path):
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("domain error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pde_residual_at_a_huge_C():
+    # terms of about C * 1e-2 square past the float range, though their
+    # ratio is at most 1: the norms are taken of the terms scaled by 2^-k
+    for c in ("1e308", "1e200"):
+        res = run_cli("deficit", "--n", "3", "--p", "2", "--b", "1", "--pde-residual", "--C", c)
+        assert res.returncode == 0 and res.stderr == "", res.stderr
+        rep = strict_json(res.stdout)["result"]["pde_residual"]
+        assert rep["residual"] is not None and 0.0 <= rep["residual"] <= 1.0, c
+        assert rep["scale"] is not None and math.isfinite(rep["scale"]), c
 
 
 def test_bubble_near_p_one():

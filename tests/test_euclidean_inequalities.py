@@ -221,6 +221,18 @@ def test_limit_pde_domain():
             limit_pde_residual(u, 2.0, bad)
 
 
+def test_limit_pde_terms_past_the_float_range():
+    # at C = 1e308 the terms are finite and their squares are not; a term
+    # C int u^(p-1) v, or the norm of the terms, past the float range is a
+    # domain error
+    u = extremal_profile(3, 2.0, 1.0, n_nodes=2000)
+    assert limit_pde_residual(u, 2.0, 1e308).residual <= 1.0
+    with pytest.raises(DomainError, match="term C int"):
+        limit_pde_residual(u.with_values(4.0 * u.values), 2.0, 1.7e308)
+    with pytest.raises(DomainError, match="norm of the weak-form terms"):
+        limit_pde_residual(u.with_values(2.1 * u.values), 2.0, 1.4e308)
+
+
 def _whole_array_functionals(u, p, q, dq):
     """deficit, interpolation gap, embedding slack and the two log-norm
     derivatives, each from whole-array sums over the values as given and the

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lpentropy import hypercontractivity
-from lpentropy.errors import DomainError, OracleDisagreement
+from lpentropy.errors import AccuracyNotMet, DomainError, OracleDisagreement
 from lpentropy.hypercontractivity import (
     bakry_integrals,
     curvature_second_constant_bound,
@@ -148,6 +148,16 @@ def test_budget_disagreement_is_raised(monkeypatch):
                         lambda *args: closed(*args) * (1.0 + 1e-9))
     with pytest.raises(OracleDisagreement):
         bakry_integrals(3, 0.0781, 1.0, 5.0)
+
+
+def test_path_that_misses_the_node_cap_raises(monkeypatch):
+    # a path takes 225 nodes, two levels: at a cap of 224 the rule reports
+    # the miss before any estimate, and bakry_integrals raises it
+    monkeypatch.setattr(hypercontractivity, "_PATH_NODES", 224)
+    with pytest.raises(AccuracyNotMet, match="the tanh-sinh integrals miss 1e-13 relative "
+                                             "within 224 nodes$") as exc:
+        bakry_integrals(3, 0.0781, 1.0, 5.0)
+    assert exc.value.estimates is None
 
 
 def test_criterion_11_sweep_warns_nothing():

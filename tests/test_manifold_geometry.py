@@ -513,10 +513,11 @@ def _one_eps_at_a_time(monkeypatch, model, base, delta, eps, n_nodes=200_000):
 @pytest.mark.parametrize("p", [1.02, 1.05, 1.5, 2.0])
 def test_bubble_grid_is_one_eps_at_a_time(monkeypatch, kind, n, p):
     """A grid's bubbles, all from one pass per level, equal every field of
-    the one-panel rule run one eps at a time (values, errors, cutoff and
-    nodes, bit for bit), and so does bubble_integrals, the one-member case:
-    on the grid of test_bubble_outputs_pinned, the fit windows of the
-    benchmark's draws and its witness grid, in descending order."""
+    the one-panel rule run one eps at a time, bit for bit: every row of
+    _bubble_grid's arrays (eps, values, errors, cutoff and nodes), and
+    every BubbleIntegrals of bubble_integrals, a one-eps grid.  On the grid
+    of test_bubble_outputs_pinned, the fit windows of the benchmark's draws
+    and its witness grid, in descending order."""
     model = ManifoldModel.sphere(n) if kind == "sphere" else ManifoldModel.torus(n, 2.0)
     fit_delta = 1.0 if kind == "sphere" else 0.9
     grids = [(1.0, fit_delta, [0.01, 0.02, 0.04, 0.08]),
@@ -525,11 +526,20 @@ def test_bubble_grid_is_one_eps_at_a_time(monkeypatch, kind, n, p):
              (1.0, 0.5 * model.injectivity_radius, np.geomspace(0.02, 0.2, 6)[::-1])]
     for b, delta, eps in grids:
         base = extremal_spec(n, p, b)
-        expected = repr(_one_eps_at_a_time(monkeypatch, model, base, delta, eps))
-        assert repr(list(mg._bubble_grid(model, base, delta, eps, 200_000))) == expected, (b, delta)
+        reference = _one_eps_at_a_time(monkeypatch, model, base, delta, eps)
+        keys = ("mass_p", "entropy", "grad_p")
+        fields = {"eps": [bi.eps for bi in reference],
+                  "values": [[getattr(bi, k) for k in keys] for bi in reference],
+                  "errors": [[bi.errors[k] for k in keys] for bi in reference],
+                  "cutoff": [[bi.cutoff[k] for k in keys] for bi in reference],
+                  "nodes": [bi.nodes for bi in reference]}
+        grid = mg._bubble_grid(model, base, delta, eps, 200_000)
+        for (name, want), got in zip(fields.items(), grid, strict=True):
+            # repr tells the sign of a zero apart
+            assert repr(got.tolist()) == repr(want), (b, delta, name)
         alone = [bubble_integrals(BubbleSpec(model=model, base=base, delta=delta, eps=float(e)))
                  for e in eps]
-        assert repr(alone) == expected, (b, delta)
+        assert repr(alone) == repr(reference), (b, delta)
 
 
 def test_grid_raises_for_the_first_failing_eps_in_its_own_order(monkeypatch):
