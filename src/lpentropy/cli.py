@@ -287,7 +287,8 @@ _COMMANDS = {
     "constants": (_cmd_constants, "closed-form constants and exponents", (
         *_N_P, _arg("--q"), _arg("--r"), _arg("--s", help="one-parameter family index (> p)"))),
     "extremal": (_cmd_extremal, "extremal profile integrals, two routes", (
-        *_N_P, _B, _nodes(800_000))),
+        *_N_P, _B, _nodes(800_000, help="most nodes of the finest level; the quadrature "
+                                        "route stops at the first level that is accurate"))),
     "deficit": (_cmd_deficit, "entropy deficit of a profile", (
         *_N_P, _B, _arg("--profile", None, help="CSV file with columns r,u (overrides --b)"),
         _nodes(200_000),

@@ -547,6 +547,6 @@ def lower_bound_witness(model: ManifoldModel, p: float, a_const: float, b_const:
         violated=not math.isnan(eps_star),
         eps_star=eps_star,
         margin=rows[-1]["margin"],
-        asymptote=(n / p) * math.log(sharp / a_const),
+        asymptote=(n / p) * (math.log(sharp) - math.log(a_const)),
         rows=tuple(rows),
     )

@@ -218,6 +218,16 @@ def test_extremal_saturation():
     assert abs(doc["result"]["integrals"]["grad_energy"] - 3.0) < 1e-6
 
 
+@pytest.mark.parametrize("p", ["1.003", "1.001"])
+def test_extremal_near_p_one(p):
+    # the O(h^2) error of one 800 000-node pass exceeds the 1e-8 check here;
+    # the extrapolated ladder meets it within the same cap
+    res = run_cli("extremal", "--n", "3", "--p", p, "--b", "1")
+    assert res.returncode == 0, res.stderr
+    integrals = strict_json(res.stdout)["result"]["integrals"]
+    assert integrals["max_rel_difference"] <= integrals["error_estimate"] < 1e-8
+
+
 def test_extremal_starved_grid_exit_code():
     # cross-check between quadrature and closed forms fails on purpose
     res = run_cli("extremal", "--n", "3", "--p", "2", "--b", "1",
@@ -565,6 +575,16 @@ def test_narrow_core_extremal_and_bubble(b):
     assert res.returncode == 0, res.stderr
     for row in strict_json(res.stdout)["result"]["rows"]:
         assert row["mass_p"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_witness_asymptote_at_a_subnormal_constant():
+    # sharp / 5e-324 overflows, but (n/p) (ln sharp - ln A) is finite
+    res = run_cli("witness", "--model", "sphere", "--n", "3", "--p", "2", "--a-const", "5e-324",
+                  "--b-const", "0", "--eps-grid", "0.05")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    expected = 1.5 * (math.log(entropy_best_constant(3, 2.0)) - math.log(5e-324))
+    assert strict_json(res.stdout)["result"]["asymptote"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_narrow_core_witness():

@@ -307,8 +307,8 @@ def test_torus_expansion_is_flat():
 
 @pytest.mark.parametrize("p", [1.003, 1.001])
 def test_expansion_near_p_one(p):
-    """Near p = 1 the flat references come from their closed forms, where
-    the 800k-node oracle of extremal_integrals misses its 1e-8 check."""
+    """Near p = 1 the flat references come from their closed forms, which
+    need no node ladder of extremal_integrals' oracle."""
     eps_grid = [0.01, 0.02, 0.04, 0.08]
     rep = fit_expansion(ManifoldModel.sphere(3), p, 1.0, delta=1.0, eps_grid=eps_grid)
     assert rep.fits["mass"]["rel_dev_c2"] <= 1e-6

@@ -200,6 +200,68 @@ def test_route_disagreement_is_detected():
         extremal_integrals(3, 1.5, 1.0, n_nodes=5_000)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("p", [1.001, 1.003, 1.5, 2.0])
+def test_extremal_ladder_estimate_covers_its_error(n, p):
+    """The ladder's own estimate bounds route two's actual error against the
+    closed forms, and a ladder that stopped below its cap stopped on it."""
+    e = extremal_integrals(n, p, 1.0)
+    assert e.max_rel_difference <= e.error_estimate
+    if e.nodes < 400_001:
+        assert e.error_estimate <= 1e-9
+
+
+def test_extremal_ladder_stops_by_25k_nodes():
+    """Away from p = 1 a default call stops at the 25 001-node level."""
+    for n, p in PAIRS:
+        for b in (0.5, 1.0, 2.0):
+            assert extremal_integrals(n, p, b).nodes <= 25_001, (n, p, b)
+
+
+def test_extremal_ladder_levels(monkeypatch):
+    """Nested levels m, 2m - 1, ... up to the cap, Richardson-extrapolated.
+
+    Route two is the last extrapolated level, bit for bit; the estimate is
+    the last change of the extrapolation; and the default cap's levels
+    sum to fewer nodes than one 800 000-node pass.
+    """
+    levels = []
+
+    def spy(spec, n_nodes):
+        sums = _extremal_quadrature(spec, n_nodes)
+        levels.append((n_nodes, np.array(sums)))
+        return sums
+
+    monkeypatch.setattr(profiles, "_extremal_quadrature", spy)
+    e = extremal_integrals(3, 1.001, 1.0)
+    counts = [m for m, _ in levels]
+    assert counts == [3126, 6251, 12_501, 25_001, 50_001, 100_001, 200_001, 400_001]
+    assert sum(counts) <= 800_000
+    assert e.nodes == 400_001
+    s = [sums for _, sums in levels]
+    r = [fine + (fine - coarse) / 3.0 for coarse, fine in zip(s, s[1:])]
+    assert list(e.quadrature.values()) == r[-1].tolist()
+    assert e.error_estimate == float(np.max(np.abs(r[-1] - r[-2]) / np.abs(r[-1])))
+    # every level holds the nodes of the one before: the log-step halves
+    spec = extremal_spec(3, 1.001, 1.0)
+    coarse, fine = profiles._extremal_grid(spec, 3126), profiles._extremal_grid(spec, 6251)
+    np.testing.assert_allclose(fine[::2], coarse, rtol=1e-13)
+
+    # a cap below the base level is one level of that many nodes, and one
+    # below the second level holds the base level alone: both are the raw
+    # sums of a starved grid
+    for cap, expected in ((2000, [2000]), (5000, [3126])):
+        levels.clear()
+        with pytest.raises(OracleDisagreement):
+            extremal_integrals(3, 1.5, 1.0, n_nodes=cap)
+        assert [m for m, _ in levels] == expected, cap
+    # two levels extrapolate once and have no estimate yet
+    levels.clear()
+    e = extremal_integrals(3, 1.5, 1.0, n_nodes=6251)
+    assert [m for m, _ in levels] == [3126, 6251]
+    assert e.nodes == 6251 and math.isnan(e.error_estimate)
+
+
 def test_blocked_quadrature_matches_whole_array():
     """The blocked quadrature route against the whole-array RadialProfile sums.
 
@@ -260,14 +322,16 @@ def test_extremal_integrals_out_of_float_range(n, p, b):
 
 
 def test_extremal_integrals_memory_peak():
-    """The 800k-node quadrature holds at most four grid-sized arrays at once."""
+    """Near p = 1 the ladder climbs to its 400 001-node level, and holds at
+    most four arrays of that level's size at once."""
     tracemalloc.start()
     try:
-        extremal_integrals(3, 2.0, 1.0)
+        nodes = extremal_integrals(3, 1.003, 1.0).nodes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 800_000 * 8
+    assert nodes == 400_001
+    assert peak <= 4 * 400_001 * 8
 
 
 def test_plogp_underflow_guard():
