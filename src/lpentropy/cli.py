@@ -16,11 +16,10 @@ document and maps outcomes to exit codes.
 
 Each handler imports the library modules it runs, and nothing above the
 handlers imports numpy or scipy: parsing, --help, --version and the
-closed-form `constants` subcommand start without either.  A library
-module that needs scipy in only some of its functions imports it inside
-them, so `extremal`, `deficit`, `bubble`, `witness`, `heat-norm` and `hc`
-load numpy alone; `gn-estimate`, `gn-limit`, `minimize` and `nu-scan` load
-scipy.
+closed-form `constants` subcommand start without either.  `extremal`,
+`deficit`, `bubble`, `witness`, `heat-norm`, `hc`, `gn-estimate` and
+`gn-limit` load numpy alone; `minimize` and `nu-scan` load scipy, through
+manifold_minimizer's module-level `import scipy.integrate`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,13 @@ the manifold minimizer runs too (profiles._discrete_functional).  Every
 reported value is a certified lower bound up to quadrature error; none can
 exceed the sharp constant by more than that error.
 
+Each family scan refines the best point of its grid by a derivative-free
+search: a bounded Brent search over s for the stretched family, a
+Nelder-Mead simplex over (s, ln k) for the rational one.  Both are ports
+of scipy.optimize routines (_searches) that evaluate the same points as
+scipy bit for bit, so the estimator, and with it gn-estimate and
+gn-limit, runs on numpy alone.
+
 The family values are the exact quotients of the reported members to 1e-11
 relative (checked against 40-digit beta moments for k up to 1e9): the beta
 moments take ln Gamma(b) - ln Gamma(a + b) from Stirling's series once b is
@@ -39,8 +46,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._searches import bounded_brent, nelder_mead
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
 from .errors import DomainError, Record
 from .profiles import (RadialProfile, _discrete_functional, _profile_sums, _projected_descent,
@@ -203,13 +210,8 @@ def _scan_stretched(params: InequalityParams, theta: float) -> tuple:
     grid = np.linspace(1.0, 4.0, 61)
     vals = [_ln_quotient_stretched(params, theta, s) for s in grid]
     s0 = float(grid[int(np.argmax(vals))])
-    res = optimize.minimize_scalar(
-        lambda s: -_ln_quotient_stretched(params, theta, s),
-        bounds=(max(1.0, s0 - 0.2), min(4.0, s0 + 0.2)),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    s_best = float(res.x)
+    s_best = bounded_brent(lambda s: -_ln_quotient_stretched(params, theta, s),
+                           max(1.0, s0 - 0.2), min(4.0, s0 + 0.2))
     best = _ln_quotient_stretched(params, theta, s_best)
     if best < max(vals):
         s_best, best = s0, max(vals)
@@ -255,10 +257,7 @@ def _scan_rational(params: InequalityParams, theta: float) -> tuple:
         return -v if math.isfinite(v) else 1e9
 
     try:
-        optimize.minimize(
-            negated, np.array([best_sk[0], math.log(best_sk[1])]), method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
-        )
+        nelder_mead(negated, np.array([best_sk[0], math.log(best_sk[1])]))
     except _StretchedLimit:
         pass
     return best, {"s": best_sk[0], "k": best_sk[1]}
@@ -388,10 +387,12 @@ def limit_scan(n: int, p: float, q_values, n_nodes: int = 4000, ascent_iters: in
     gap; the gap should shrink monotonically as q increases toward p.
     """
     ceiling = entropy_best_constant(n, p)
-    rows = []
+    q_values = list(q_values)
     for q in q_values:
         if not q < p:
             raise DomainError(f"limit scan needs q < p, got q={q}, p={p}")
+    rows = []
+    for q in q_values:
         est = estimate_gn_constant(
             InequalityParams(n=n, p=p, q=float(q), r=p),
             n_nodes=n_nodes,

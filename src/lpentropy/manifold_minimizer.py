@@ -118,7 +118,7 @@ class SymmetricManifoldProfile:
 
     @cached_property
     def derivative_operator(self):
-        """Sparse second-order derivative D in the coordinate; D.T is its adjoint."""
+        """Second-order derivative operator D in the coordinate; D.T is its adjoint."""
         return derivative_matrix(self.grid, self.period)
 
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":

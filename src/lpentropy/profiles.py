@@ -24,12 +24,15 @@ This module is also the package's one finite-difference layer.  Gradients
 of sampled profiles are always taken by the three-point second-order
 stencil on the nonuniform grid: centered in the interior, one-sided at
 the ends, or centered everywhere on a periodic grid.  Its weights are
-written once (_centered_coefficients, _one_sided_coefficients) and used
-twice: radial_derivative applies them by array slices, derivative_matrix
-assembles them into a sparse matrix D.  The package's two optimizers,
-the gradient ascent of gn_estimator and the manifold minimizer, share one
-objective and its gradient through the exact adjoint D.T,
-_discrete_functional, and one Armijo driver, _projected_descent.  Their
+written once (_centered_coefficients, _one_sided_coefficients), gathered
+for a grid by _stencil and applied by one slice helper, _apply_stencil:
+radial_derivative calls it on each block, and derivative_matrix wraps it
+as an operator D on numpy arrays alone, whose D.T applies the exact
+adjoint by transposed slices (_apply_adjoint), each entry summed in the
+row order of the sparse CSR product it replaced.  The package's two
+optimizers, the gradient ascent of gn_estimator and the manifold
+minimizer, share that operator, one objective and its gradient through
+D.T, _discrete_functional, and one Armijo driver, _projected_descent.  Their
 cost is Python overhead per numpy call on arrays of a few hundred nodes,
 so each line-search trial is one stacked pass (every sum of the objective
 from one multiplication and one row-wise reduction), the gradient reuses
@@ -84,15 +87,11 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import AccuracyNotMet, DomainError, OracleDisagreement, Record
 from .special_fn import _dimension, sphere_area, stretched_exp_moment
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "RadialProfile",
@@ -187,57 +186,128 @@ def _one_sided_coefficients(h1, h2) -> tuple:
     )
 
 
+def _stencil(grid: np.ndarray, period: float = None) -> tuple:
+    """The stencil weights of every node of the grid: (inner, ends).
+
+    inner = (a, b, c) holds the centered weights on (u_{i-1}, u_i, u_{i+1})
+    of the nodes 1..m-2.  ends holds one (weights, nodes) pair for node 0
+    and one for node m-1, in the order the derivative sums them, with the
+    nodes indexed by 0, 1, 2, -3, -2 or -1: the one-sided stencils into the
+    grid, or, with a period, the centered stencils across the seam.
+    """
+    r = grid
+    if len(r) < 3:
+        raise DomainError("need at least 3 grid nodes for a second-order derivative")
+    inner = _centered_coefficients(r[1:-1] - r[:-2], r[2:] - r[1:-1])
+    (x0, x1, x2), (y2, y1, y0) = r[:3].tolist(), r[-3:].tolist()
+    if period is None:
+        return inner, ((_one_sided_coefficients(x1 - x0, x2 - x1), (0, 1, 2)),
+                       (_one_sided_coefficients(y1 - y0, y2 - y1), (-1, -2, -3)))
+    seam = (x0 + period) - y0
+    return inner, ((_centered_coefficients(seam, x1 - x0), (-1, 0, 1)),
+                   (_centered_coefficients(y0 - y1, seam), (-2, -1, 0)))
+
+
+def _apply_stencil(u: np.ndarray, inner: tuple, ends: tuple) -> np.ndarray:
+    """The derivative of u by the stencil (inner, ends) of _stencil.
+
+    Each node sums its three terms in the order of its weights; the
+    interior by slices, the two end nodes from Python floats.
+    """
+    a, b, c = inner
+    du = np.empty_like(u)
+    mid = du[1:-1]
+    np.multiply(a, u[:-2], out=mid)
+    mid += b * u[1:-1]
+    mid += c * u[2:]
+    near = u[:3].tolist() + u[-3:].tolist()
+    (w, at), (v, bt) = ends
+    du[0] = w[0] * near[at[0]] + w[1] * near[at[1]] + w[2] * near[at[2]]
+    du[-1] = v[0] * near[bt[0]] + v[1] * near[bt[1]] + v[2] * near[bt[2]]
+    return du
+
+
+def _adjoint_passes(inner: tuple, ends: tuple) -> tuple:
+    """The stencil's weights regrouped for _apply_adjoint.
+
+    Returns (up, on, down, first, last): up[j] is node j's weight on node
+    j + 1, on[j] its weight on itself, and down[j] node j + 1's weight on
+    node j, all without wrapping; first and last are the one remaining
+    (node, weight) of node 0's and of node m-1's stencil (node 2 and m-3
+    without a period, the neighbours across the seam with one).
+    """
+    a, b, c = inner
+    head, tail = (dict(zip(at, w)) for w, at in ends)
+    up = np.concatenate(([head.pop(1)], c))
+    on = np.concatenate(([head.pop(0)], b, [tail.pop(-1)]))
+    down = np.concatenate((a, [tail.pop(-2)]))
+    (first,), (last,) = head.items(), tail.items()
+    return up, on, down, first, last
+
+
+def _apply_adjoint(g: np.ndarray, passes: tuple) -> np.ndarray:
+    """The transpose of the stencil applied to g, by the passes of _adjoint_passes.
+
+    Every entry sums its terms by ascending stencil row, as the product of
+    the transposed CSR matrix (CSC) with g does: the three slice passes
+    take the rows' weights on their right neighbour, on themselves and on
+    their left neighbour, node 0's remaining weight goes in after the
+    first pass (its entry then holds one term, and two terms add alike in
+    either order), and node m-1's after the last.  So the result is that
+    product's, up to the sign of a zero.
+    """
+    up, on, down, (i0, w0), (i1, w1) = passes
+    out = np.empty_like(g)
+    out[0] = 0.0
+    np.multiply(up, g[:-1], out=out[1:])
+    out[i0] += w0 * g[0]
+    out += on * g
+    out[:-1] += down * g[1:]
+    out[i1] += w1 * g[-1]
+    return out
+
+
 def radial_derivative(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Second-order finite-difference derivative on a nonuniform grid.
 
     Three-point centered stencil in the interior, three-point one-sided
     stencils at both ends; equal to derivative_matrix(grid) @ values.
     """
-    r, u = grid, values
-    if len(r) < 3:
-        raise DomainError("need at least 3 grid nodes for a second-order derivative")
-    du = np.empty_like(u)
-    a, b, c = _centered_coefficients(r[1:-1] - r[:-2], r[2:] - r[1:-1])
-    du[1:-1] = a * u[:-2] + b * u[1:-1] + c * u[2:]
-    a, b, c = _one_sided_coefficients(r[1] - r[0], r[2] - r[1])
-    du[0] = a * u[0] + b * u[1] + c * u[2]
-    a, b, c = _one_sided_coefficients(r[-2] - r[-1], r[-3] - r[-2])
-    du[-1] = a * u[-1] + b * u[-2] + c * u[-3]
-    return du
+    return _apply_stencil(values, *_stencil(grid))
 
 
-def derivative_matrix(grid: np.ndarray, period: float = None) -> sparse.csr_matrix:
-    """The stencil of radial_derivative as a sparse (CSR) matrix D.
+@dataclass(frozen=True, eq=False)
+class DerivativeOperator:
+    """The stencil of radial_derivative on one grid as a linear operator D.
 
-    Row i holds the three stencil weights in the order radial_derivative
-    sums them, so D @ u reproduces it exactly, and D.T is the exact
+    D @ u applies the stencil (_apply_stencil), D.T @ g its exact adjoint
+    (_apply_adjoint); D.T.T acts as D.
+    """
+
+    inner: tuple
+    ends: tuple
+    passes: tuple
+    transposed: bool = False
+
+    @property
+    def T(self) -> "DerivativeOperator":
+        return DerivativeOperator(self.inner, self.ends, self.passes, not self.transposed)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self.transposed:
+            return _apply_adjoint(v, self.passes)
+        return _apply_stencil(v, self.inner, self.ends)
+
+
+def derivative_matrix(grid: np.ndarray, period: float = None) -> DerivativeOperator:
+    """The stencil of radial_derivative on the grid as an operator D.
+
+    D @ u reproduces radial_derivative exactly, and D.T is the exact
     adjoint.  With a period the grid samples one period [x_0, x_0 + period)
     and every node gets the centered stencil, wrapping across the seam.
     """
-    # imported here, the one user of scipy in this module, so that profiles
-    # and the CLI subcommands built on it alone load numpy without scipy
-    from scipy import sparse
-
-    x = np.asarray(grid, dtype=float)
-    m = len(x)
-    if m < 3:
-        raise DomainError("need at least 3 grid nodes for a second-order derivative")
-    nodes = np.arange(m)
-    if period is None:
-        h = np.diff(x)
-        cols = np.stack([nodes - 1, nodes, nodes + 1], axis=1)
-        cols[0], cols[-1] = (0, 1, 2), (m - 1, m - 2, m - 3)
-        data = np.empty((m, 3))
-        data[1:-1] = np.stack(_centered_coefficients(h[:-1], h[1:]), axis=1)
-        data[0] = _one_sided_coefficients(h[0], h[1])
-        data[-1] = _one_sided_coefficients(-h[-1], -h[-2])
-    else:
-        h = np.diff(x, append=x[0] + period)
-        cols = np.stack([nodes - 1, nodes, nodes + 1], axis=1) % m
-        data = np.stack(_centered_coefficients(np.roll(h, 1), h), axis=1)
-    return sparse.csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, 3 * m + 1, 3)), shape=(m, m)
-    )
+    inner, ends = _stencil(np.asarray(grid, dtype=float), period)
+    return DerivativeOperator(inner, ends, _adjoint_passes(inner, ends))
 
 
 def bump_basis(coord: np.ndarray, centers, width: float, jacobian=1.0,

@@ -761,6 +761,8 @@ def test_constants_imports_neither_numpy_nor_scipy():
     ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.005,0.01,0.05"),
     ("hc", "--n", "4", "--A", "0.8711878383996956", "--B", "0.4242406537262642",
      "--lambda", "0.31288433339297206"),
+    ("gn-estimate", "--n", "3", "--p", "2", "--q", "1.8", "--r", "2"),
+    ("gn-limit", "--n", "3", "--p", "2", "--q-list", "1.7,1.9,1.99"),
 ])
 def test_numpy_only_subcommands_import_no_scipy(argv):
     code, modules = main_in_fresh_process(*argv)
@@ -780,24 +782,28 @@ def test_parsing_imports_no_numpy(argv, exit_code):
     assert "numpy" not in modules
 
 
-def test_profiles_loads_scipy_sparse_on_first_use():
-    before, after, is_csr, adjoint_gap = run_fresh("""
+def test_profiles_and_gn_estimator_never_load_scipy():
+    on_import, after_operator, after_estimate, adjoint_gap = run_fresh("""
 import json, sys
 import numpy as np
+from lpentropy import gn_estimator
+from lpentropy.constants import InequalityParams
 from lpentropy.profiles import derivative_matrix
-before = "scipy" in sys.modules
+on_import = "scipy" in sys.modules
 grid = np.sort(np.random.default_rng(5).uniform(0.05, 8.0, 200))
 mat = derivative_matrix(grid)
-from scipy import sparse
 v = np.random.default_rng(6).standard_normal(len(grid))
-dense = mat.toarray().T @ v
+dense = np.stack([mat @ e for e in np.eye(len(grid))], axis=1).T @ v
 gap = float(np.max(np.abs(mat.T @ v - dense)) / np.max(np.abs(dense)))
-print(json.dumps([before, "scipy.sparse" in sys.modules,
-                  isinstance(mat, sparse.csr_matrix), gap]))
+after_operator = "scipy" in sys.modules
+gn_estimator.estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.5, r=1.8), n_nodes=500,
+                                  ascent_iters=5)
+gn_estimator.limit_scan(3, 2.0, [1.9], n_nodes=500, ascent_iters=5)
+print(json.dumps([on_import, after_operator, "scipy" in sys.modules, gap]))
 """)
-    assert not before
-    assert after
-    assert is_csr
+    assert not on_import
+    assert not after_operator
+    assert not after_estimate
     assert adjoint_gap <= 1e-14
 
 

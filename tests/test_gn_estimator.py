@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import optimize
 from whole_array import BLOCK_SIZES, agrees
 
 from lpentropy import gn_estimator
@@ -112,18 +113,18 @@ def test_rational_family_stays_below_its_stretched_limit(monkeypatch):
     """On r <= p the rational search runs toward k -> infinity, where the
     family's supremum is the stretched value; it stops at its cap within
     150 evaluations past the grid and reports a member below that value."""
-    minimize = gn_estimator.optimize.minimize
+    simplex = gn_estimator.nelder_mead
     evaluations = []
 
-    def counted(fun, x0, **kwargs):
+    def counted(fun, x0):
         def fun_counted(x):
             evaluations[-1] += 1
             return fun(x)
 
         evaluations.append(0)
-        return minimize(fun_counted, x0, **kwargs)
+        return simplex(fun_counted, x0)
 
-    monkeypatch.setattr(gn_estimator.optimize, "minimize", counted)
+    monkeypatch.setattr(gn_estimator, "nelder_mead", counted)
     for params in _R_AT_MOST_P:
         est = estimate_gn_constant(params, n_nodes=500, ascent_iters=0)
         values = est.family_values
@@ -196,6 +197,18 @@ def test_limit_scan_validates_q():
         limit_scan(3, 2.0, [2.5])
 
 
+def test_limit_scan_checks_every_q_before_estimating(monkeypatch):
+    # a bad q late in the list once raised only after the estimates before it
+    def spy(*args, **kwargs):
+        raise AssertionError("estimate_gn_constant ran before every q was checked")
+
+    monkeypatch.setattr(gn_estimator, "estimate_gn_constant", spy)
+    with pytest.raises(DomainError, match="q=2.5"):
+        limit_scan(3, 2.0, [1.7, 2.5])
+    with pytest.raises(DomainError, match="q=2.0"):
+        limit_scan(3, 2.0, iter([1.7, 1.9, 2.0]))
+
+
 def test_ascent_does_not_lose_ground():
     params = InequalityParams(n=3, p=2.0, q=1.7, r=2.0)
     est = estimate_gn_constant(params)
@@ -233,3 +246,86 @@ def test_quotient_matches_whole_array():
         assert agrees(rep.norm_q, norm_q, n_nodes), n_nodes
         assert agrees(rep.grad_norm, grad_p ** (1.0 / p), n_nodes), n_nodes
         assert agrees(rep.quotient, expected, n_nodes), n_nodes
+
+
+def _scipy_bounded(fun, a, b):
+    """The bounded search as the estimator once called it from scipy."""
+    return float(optimize.minimize_scalar(fun, bounds=(a, b), method="bounded",
+                                          options={"xatol": 1e-8}).x)
+
+
+def _scipy_simplex(fun, x0):
+    """The simplex search as the estimator once called it from scipy."""
+    optimize.minimize(fun, x0, method="Nelder-Mead",
+                      options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
+
+
+def _evaluated_points(search, fun, *args):
+    """(points, result) of one search of fun: every point it evaluates, as
+    floats, and its result, or "stretched_limit" if the rational search
+    reached its cap."""
+    points = []
+
+    def recorded(x):
+        points.append(tuple(np.atleast_1d(x).tolist()))
+        return fun(x)
+
+    try:
+        return points, search(recorded, *args)
+    except gn_estimator._StretchedLimit:
+        return points, "stretched_limit"
+
+
+@pytest.mark.parametrize("params", [
+    InequalityParams(n=3, p=2.0, q=1.5, r=1.8),
+    InequalityParams(n=3, p=2.0, q=1.8, r=2.0),
+    InequalityParams(n=4, p=1.5, q=1.2, r=1.5),
+    dpd_parameters(3, 2.0, 2.05),
+    InequalityParams(n=3, p=2.0, q=4.0, r=6.0),
+], ids=("r<p", "r=p", "r=p-n4", "r>p-dpd", "sobolev"))
+def test_searches_evaluate_the_points_of_scipy(monkeypatch, params):
+    """The ported searches against the scipy calls they replace, on the
+    estimator's own objectives: the same points in the same order, bit for
+    bit, and the same result (the bounded search's x; the simplex ends at
+    the stretched limit on r <= p and converges inside on r > p)."""
+    brent, simplex = gn_estimator.bounded_brent, gn_estimator.nelder_mead
+    outcomes = {}
+
+    def brent_spy(fun, a, b):
+        ours = _evaluated_points(brent, fun, a, b)
+        theirs = _evaluated_points(_scipy_bounded, fun, a, b)
+        assert ours == theirs
+        outcomes["brent"] = len(ours[0])
+        return ours[1]
+
+    def simplex_spy(fun, x0):
+        theirs = _evaluated_points(_scipy_simplex, fun, x0)
+        ours = _evaluated_points(simplex, fun, x0)
+        assert ours == theirs
+        outcomes["simplex"] = ours
+        if ours[1] == "stretched_limit":
+            raise gn_estimator._StretchedLimit
+
+    monkeypatch.setattr(gn_estimator, "bounded_brent", brent_spy)
+    monkeypatch.setattr(gn_estimator, "nelder_mead", simplex_spy)
+    estimate_gn_constant(params, n_nodes=500, ascent_iters=0)
+    assert outcomes["brent"] >= 8
+    points, ended = outcomes["simplex"]
+    assert len(points) > 20
+    assert (ended == "stretched_limit") == (params.r <= params.p)
+
+
+@pytest.mark.parametrize("center", [0.9, 1.0 + 1e-9, 1.0 + 2.5e-8, 1.2, 1.4 - 2.5e-8, 1.5])
+def test_bounded_search_near_its_bounds(center):
+    """The bounded search against scipy's where the minimum sits at, just
+    inside or beyond an end of [1, 1.4], as the stretched scan's clipped
+    brackets allow: there parabolic steps land within 2 tol of an end and
+    are pulled back (a branch the estimator's interior optima above do not
+    reach)."""
+
+    def fun(x):
+        return (x - center) ** 2 + 0.1 * (x - center) ** 3
+
+    ours = _evaluated_points(gn_estimator.bounded_brent, fun, 1.0, 1.4)
+    theirs = _evaluated_points(_scipy_bounded, fun, 1.0, 1.4)
+    assert ours == theirs

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from tanh_sinh_reference import member_by_member
 from whole_array import BLOCK, BLOCK_SIZES, agrees, row_sums
 
@@ -97,6 +98,54 @@ def test_derivative_matrix_matches_vector_form():
     for _ in range(20):
         vals = rng.standard_normal(len(grid))
         assert np.array_equal(mat @ vals, radial_derivative(grid, vals))
+
+
+def _csr_stencil(grid, period=None):
+    """The stencil as a scipy CSR matrix, row i holding node i's weights in
+    the order the derivative sums them (the operator it replaced)."""
+    x = np.asarray(grid, dtype=float)
+    m = len(x)
+    nodes = np.arange(m)
+    if period is None:
+        h = np.diff(x)
+        cols = np.stack([nodes - 1, nodes, nodes + 1], axis=1)
+        cols[0], cols[-1] = (0, 1, 2), (m - 1, m - 2, m - 3)
+        data = np.empty((m, 3))
+        data[1:-1] = np.stack(profiles._centered_coefficients(h[:-1], h[1:]), axis=1)
+        data[0] = profiles._one_sided_coefficients(h[0], h[1])
+        data[-1] = profiles._one_sided_coefficients(-h[-1], -h[-2])
+    else:
+        h = np.diff(x, append=x[0] + period)
+        cols = np.stack([nodes - 1, nodes, nodes + 1], axis=1) % m
+        data = np.stack(profiles._centered_coefficients(np.roll(h, 1), h), axis=1)
+    return sparse.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, 3 * m + 1, 3)),
+                             shape=(m, m))
+
+
+@pytest.mark.parametrize("m", [*range(3, 13), 600, 4000])
+@pytest.mark.parametrize("period", [None, 6.0])
+def test_derivative_operator_matches_csr(m, period):
+    """D @ v and D.T @ v against scipy's CSR product and its transposed (CSC)
+    product, np.array_equal: at m <= 6 the stencils of the two end nodes
+    meet the same nodes, and at every m the adjoint's end entries sum node
+    0's or node m-1's stencil with the centered rows."""
+    rng = np.random.default_rng(m)
+    for trial in range(4):
+        if period is None:
+            grid = np.geomspace(1e-3, 8.0, m) if trial == 0 else np.sort(rng.uniform(0.05, 8.0, m))
+        else:
+            grid = (np.linspace(0.0, period, m, endpoint=False) if trial == 0
+                    else np.sort(rng.uniform(0.0, period, m)))
+        assert np.all(np.diff(grid) > 0)
+        D, S = derivative_matrix(grid, period), _csr_stencil(grid, period)
+        for _ in range(5):
+            v = rng.standard_normal(m)
+            assert np.array_equal(D @ v, S @ v)
+            assert np.array_equal(D.T @ v, S.T @ v)
+        if m <= 600:  # the dense matrices, column by column and row by row
+            eye = np.eye(m)
+            assert np.array_equal(np.stack([D @ e for e in eye], axis=1), S.toarray())
+            assert np.array_equal(np.stack([D.T @ e for e in eye]), S.toarray())
 
 
 def test_periodic_derivative_matrix():
