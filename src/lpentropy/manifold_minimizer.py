@@ -16,7 +16,12 @@ Euler-Lagrange equation
 
 for all test functions v, where A_q = (int u^q)^kappa and
 B_q = (int |grad u|^p + C int u^p) (int u^q)^{kappa-1}, so that
-B_q int u^q = nu identically.
+B_q int u^q = nu identically.  euler_lagrange_residual tests it against
+the bumps of profiles.bump_basis: the three integrals of every bump come
+from one stacked pass, each term is taken over nu = A_q energy (so
+A_q / nu = 1 / energy and B_q / nu = 1 / int u^q, and no term overflows
+where J_q is finite), and the relative residual is that of
+profiles._weak_residual_ratio, the rule of the Euclidean residual too.
 
 Profiles are restricted to the symmetric class depending on one
 coordinate: the polar angle on the sphere, one periodic coordinate on
@@ -53,7 +58,8 @@ from .constants import InequalityParams, _exp_in_range, derived_exponents, entro
 from .errors import DomainError, Record
 from .gn_estimator import estimate_gn_constant
 from .manifold_geometry import ManifoldModel
-from .profiles import _discrete_functional, _projected_descent, bump_basis, derivative_matrix
+from .profiles import (_discrete_functional, _projected_descent, _weak_residual_ratio, bump_basis,
+                       derivative_matrix)
 
 __all__ = [
     "SymmetricManifoldProfile",
@@ -171,12 +177,6 @@ def _exponents(n: int, p: float, q: float, C: float) -> tuple:
     theta = derived_exponents(InequalityParams(n=n, p=p, q=q, r=p)).theta
     kappa = p * (1.0 - theta) / (q * theta)
     return theta, kappa
-
-
-def _lagrange_weights(terms, kappa: float) -> tuple:
-    """(A_q, B_q, nu) from the objective's terms at a unit-norm profile."""
-    _, mass_q, energy, *_ = terms
-    return mass_q**kappa, energy * mass_q ** (kappa - 1.0), energy * mass_q**kappa
 
 
 def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> float:
@@ -303,7 +303,8 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     else:
         best, used_const, terms = base, True, const_terms
 
-    a_q, b_q, nu = _lagrange_weights(terms, kappa)
+    _, mass_q, energy, *_ = terms
+    a_q, b_q, nu = mass_q**kappa, energy * mass_q ** (kappa - 1.0), energy * mass_q**kappa
     return MinimizeResult(
         value=nu,
         profile=best,
@@ -325,34 +326,35 @@ def euler_lagrange_residual(u: SymmetricManifoldProfile, p: float, q: float, C: 
     """Relative weak-form optimality residual at u against _EL_TESTS smooth bumps.
 
     nu, A_q and B_q are computed from u itself, which is the
-    self-consistent choice for a claimed minimizer.
+    self-consistent choice for a claimed minimizer.  The four terms of
+    each bump, divided by nu, which the ratio does not see, are added in
+    the equation's order and normalized by profiles._weak_residual_ratio;
+    the residual is 0 where every term vanishes (constants at C = 0).
     """
     theta, kappa = _exponents(u.model.dimension, p, q, C)
-    _, terms = u._ln_functional_pair(p, q, C, kappa)[0](u.values)
-    energy_weight, qnorm_weight, nu = _lagrange_weights(terms, kappa)
-    w, metric = u.weights, u.metric
-    _, _, _, du, a, _ = terms
-    flux = np.copysign(a ** (p - 1.0), du)
+    _, (_, mass_q, energy, du, a, _) = u._ln_functional_pair(p, q, C, kappa)[0](u.values)
+    if energy == 0.0:
+        # constants at C = 0: nu, A_q and B_q vanish, and so does every term
+        return 0.0
+    w, vals = u.weights, u.values
     # smooth bumps spread across the coordinate domain
     span = u.period or math.pi
     centers = np.linspace(0.12 * span, 0.88 * span, _EL_TESTS)
     width = 1.4 * (centers[1] - centers[0])
-    resid, scales = [], []
-    for v, dv in bump_basis(u.grid, centers, width, period=u.period):
-        t_grad = energy_weight * metric**p * float(np.sum(w * flux * dv))
-        mass_v = float(np.sum(w * u.values ** (p - 1.0) * v))
-        t_mass = energy_weight * C * mass_v
-        t_q = ((1.0 - theta) / theta) * qnorm_weight * float(np.sum(w * u.values ** (q - 1.0) * v))
-        t_nu = -(nu / theta) * mass_v
-        resid.append(t_grad + t_mass + t_q + t_nu)
-        scales.append(abs(t_grad) + abs(t_mass) + abs(t_q) + abs(t_nu))
-    # resid and scales are divided by the largest scale, which bounds every
-    # entry of both, before the norms: at a huge C their squares overflow
-    big = max(scales)
-    if big <= 0:
-        # every weak-form term vanishes identically (constants at C = 0)
-        return 0.0
-    return float(np.linalg.norm(np.divide(resid, big)) / np.linalg.norm(np.divide(scales, big)))
+    v, dv = bump_basis(u.grid, centers, width, period=u.period)
+    # the integrals int w flux dv, int w u^{p-1} v and int w u^{q-1} v of
+    # every bump, from one (tests, 3, nodes) table reduced in one call
+    table = np.empty((_EL_TESTS, 3, len(vals)))
+    np.multiply(w * np.copysign(a ** (p - 1.0), du), dv, out=table[:, 0])
+    np.multiply(w * vals ** (p - 1.0), v, out=table[:, 1])
+    np.multiply(w * vals ** (q - 1.0), v, out=table[:, 2])
+    flux_v, mass_v, q_v = np.add.reduce(table, axis=-1).T
+    # every term divided by nu = A_q energy, which the ratio does not see:
+    # A_q / nu = 1 / energy and B_q / nu = 1 / int u^q, so no term
+    # overflows where J_q is finite
+    terms = np.array([(u.metric**p / energy) * flux_v, (C / energy) * mass_v,
+                      ((1.0 - theta) / theta / mass_q) * q_v, -mass_v / theta])
+    return _weak_residual_ratio(((terms[0] + terms[1]) + terms[2]) + terms[3], terms)[0]
 
 
 def infimum_scan(model: ManifoldModel, p: float, q_values, C: float,
@@ -365,15 +367,19 @@ def infimum_scan(model: ManifoldModel, p: float, q_values, C: float,
     """
     n = model.dimension
     inv_entropy = 1.0 / entropy_best_constant(n, p)
+    q_values = [float(q) for q in q_values]
+    # every q passes the minimizer's check before the first descent runs
+    for q in q_values:
+        _exponents(n, p, q, C)
     rows = []
     for q in q_values:
         res = minimize_gn_functional(
-            model, p, float(q), C, n_nodes=n_nodes, max_iters=max_iters, seed=seed
+            model, p, q, C, n_nodes=n_nodes, max_iters=max_iters, seed=seed
         )
-        est = estimate_gn_constant(InequalityParams(n=n, p=p, q=float(q), r=p))
+        est = estimate_gn_constant(InequalityParams(n=n, p=p, q=q, r=p))
         rows.append(
             {
-                "q": float(q),
+                "q": q,
                 "nu": res.value,
                 "el_residual": res.el_residual,
                 "iterations": res.iterations,

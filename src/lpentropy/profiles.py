@@ -13,7 +13,7 @@ the node measures sum to the volume omega_{n-1} r_M^n / n of the ball to
 machine precision, and it converges at second order for smooth
 integrands under grid refinement.  RadialProfile stores no weights: the
 node measure is built from the grid wherever an integral needs it
-(RadialProfile.cell_measure, _profile_sums, _extremal_quadrature).
+(RadialProfile.cell_measure, _profile_sums).
 
 The extremal family a exp(-b r^{p'}) is one profile dilated by its core
 width b^{-1/p'} (ExtremalSpec.core_width), so its grids run from
@@ -38,7 +38,12 @@ so each line-search trial is one stacked pass (every sum of the objective
 from one multiplication and one row-wise reduction), the gradient reuses
 that pass's derivative, and the driver builds each trial in place.
 bump_basis supplies the smooth compactly supported test functions of the
-weak-form residuals.
+two weak-form residuals, limit_pde_residual of euclidean_inequalities and
+euler_lagrange_residual of manifold_minimizer, as two (tests, nodes)
+arrays (v, dv).  Each residual fills its table of integrands from them
+and reduces it in one np.add.reduce, and both take their relative
+residual by one rule, _weak_residual_ratio: the norm of the per-test sums
+over the norm of the summed absolute terms, both scaled exactly by 2^-k.
 
 The Gamma-function closed forms of the extremal family's five integrals
 live in _extremal_closed_forms: route one of extremal_integrals, which
@@ -56,17 +61,18 @@ constant grows, it climbs further.
 Large-grid integrals are summed block by block by _blocked_sums: the
 integrand is evaluated on 8 192-node slices of the grid with one node of
 overlap on each side, so the node measure and the stencil of every kept
-node are those of the whole-array rule, and no temporary the size of the
+node are those of the whole-array rule, and no integrand the size of the
 grid is allocated.  A block's integrands are stacked and summed by one
 np.add.reduce over the node axis, which sums each row pairwise as np.sum
 does, and the blocks are added by math.fsum.  Only the order of summation
 differs from the whole-array sums, so a grid of at most 8 192 nodes, one
-block, gives them bit for bit.  The quadrature route of
-extremal_integrals (_extremal_quadrature) and _tanh_sinh build their
-slices themselves; every integral of a RadialProfile (lp_norm,
-grad_energy, entropy_integral, and the deficits and quotients built on
-them) goes through _profile_sums, which hands the callback each block's
-node measure, grid, values and stencil derivative.  The weak residual of
+block, gives them bit for bit.  _tanh_sinh builds its slices itself;
+every integral of a RadialProfile (lp_norm, grad_energy,
+entropy_integral, the deficits and quotients built on them, and the
+quadrature route of extremal_integrals, which samples each ladder level
+into one values array) goes through _profile_sums, which hands the
+callback each block's node measure, grid, values and stencil
+derivative.  The weak residual of
 euclidean_inequalities walks the same blocks (_blocks) itself, to skip
 those where its test bumps vanish.
 
@@ -311,31 +317,56 @@ def derivative_matrix(grid: np.ndarray, period: float = None) -> DerivativeOpera
 
 
 def bump_basis(coord: np.ndarray, centers, width: float, jacobian=1.0,
-               period: float = None) -> list:
+               period: float = None) -> tuple:
     """Smooth compactly supported test bumps and their derivatives.
 
     For each center c the bump is v = exp(-1/(1-x^2)) on |x| < 1, with
     x = (coord - c)/width (the difference wrapped into one period when a
-    period is given), and zero elsewhere.  Returns one (v, dv) pair per
-    center, where dv = (dv/dcoord) / jacobian is the derivative in the
-    variable t with dt/dcoord = jacobian (jacobian = r for coord = ln r).
+    period is given), and zero elsewhere.  Returns the (centers, nodes)
+    arrays (v, dv), one row per center, where dv = (dv/dcoord) / jacobian
+    is the derivative in the variable t with dt/dcoord = jacobian
+    (jacobian = r for coord = ln r).  Each entry is computed as it would be
+    for its center alone; x is built in place and dropped before v and dv.
     """
     coord = np.asarray(coord, dtype=float)
-    jac = np.broadcast_to(np.asarray(jacobian, dtype=float), coord.shape)
-    basis = []
-    for c in centers:
-        delta = coord - c
-        if period is not None:
-            delta = (delta + period / 2.0) % period - period / 2.0
-        x = delta / width
-        inside = np.abs(x) < 1.0
-        v = np.zeros_like(coord)
-        dv = np.zeros_like(coord)
-        xs = x[inside]
-        v[inside] = np.exp(-1.0 / (1.0 - xs**2))
-        dv[inside] = v[inside] * (-2.0 * xs / (1.0 - xs**2) ** 2) / (jac[inside] * width)
-        basis.append((v, dv))
-    return basis
+    x = np.subtract(coord, np.asarray(centers, dtype=float)[:, None])
+    if period is not None:
+        x += period / 2.0
+        np.remainder(x, period, out=x)
+        x -= period / 2.0
+    x /= width
+    inside = np.abs(x) < 1.0
+    xs = x[inside]
+    del x
+    jac = np.broadcast_to(np.asarray(jacobian, dtype=float), inside.shape)[inside]
+    v = np.zeros(inside.shape)
+    dv = np.zeros(inside.shape)
+    vs = np.exp(-1.0 / (1.0 - xs**2))
+    v[inside] = vs
+    dv[inside] = vs * (-2.0 * xs / (1.0 - xs**2) ** 2) / (jac * width)
+    return v, dv
+
+
+def _weak_residual_ratio(resid: np.ndarray, terms: np.ndarray) -> tuple:
+    """(||resid|| / ||s||, ||s||) of a weak-form residual, s = sum_rows |terms|.
+
+    terms is the (kinds, tests) table of a weak residual's terms, resid its
+    per-test sum, added by the caller in the caller's own order; s sums the
+    absolute rows in their order.  Both norms are taken of the vectors times
+    2^-k, k the binary exponent of the largest term: no square overflows, and
+    a power of two scales exactly, so the ratio and the scale, taken back by
+    2^k, keep every finite bit.  The scale is inf if it leaves the float
+    range, and (0.0, 0.0) is returned when every term vanishes.
+    """
+    k = math.frexp(float(np.max(np.abs(terms))))[1]
+    norm = float(np.linalg.norm(np.abs(np.ldexp(terms, -k)).sum(axis=0)))
+    if norm <= 0:
+        return 0.0, 0.0
+    try:
+        scale = math.ldexp(norm, k)
+    except OverflowError:
+        scale = math.inf
+    return float(np.linalg.norm(np.ldexp(resid, -k))) / norm, scale
 
 
 def _blocks(m: int):
@@ -953,24 +984,20 @@ def _extremal_closed_forms(spec: ExtremalSpec) -> dict:
 
 
 def _extremal_quadrature(spec: ExtremalSpec, n_nodes: int) -> tuple:
-    """The five integrals of ExtremalIntegrals, in its field order, from
-    the profile sampled on its n_nodes-node grid with the node measure and
-    finite-difference gradients of RadialProfile, summed block by block
-    (_blocked_sums) so that no grid-sized temporary is allocated."""
+    """The five integrals of ExtremalIntegrals, in its field order, of the
+    profile sampled on its n_nodes-node grid, summed block by block by
+    _profile_sums with the node measure and finite-difference gradients of
+    RadialProfile."""
     p = spec.p
     grid = _extremal_grid(spec, n_nodes)
 
-    def terms(lo: int, hi: int) -> tuple:
-        r = grid[lo:hi]
-        u = spec.value(r)
-        # the node measure and derivative of RadialProfile, on the slice
-        mw = _node_measure(r, spec.n)
-        gp = np.abs(radial_derivative(r, u)) ** p
+    def terms(mw, r, u, du) -> tuple:
+        gp = np.abs(du) ** p
         ent = plogp(u, p)
         r2 = r**2
         return mw * ent, mw * gp, mw * u**p * r2, mw * gp * r2, mw * ent * r2
 
-    return tuple(_blocked_sums(len(grid), terms).tolist())
+    return _profile_sums(RadialProfile(grid, spec.value(grid), spec.n), terms, derivative=True)
 
 
 def extremal_integrals(n: int, p: float, b: float, n_nodes: int = 800_000) -> ExtremalIntegrals:

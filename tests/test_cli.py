@@ -560,6 +560,13 @@ def test_minimize_at_a_huge_finite_constant_value():
     result = strict_json(res.stdout)["result"]
     assert math.isfinite(result["value"]) and result["value"] <= result["constant_value"]
     assert math.isfinite(result["el_residual"])
+    # on the unit sphere nu / theta alone overflows at these C, though J_q is finite
+    for C in ("3e306", "1e307"):
+        res = run_cli("minimize", "--model", "sphere", "--n", "3", "--p", "2", "--q", "1.9",
+                      "--C", C, "--max-iters", "0")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert math.isfinite(strict_json(res.stdout)["result"]["el_residual"]), C
 
 
 @pytest.mark.parametrize("b", ["1e10", "1e14"])

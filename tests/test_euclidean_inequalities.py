@@ -272,11 +272,11 @@ def _whole_array_pde(u, p, C, n_tests=12, total=lambda a: float(np.sum(a))):
     flux = np.sign(du) * np.abs(du) ** (p - 1.0)
     u_pm1 = u.values ** (p - 1.0)
     source = u_pm1 + (p / n) * (u_pm1 * p * np.log(u.values))
-    bumps = bump_basis(log_r, np.linspace(lo, hi, n_tests), width, jacobian=u.grid)
-    grad_t = np.array([total(mw * flux * dv) for v, dv in bumps])
-    mass_t = np.array([total(mw * u_pm1 * v) for v, dv in bumps])
+    vs, dvs = bump_basis(log_r, np.linspace(lo, hi, n_tests), width, jacobian=u.grid)
+    grad_t = np.array([total(mw * flux * dv) for dv in dvs])
+    mass_t = np.array([total(mw * u_pm1 * v) for v in vs])
     inv_k = 1.0 / entropy_best_constant(n, p)
-    rhs_t = np.array([-inv_k * total(mw * source * v) for v, dv in bumps])
+    rhs_t = np.array([-inv_k * total(mw * source * v) for v in vs])
     base = grad_t + rhs_t
     c = -float(np.dot(base, mass_t) / np.dot(mass_t, mass_t)) if C == "fit" else C
     res = base + c * mass_t

@@ -1,6 +1,7 @@
 """Constrained functional minimization on sphere and torus profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -312,3 +313,29 @@ def test_infimum_scan_rows():
         )
         assert row["inv_estimated_constant"] > 0
         assert (row["stop_reason"], row["converged"]) == ("max_iters", False)
+
+
+def test_infimum_scan_checks_every_q_before_descending(monkeypatch):
+    # a bad q late in the list once raised only after the descents before it
+    def spy(*args, **kwargs):
+        raise AssertionError("a descent or an estimate ran before every q was checked")
+
+    monkeypatch.setattr(manifold_minimizer, "minimize_gn_functional", spy)
+    monkeypatch.setattr(manifold_minimizer, "estimate_gn_constant", spy)
+    with pytest.raises(DomainError, match="q=2.5"):
+        infimum_scan(SPHERE3, 2.0, [1.7, 2.5], 1.0)
+    with pytest.raises(DomainError, match="q=0.5"):
+        infimum_scan(SPHERE3, 2.0, iter([1.7, 0.5]), 1.0)
+
+
+def test_residual_at_a_huge_constant_value():
+    """Each weak-form term is taken over nu, which the ratio does not see, so
+    the residual stays finite where nu / theta alone overflows, and at a
+    huge C it no longer depends on C."""
+    u = symmetric_profile(SPHERE3, lambda g: 1.0 + 0.3 * np.cos(g), n_nodes=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = euler_lagrange_residual(u, 2.0, 1.9, 1e300)
+        large = euler_lagrange_residual(u, 2.0, 1.9, 1e200)
+    assert math.isfinite(huge) and huge > 0
+    assert huge == pytest.approx(large, rel=1e-12)

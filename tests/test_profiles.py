@@ -168,15 +168,58 @@ def test_bump_basis_derivatives_second_order():
     log_errs, periodic_errs = [], []
     for m in (1000, 2000):
         r = np.geomspace(1e-3, 50.0, m)
-        (v, dv), = bump_basis(np.log(r), [0.5], 1.5, jacobian=r)
+        (v,), (dv,) = bump_basis(np.log(r), [0.5], 1.5, jacobian=r)
         log_errs.append(np.max(np.abs(radial_derivative(r, v) - dv)))
         # centered near the seam, so the bump wraps around the period
         x = np.linspace(0.0, side, m // 4, endpoint=False)
-        (v, dv), = bump_basis(x, [0.3], 1.5, period=side)
+        (v,), (dv,) = bump_basis(x, [0.3], 1.5, period=side)
         assert v[-1] > 0.1
         periodic_errs.append(np.max(np.abs(derivative_matrix(x, period=side) @ v - dv)))
     for errs in (log_errs, periodic_errs):
         assert 3.2 < errs[0] / errs[1] < 4.8
+
+
+def _bump_loop(coord, centers, width, jacobian=1.0, period=None):
+    """bump_basis written one center at a time, as a reference."""
+    coord = np.asarray(coord, dtype=float)
+    jac = np.broadcast_to(np.asarray(jacobian, dtype=float), coord.shape)
+    basis = []
+    for c in centers:
+        delta = coord - c
+        if period is not None:
+            delta = (delta + period / 2.0) % period - period / 2.0
+        x = delta / width
+        inside = np.abs(x) < 1.0
+        v = np.zeros_like(coord)
+        dv = np.zeros_like(coord)
+        xs = x[inside]
+        v[inside] = np.exp(-1.0 / (1.0 - xs**2))
+        dv[inside] = v[inside] * (-2.0 * xs / (1.0 - xs**2) ** 2) / (jac[inside] * width)
+        basis.append((v, dv))
+    return basis
+
+
+def test_bump_basis_matches_one_center_at_a_time():
+    """The (centers, nodes) arrays hold each center's bump bit for bit: in
+    ln r with the jacobian r, and on a period with centers across the seam."""
+    r = np.geomspace(1e-4, 30.0, 3001)
+    side = 6.0
+    x = np.linspace(0.0, side, 701, endpoint=False)
+    cases = [
+        ((np.log(r), np.linspace(-3.0, 2.5, 12), 0.8), {"jacobian": r}),
+        ((x, np.array([0.1, 2.0, 5.9, 6.0, -0.4]), 1.3), {"period": side}),
+        ((x, [0.3, 4.7], 0.05), {}),
+    ]
+    for args, kwargs in cases:
+        v, dv = bump_basis(*args, **kwargs)
+        ref = _bump_loop(*args, **kwargs)
+        assert v.shape == dv.shape == (len(ref), len(args[0]))
+        for i, (rv, rdv) in enumerate(ref):
+            assert np.count_nonzero(rv) > 0
+            assert np.array_equal(v[i], rv) and np.array_equal(dv[i], rdv), (kwargs, i)
+    # the seam: a bump centered at 0.1 reaches the last nodes of the period
+    v, _ = bump_basis(x, [0.1], 1.3, period=side)
+    assert v[0, -1] > 0
 
 
 def test_extremal_profile_is_normalized():
