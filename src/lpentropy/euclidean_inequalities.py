@@ -17,16 +17,18 @@ with Delta_p u = -div(|grad u|^{p-2} grad u).
 
 Every integral here is summed block by block over the profile's grid
 (profiles._profile_sums, or its blocks for the residual), so no call
-allocates a float array the size of the grid, apart from the cumulative
-mass and the log-radius that place the residual's test window.  The
+allocates an array the size of the grid: a call holds the profile's grid
+and values and memory of the order of one block.  The
 deficit, gap, slack and log-norm derivative each make one pass over u as
 given: with m = int u^p, G = int |grad u|^p and E = int u^p ln u^p,
 v = u/||u||_p has int |grad v|^p = G/m and int v^p ln v^p = E/m - ln m,
 and ln ||u||_t = (ln int u^t)/t; deficit_report returns m^{1/p}, G and E
-with the deficit.  The weak residual evaluates the bump test functions
-(profiles.bump_basis, as arrays) only on the blocks their supports meet,
-fills each block's (bumps, 3, nodes) table of integrands in place and
-reduces it in one np.add.reduce; its ratio and scale come from
+with the deficit.  The weak residual places its test window by
+profiles._mass_quantiles, which builds the cumulative mass of u^p block by
+block, evaluates the bump test functions (profiles.bump_basis, as arrays)
+only on the blocks their supports meet, and reduces each block's
+integrands one kind at a time, so that only the bumps, their derivatives
+and one product exist at once; its ratio and scale come from
 profiles._weak_residual_ratio, the rule that the manifold residual of
 manifold_minimizer shares.
 """
@@ -40,8 +42,8 @@ import numpy as np
 
 from .constants import entropy_best_constant
 from .errors import DomainError, Record
-from .profiles import (RadialProfile, _add_blocks, _blocks, _node_measure, _profile_sums,
-                       _weak_residual_ratio, bump_basis, plogp, radial_derivative)
+from .profiles import (RadialProfile, _add_blocks, _blocks, _mass_quantiles, _node_measure,
+                       _profile_sums, _weak_residual_ratio, bump_basis, plogp, radial_derivative)
 
 __all__ = [
     "DeficitReport",
@@ -97,7 +99,8 @@ def deficit_report(u: RadialProfile, p: float) -> DeficitReport:
     n = _check_p_range(u, p)
     with np.errstate(over="ignore"):
         mass, grad, entropy = _profile_sums(
-            u, lambda mw, r, v, dv: (mw * v**p, mw * np.abs(dv) ** p, mw * plogp(v, p)),
+            u.grid, u.values, n,
+            lambda mw, r, v, dv: (mw * v**p, mw * np.abs(dv) ** p, mw * plogp(v, p)),
             derivative=True)
     ln_m = _log_mass(mass)
     if not (math.isfinite(grad) and math.isfinite(entropy)):
@@ -132,7 +135,8 @@ def holder_interpolation_gap(u: RadialProfile, p: float, q: float) -> float:
     if not p <= q <= p_star * (1 + 1e-12):
         raise DomainError(f"require p <= q <= p* = {p_star:.6g}, got q={q}")
     alpha = (n * p - n * q + p * q) / (p * q)
-    sums = _profile_sums(u, lambda mw, r, v, dv: (mw * v**p, mw * v**q, mw * v**p_star))
+    sums = _profile_sums(u.grid, u.values, n,
+                         lambda mw, r, v, dv: (mw * v**p, mw * v**q, mw * v**p_star))
     ln_p, ln_q, ln_ps = (_log_mass(m) / t for m, t in zip(sums, (p, q, p_star)))
     return (ln_q - ln_p) + (1.0 - alpha) * (ln_p - ln_ps)
 
@@ -147,7 +151,8 @@ def embedding_entropy_slack(u: RadialProfile, p: float) -> float:
     n = _check_p_range(u, p)
     p_star = n * p / (n - p)
     mass, mass_star, entropy = _profile_sums(
-        u, lambda mw, r, v, dv: (mw * v**p, mw * v**p_star, mw * plogp(v, p)))
+        u.grid, u.values, n,
+        lambda mw, r, v, dv: (mw * v**p, mw * v**p_star, mw * plogp(v, p)))
     ln_m = _log_mass(mass)
     return n * (_log_mass(mass_star) / p_star - ln_m / p) - (entropy / mass - ln_m)
 
@@ -176,7 +181,8 @@ def log_norm_derivative(u: RadialProfile, p: float, dq: float) -> LogNormDerivat
         raise DomainError(f"require 0 < dq < p - 1, got dq={dq}")
     p_m = p - dq
     mass_p, mass_m, entropy = _profile_sums(
-        u, lambda mw, r, v, dv: (mw * v**p, mw * v**p_m, mw * plogp(v, p)))
+        u.grid, u.values, u.dimension,
+        lambda mw, r, v, dv: (mw * v**p, mw * v**p_m, mw * plogp(v, p)))
     ln_m = _log_mass(mass_p)
     fd = (ln_m / p - _log_mass(mass_m) / p_m) / dq
     exact = (entropy / mass_p - ln_m) / (p * p)
@@ -206,18 +212,26 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit") -> PdeResidualReport
     C may be a number or "fit", in which case the scalar minimizing the
     l2 norm of (r_1, ..., r_K) is used (the residual is linear in C).
     The returned residual is normalized by the size of the individual
-    terms, so values near 1 mean "not remotely a solution".  The bumps
-    are evaluated block by block on the slices of profiles._blocked_sums,
-    and only where they live: a block that no bump's support meets is
-    skipped (no measure, no derivative, no logarithm), and a block that
-    some meet evaluates only those.  Every bump vanishes exactly off its
-    support, and a zero block adds exactly 0 to the fsum of the blocks, so
-    the sums are those of every bump on every block, bit for bit.  The
-    norms are those of profiles._weak_residual_ratio; a scale of 0 (every
-    term vanishes) or past the float range is a DomainError.
+    terms, so values near 1 mean "not remotely a solution".
+
+    The bumps are spread in ln r between the 2% and 98% quantiles of the
+    cumulative mass of u^p, which profiles._mass_quantiles finds block by
+    block, bit for bit those of np.interp on the whole cumulative mass; a
+    mass that leaves the float range (u^p overflows) is a DomainError
+    before any bump.  The bumps are evaluated block by block on the slices
+    of profiles._blocked_sums, and only where they live: a block that no
+    bump's support meets is skipped (no measure, no derivative, no
+    logarithm), and a block that some meet evaluates only those.  Every
+    bump vanishes exactly off its support, and a zero block adds exactly 0
+    to the fsum of the blocks, so the sums are those of every bump on every
+    block, bit for bit.  Each block reduces its three kinds of integrand
+    one at a time, in place where it can, so a call holds the profile and
+    a few (bumps, block) arrays, whatever the grid's size.  The norms are
+    those of profiles._weak_residual_ratio; a scale of 0 (every term
+    vanishes) or past the float range is a DomainError.
     """
     n = _check_p_range(u, p)
-    if np.any(u.values <= 0):
+    if not u.values.min() > 0:
         raise DomainError("limit_pde_residual requires a strictly positive profile")
     fitted = isinstance(C, str)
     if fitted and C != "fit":
@@ -227,23 +241,13 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit") -> PdeResidualReport
     inv_k = 1.0 / entropy_best_constant(n, p)
 
     # bumps in log-radius, centered between the 2% and 98% mass quantiles of u^p
-    mass = u.cell_measure()
-    mass *= u.values**p
-    cum = np.cumsum(mass)
-    del mass
-    if cum[-1] <= 0:
-        raise DomainError("profile carries no mass for the test basis")
-    cum /= cum[-1]
-    log_r = np.log(u.grid)
-    lo = float(np.interp(0.02, cum, log_r))
-    hi = float(np.interp(0.98, cum, log_r))
-    del cum, log_r
+    grid, values = u.grid, u.values
+    lo, hi = _mass_quantiles(grid, values, n, p, (0.02, 0.98))
     centers = np.linspace(lo, hi, _PDE_TESTS)
     width = 1.6 * (hi - lo) / (_PDE_TESTS - 1)
 
     # the sums of (grad, mass, rhs) for each bump, block by block as in
     # _profile_sums; a bump adds only on the blocks its support meets
-    grid, values = u.grid, u.values
     partials = [np.zeros((_PDE_TESTS, 3))]
     for i, j, a, b in _blocks(len(grid)):
         r = grid[i:j]
@@ -257,23 +261,22 @@ def limit_pde_residual(u: RadialProfile, p: float, C="fit") -> PdeResidualReport
         v = values[i:j]
         mw = _node_measure(r, n)
         dv = radial_derivative(r, v)
-        # each weight is the left factor of its integrands (mw * flux * dv,
-        # mw * u_pm1 * v, ...), which keeps the bits of the whole-array products
-        u_pm1 = v ** (p - 1.0)
-        grad_w = mw * (np.sign(dv) * np.abs(dv) ** (p - 1.0))
-        mass_w = mw * u_pm1
-        rhs_w = mw * (u_pm1 + (p / n) * (u_pm1 * p * np.log(v)))
         bump, db = bump_basis(np.log(r), centers[live], width, jacobian=r)
-        # the (live, 3, nodes) table filled in place, reduced in one call
-        table = np.empty((live.size, 3, j - i))
-        np.multiply(grad_w, db, out=table[:, 0])
-        np.multiply(mass_w, bump, out=table[:, 1])
-        np.multiply(rhs_w, bump, out=table[:, 2])
-        # freed before the next block builds its bumps: held across blocks,
-        # they raised the peak of a 200k-node residual from 4.1 to 5.0 MB
-        del bump, db
+        # one kind of integrand at a time, each the product of its weight
+        # (mw * flux, mw * u^(p-1), ...) with the bumps, in place where the
+        # bumps are not needed again; the products commute exactly, so the
+        # bits are those of the whole-array weight-first products
         part = np.zeros((_PDE_TESTS, 3))
-        part[live] = np.add.reduce(table[..., a:b], axis=-1)
+        db *= mw * (np.sign(dv) * np.abs(dv) ** (p - 1.0))
+        part[live, 0] = np.add.reduce(db[:, a:b], axis=-1)
+        del db
+        u_pm1 = v ** (p - 1.0)
+        part[live, 1] = np.add.reduce((mw * u_pm1 * bump)[:, a:b], axis=-1)
+        bump *= mw * (u_pm1 + (p / n) * (u_pm1 * p * np.log(v)))
+        part[live, 2] = np.add.reduce(bump[:, a:b], axis=-1)
+        # freed before the next block builds its bumps, which would
+        # otherwise meet this block's bumps at its peak
+        del bump
         partials.append(part)
     # contiguous copies: np.dot on strided views may sum in another order
     grad_t, mass_t, rhs_t = np.ascontiguousarray(_add_blocks(partials).T)

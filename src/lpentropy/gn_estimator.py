@@ -112,7 +112,8 @@ def gn_quotient(u: RadialProfile, params: InequalityParams) -> GNQuotientReport:
     theta = _theta_or_raise(params)
     p, q, r = params.p, params.q, params.r
     mass_r, mass_q, grad_p = _profile_sums(
-        u, lambda mw, x, v, dv: (mw * v**r, mw * v**q, mw * np.abs(dv) ** p), derivative=True
+        u.grid, u.values, u.dimension,
+        lambda mw, x, v, dv: (mw * v**r, mw * v**q, mw * np.abs(dv) ** p), derivative=True
     )
     norm_r = mass_r ** (1.0 / r)
     norm_q = mass_q ** (1.0 / q)

@@ -40,10 +40,12 @@ that pass's derivative, and the driver builds each trial in place.
 bump_basis supplies the smooth compactly supported test functions of the
 two weak-form residuals, limit_pde_residual of euclidean_inequalities and
 euler_lagrange_residual of manifold_minimizer, as two (tests, nodes)
-arrays (v, dv).  Each residual fills its table of integrands from them
-and reduces it in one np.add.reduce, and both take their relative
-residual by one rule, _weak_residual_ratio: the norm of the per-test sums
-over the norm of the summed absolute terms, both scaled exactly by 2^-k.
+arrays (v, dv).  Each residual multiplies its integrands by them and
+reduces them by np.add.reduce over the node axis (the manifold residual in
+one stacked table, limit_pde_residual one kind of integrand at a time, on
+each block), and both take their relative residual by one rule,
+_weak_residual_ratio: the norm of the per-test sums over the norm of the
+summed absolute terms, both scaled exactly by 2^-k.
 
 The Gamma-function closed forms of the extremal family's five integrals
 live in _extremal_closed_forms: route one of extremal_integrals, which
@@ -74,7 +76,18 @@ into one values array) goes through _profile_sums, which hands the
 callback each block's node measure, grid, values and stencil
 derivative.  The weak residual of
 euclidean_inequalities walks the same blocks (_blocks) itself, to skip
-those where its test bumps vanish.
+those where its test bumps vanish, and places its test window by
+_mass_quantiles: the log-radius quantiles of the cumulative mass of u^p,
+built block by block with the running total carried into each block's
+np.cumsum, and interpolated on the one block around each crossing.
+
+So a profile costs its own two arrays.  Every path that builds, reads or
+integrates a RadialProfile holds the grid and values plus memory of the
+order of one block: ExtremalSpec.value computes in one buffer,
+random_stretched_mixture adds its second component block by block,
+RadialProfile.from_csv parses rows straight into the two arrays, and a
+RadialProfile validates its arrays by reductions and per-block
+comparisons, with no mask the size of the grid.
 
 The package's one tanh-sinh rule, _tanh_sinh, also lives here: the
 exponent-path integrals of hypercontractivity and the bubble integrals of
@@ -90,6 +103,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -133,6 +147,9 @@ TAIL_CUTOFF = 1e-16
 #: temporaries are reused from the heap instead of being returned to the OS
 #: and faulted in again on every allocation, and they stay in L2 cache
 _BLOCK_NODES = 8192
+
+#: one row of a profile CSV, as RadialProfile.from_csv parses it
+_CSV_NODE = np.dtype([("r", float), ("u", float)])
 
 #: member-nodes per pass of _tanh_sinh's member axis: the members of a
 #: level are evaluated in groups of at most this many nodes in all, since a
@@ -556,24 +573,73 @@ def _missed(what: str, max_nodes: int, err) -> AccuracyNotMet:
                           f"nodes{estimates}", err)
 
 
-def _profile_sums(u: RadialProfile, terms, derivative: bool = False) -> tuple:
-    """Sums over the nodes of u of the arrays that terms returns, block by block.
+def _profile_sums(grid: np.ndarray, values: np.ndarray, n: int, terms,
+                  derivative: bool = False) -> tuple:
+    """Sums over the nodes of a profile on R^n of the arrays that terms
+    returns, block by block.
 
-    terms(mw, r, v, dv) gets one _blocked_sums slice of the profile: the
-    node measure mw (_node_measure of the slice), the grid r, the values v
-    and, if derivative is set, the stencil derivative dv of v on the slice
-    (else None); it returns an iterable of weighted integrands of the
-    slice's length.  Each element is computed as on the whole arrays.
+    grid and values are a profile's arrays (a RadialProfile's, or a grid
+    and values the caller built and trusts, unvalidated).  terms(mw, r, v,
+    dv) gets one _blocked_sums slice of the profile: the node measure mw
+    (_node_measure of the slice), the grid r, the values v and, if
+    derivative is set, the stencil derivative dv of v on the slice (else
+    None); it returns an iterable of weighted integrands of the slice's
+    length.  Each element is computed as on the whole arrays.
     """
-    n = u.dimension
-
     def block(lo: int, hi: int):
-        r = u.grid[lo:hi]
-        v = u.values[lo:hi]
+        r = grid[lo:hi]
+        v = values[lo:hi]
         dv = radial_derivative(r, v) if derivative else None
         return terms(_node_measure(r, n), r, v, dv)
 
-    return tuple(_blocked_sums(len(u.grid), block).tolist())
+    return tuple(_blocked_sums(len(grid), block).tolist())
+
+
+def _mass_quantiles(grid: np.ndarray, values: np.ndarray, n: int, p: float,
+                    levels: tuple) -> list:
+    """The log-radius ln r at each level of the cumulative mass of u^p.
+
+    The cumulative mass c_i = sum_{j <= i} m_j u_j^p (m the node measure) is
+    normalized by its total, and each level's ln r is np.interp(level, c,
+    ln r) on the whole grid, bit for bit, with no array the size of the
+    grid.  The sums are built block by block (_blocks): adding the running
+    total into a block's first node before the block's np.cumsum, which
+    adds strictly in sequence, gives the whole array's values.  One pass
+    keeps each block's last value; a level's crossing then lies in the
+    first block whose last value exceeds it, or at the node just before
+    that block, and np.interp, which reads only the bracketing pair, runs
+    on that window.  A total that is not finite and positive (u^p
+    overflows or underflows everywhere) is a DomainError, without a
+    warning.
+    """
+    def cumulative(lo: int, hi: int, a: int, b: int, before: float) -> np.ndarray:
+        r = grid[lo:hi]
+        mass = values[lo + a:lo + b] ** p
+        mass *= _node_measure(r, n)[a:b]
+        mass[0] += before
+        return np.cumsum(mass, out=mass)
+
+    blocks = list(_blocks(len(grid)))
+    ends, total = [], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            total = float(cumulative(*block, total)[-1])
+            ends.append(total)
+    if not math.isfinite(total):
+        raise DomainError("the mass int u^p that places the test window leaves the float range")
+    if total <= 0:
+        raise DomainError("profile carries no mass for the test basis")
+    quantiles = []
+    for level in levels:
+        k = next(k for k, end in enumerate(ends) if end / total > level)
+        lo, hi, a, b = blocks[k]
+        start = lo + a - (k > 0)
+        window = cumulative(lo, hi, a, b, ends[k - 1] if k else 0.0)
+        if k:
+            window = np.concatenate(([ends[k - 1]], window))
+        window /= total
+        quantiles.append(float(np.interp(level, window, np.log(grid[start:lo + b]))))
+    return quantiles
 
 
 def _discrete_functional(w, operator, p: float, C: float, terms, metric: float = 1.0) -> tuple:
@@ -752,9 +818,12 @@ class RadialProfile:
             raise DomainError("grid and values must be 1-D arrays of equal length")
         if len(grid) < 3:
             raise DomainError("a profile needs at least 3 nodes")
-        if not (grid[0] > 0 and np.all(grid[1:] > grid[:-1])):
+        # block by block and by reductions: no mask the size of the grid
+        slices = (grid[i:i + _BLOCK_NODES + 1] for i in range(0, len(grid) - 1, _BLOCK_NODES))
+        if not (grid[0] > 0 and all(np.all(s[1:] > s[:-1]) for s in slices)):
             raise DomainError("grid must be positive and strictly increasing")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
+        # a nan makes the minimum nan, which fails the comparison
+        if not (values.min() >= 0 and values.max() < math.inf):
             raise DomainError("values must be finite and nonnegative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -781,8 +850,22 @@ class RadialProfile:
 
     @staticmethod
     def from_csv(path, dimension: int) -> "RadialProfile":
-        rows = []
+        """The profile written by to_csv: a header 'r,u', then one node per row.
+
+        The rows are parsed straight into the grid and values arrays,
+        _BLOCK_NODES rows at a time (np.fromiter on a two-field dtype).  A
+        seekable file is first scanned for its line count, an upper bound
+        on its rows that sizes both arrays, so reading holds the two arrays
+        and one block of rows; a pipe, or a file whose lines do not end in
+        '\\n', grows them as they fill.  A bad row is a DomainError naming
+        its line; a file of fewer than 3 rows fails the node count.
+        """
         with open(path, newline="") as fh:
+            size = _BLOCK_NODES
+            if fh.seekable():
+                chunks = iter(functools.partial(fh.buffer.read, 1 << 20), b"")
+                size = sum(chunk.count(b"\n") for chunk in chunks)
+                fh.seek(0)
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -790,16 +873,33 @@ class RadialProfile:
                 raise DomainError(f"empty profile CSV: {path}") from None
             if [h.strip() for h in header[:2]] != ["r", "u"]:
                 raise DomainError(f"expected CSV header 'r,u', got {header!r}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
-                    raise DomainError(
-                        f"bad profile row at line {lineno} of {path}: {row!r}"
-                    ) from None
-        # (0, 2) for a header-only file, which then fails the node count
-        arr = np.array(rows, dtype=float).reshape(-1, 2)
-        return RadialProfile(arr[:, 0], arr[:, 1], dimension)
+
+            def nodes():
+                for lineno, row in enumerate(reader, start=2):
+                    try:
+                        yield float(row[0]), float(row[1])
+                    except (ValueError, IndexError):
+                        raise DomainError(
+                            f"bad profile row at line {lineno} of {path}: {row!r}"
+                        ) from None
+
+            pairs, grid, values, count = nodes(), np.empty(size), np.empty(size), 0
+            while True:
+                block = np.fromiter(itertools.islice(pairs, _BLOCK_NODES), dtype=_CSV_NODE)
+                if not block.size:
+                    break
+                end = count + len(block)
+                if end > size:
+                    size = 2 * end
+                    grid.resize(size, refcheck=False)
+                    values.resize(size, refcheck=False)
+                grid[count:end] = block["r"]
+                values[count:end] = block["u"]
+                count = end
+        # in place: the arrays are this function's own
+        grid.resize(count, refcheck=False)
+        values.resize(count, refcheck=False)
+        return RadialProfile(grid, values, dimension)
 
 
 def _check_exponent(name: str, p: float) -> None:
@@ -810,21 +910,24 @@ def _check_exponent(name: str, p: float) -> None:
 def lp_norm(u: RadialProfile, p: float) -> float:
     """||u||_p over R^n by the profile's quadrature rule."""
     _check_exponent("lp_norm", p)
-    (total,) = _profile_sums(u, lambda mw, r, v, dv: (mw * v**p,))
+    (total,) = _profile_sums(u.grid, u.values, u.dimension,
+                             lambda mw, r, v, dv: (mw * v**p,))
     return total ** (1.0 / p)
 
 
 def grad_energy(u: RadialProfile, p: float) -> float:
     """int |grad u|^p dx with the gradient by finite differences."""
     _check_exponent("grad_energy", p)
-    (total,) = _profile_sums(u, lambda mw, r, v, dv: (mw * np.abs(dv) ** p,), derivative=True)
+    (total,) = _profile_sums(u.grid, u.values, u.dimension,
+                             lambda mw, r, v, dv: (mw * np.abs(dv) ** p,), derivative=True)
     return total
 
 
 def entropy_integral(u: RadialProfile, p: float) -> float:
     """int u^p ln(u^p) dx with the 0 ln 0 = 0 convention."""
     _check_exponent("entropy_integral", p)
-    (total,) = _profile_sums(u, lambda mw, r, v, dv: (mw * plogp(v, p),))
+    (total,) = _profile_sums(u.grid, u.values, u.dimension,
+                             lambda mw, r, v, dv: (mw * plogp(v, p),))
     return total
 
 
@@ -854,7 +957,17 @@ class ExtremalSpec:
         return self.b ** (-1.0 / self.shape_power)
 
     def value(self, r: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-self.b * np.asarray(r, dtype=float) ** self.shape_power)
+        """u0(r) = a exp(-b r^{p'}), computed in one buffer of r's shape.
+
+        The products commute exactly, so the bits are those of the
+        expression written out; a 0-d r gives a scalar.
+        """
+        r = np.asarray(r, dtype=float)
+        t = np.power(r, self.shape_power, out=np.empty_like(r))
+        t *= -self.b
+        np.exp(t, out=t)
+        t *= self.amplitude
+        return t[()]
 
     def derivative(self, r: np.ndarray) -> np.ndarray:
         """Analytic radial derivative u0'(r), exactly 0 where the core underflows.
@@ -987,7 +1100,8 @@ def _extremal_quadrature(spec: ExtremalSpec, n_nodes: int) -> tuple:
     """The five integrals of ExtremalIntegrals, in its field order, of the
     profile sampled on its n_nodes-node grid, summed block by block by
     _profile_sums with the node measure and finite-difference gradients of
-    RadialProfile."""
+    RadialProfile.  The grid and values are this module's own, so they are
+    summed without a RadialProfile's validation."""
     p = spec.p
     grid = _extremal_grid(spec, n_nodes)
 
@@ -997,7 +1111,7 @@ def _extremal_quadrature(spec: ExtremalSpec, n_nodes: int) -> tuple:
         r2 = r**2
         return mw * ent, mw * gp, mw * u**p * r2, mw * gp * r2, mw * ent * r2
 
-    return _profile_sums(RadialProfile(grid, spec.value(grid), spec.n), terms, derivative=True)
+    return _profile_sums(grid, spec.value(grid), spec.n, terms, derivative=True)
 
 
 def extremal_integrals(n: int, p: float, b: float, n_nodes: int = 800_000) -> ExtremalIntegrals:
@@ -1058,7 +1172,8 @@ def random_stretched_mixture(
     The workhorse trial family of the robustness checks: smooth, strictly
     positive, decaying, and never exactly extremal.  Amplitudes c_i are
     drawn uniformly from [0.2, 2], rates b_i from [0.3, 3] and powers s_i
-    from [1, 4].
+    from [1, 4].  The values are the grid's one companion array: the first
+    component is built in it, and the second is added block by block.
     """
     c = rng.uniform(0.2, 2.0, size=2)
     bb = rng.uniform(0.3, 3.0, size=2)
@@ -1068,15 +1183,17 @@ def random_stretched_mixture(
     )
     grid = np.geomspace(DEFAULT_R_MIN, r_max, int(n_nodes))
 
-    def component(i: int) -> np.ndarray:
+    def component(i: int, r: np.ndarray) -> np.ndarray:
         # c_i exp(-b_i r^{s_i}) in one buffer; the products commute exactly,
         # so the bits are those of the expression written out
-        t = grid ** ss[i]
+        t = r ** ss[i]
         t *= -bb[i]
         np.exp(t, out=t)
         t *= c[i]
         return t
 
-    values = component(0)
-    values += component(1)
+    values = component(0, grid)
+    for start in range(0, len(grid), _BLOCK_NODES):
+        block = slice(start, start + _BLOCK_NODES)
+        values[block] += component(1, grid[block])
     return RadialProfile(grid, values, n)

@@ -97,9 +97,9 @@ def test_functionals_make_one_pass(monkeypatch):
 
     original, calls = profiles._profile_sums, []
 
-    def counting(u, terms, derivative=False):
-        calls.append(u)
-        return original(u, terms, derivative)
+    def counting(grid, values, n, terms, derivative=False):
+        calls.append((grid, values, n))
+        return original(grid, values, n, terms, derivative)
 
     monkeypatch.setattr(profiles, "_profile_sums", counting)
     monkeypatch.setattr(ei, "_profile_sums", counting)
@@ -107,7 +107,9 @@ def test_functionals_make_one_pass(monkeypatch):
     for call in _ONE_CALL_EACH:
         calls.clear()
         call(u)
-        assert calls == [u]
+        assert len(calls) == 1
+        grid, values, n = calls[0]
+        assert grid is u.grid and values is u.values and n == u.dimension
 
 
 def test_functionals_reject_zero_mass():
@@ -231,6 +233,16 @@ def test_limit_pde_terms_past_the_float_range():
         limit_pde_residual(u.with_values(4.0 * u.values), 2.0, 1.7e308)
     with pytest.raises(DomainError, match="norm of the weak-form terms"):
         limit_pde_residual(u.with_values(2.1 * u.values), 2.0, 1.4e308)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e200])
+def test_limit_pde_mass_past_the_float_range(scale):
+    # u^p overflows: the test window refuses the mass before any bump, with
+    # its own error and no warning (pytest turns RuntimeWarning into errors)
+    u = extremal_profile(3, 2.0, 1.0, n_nodes=20_000)
+    with pytest.raises(DomainError, match="^the mass int u\\^p that places the test window "
+                                          "leaves the float range$"):
+        limit_pde_residual(u.with_values(scale * u.values), 2.0)
 
 
 def _whole_array_functionals(u, p, q, dq):
@@ -357,7 +369,18 @@ def test_deficit_memory_peak():
 
 
 def test_limit_pde_residual_memory_peak():
-    """On a 200k-node profile the residual holds the cumulative mass and the
-    log-radius of its test window, and block-sized arrays besides."""
+    """On a 200k-node profile the residual holds block-sized arrays alone: at
+    most four (tests, block) arrays, the bumps, their derivatives and one
+    product, with bump_basis's temporaries."""
     u = random_stretched_mixture(3, np.random.default_rng(1))
-    assert _peak_bytes(lambda: limit_pde_residual(u, 2.0)) <= 3 * 200_000 * 8
+    assert _peak_bytes(lambda: limit_pde_residual(u, 2.0)) <= 4 * 12 * BLOCK * 8
+
+
+def test_limit_pde_residual_memory_scales_with_the_blocks():
+    """A 1 000 000-node residual peaks at most 1 B per added node above the
+    200 000-node one, which allows a boolean check of the profile."""
+    peaks = {}
+    for n_nodes in (200_000, 1_000_000):
+        u = random_stretched_mixture(3, np.random.default_rng(1), n_nodes=n_nodes)
+        peaks[n_nodes] = _peak_bytes(lambda: limit_pde_residual(u, 2.0))
+    assert peaks[1_000_000] <= peaks[200_000] + 800_000

@@ -23,6 +23,7 @@ from lpentropy.profiles import (
     _blocked_sums,
     _discrete_functional,
     _extremal_quadrature,
+    _mass_quantiles,
     _missed,
     _node_measure,
     _projected_descent,
@@ -467,15 +468,43 @@ def test_csv_malformed_inputs(tmp_path):
     with pytest.raises(DomainError, match="empty"):
         RadialProfile.from_csv(empty, dimension=3)
 
+    header = tmp_path / "header.csv"
+    header.write_text("x,y\n0.1,0.5\n")
+    with pytest.raises(DomainError, match=re.escape("expected CSV header 'r,u', got ['x', 'y']")):
+        RadialProfile.from_csv(header, dimension=3)
+
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("r,u\n")
+    with pytest.raises(DomainError, match="a profile needs at least 3 nodes"):
+        RadialProfile.from_csv(header_only, dimension=3)
+
     bad_row = tmp_path / "bad.csv"
     bad_row.write_text("r,u\n0.1,0.5\n0.2,oops\n")
     with pytest.raises(DomainError, match="line 3"):
         RadialProfile.from_csv(bad_row, dimension=3)
+    # past the first block of rows, with the row as parsed
+    late = tmp_path / "late.csv"
+    late.write_text("r,u\n" + "".join(f"{i + 1},1\n" for i in range(9000)) + "9001,,\n")
+    with pytest.raises(DomainError, match=re.escape(f"line 9002 of {late}: ['9001', '', '']")):
+        RadialProfile.from_csv(late, dimension=3)
 
     short_row = tmp_path / "short.csv"
     short_row.write_text("r,u\n0.1\n")
     with pytest.raises(DomainError):
         RadialProfile.from_csv(short_row, dimension=3)
+
+
+def test_csv_rows_past_the_line_count(tmp_path):
+    """Rows the newline count misses ('\\r' line ends, or no final newline)
+    still all arrive: the arrays grow to take them."""
+    u = random_stretched_mixture(3, np.random.default_rng(6), n_nodes=20_000)
+    rows = [f"{r!r},{v!r}" for r, v in zip(u.grid.tolist(), u.values.tolist())]
+    for name, text in (("cr.csv", "\r".join(["r,u"] + rows) + "\r"),
+                       ("bare.csv", "\n".join(["r,u"] + rows))):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        back = RadialProfile.from_csv(path, dimension=3)
+        assert np.array_equal(back.grid, u.grid) and np.array_equal(back.values, u.values)
 
 
 def test_mixture_seeding_and_positivity():
@@ -502,6 +531,21 @@ def test_mixture_matches_written_out_expression():
         g = u.grid
         expected = c[0] * np.exp(-bb[0] * g ** ss[0]) + c[1] * np.exp(-bb[1] * g ** ss[1])
         assert np.array_equal(u.values, expected)
+
+
+def test_extremal_value_matches_written_out_expression():
+    """ExtremalSpec.value in one buffer gives the bits of the expression
+    written out, on arrays, lists and 0-d inputs alike."""
+    for n, p, b in ((3, 2.0, 1.0), (4, 1.5, 0.7), (2, 3.0, 1e3)):
+        spec = extremal_spec(n, p, b)
+        u = extremal_profile(n, p, b, 20_001)
+        grid = u.grid
+        for r in (grid, grid[::7].tolist(), grid.reshape(3, -1)[:, :5], np.float64(0.3), 0.3,
+                  np.array(0.3)):
+            got = spec.value(r)
+            expected = spec.amplitude * np.exp(-spec.b * np.asarray(r, dtype=float) ** spec.shape_power)
+            assert type(got) is type(expected) and np.array_equal(got, expected)
+        assert np.array_equal(u.values, spec.value(grid))
 
 
 def test_node_measure_matches_written_out_expression():
@@ -532,15 +576,86 @@ def test_node_measure_sums_to_ball_volume(n, r0, steps):
     assert float(np.sum(_node_measure(r, n))) == pytest.approx(ball, rel=1e-13)
 
 
-def test_mixture_memory_peak():
-    """A 200k-node mixture: its grid and values plus one temporary; no weights."""
+def _peak_bytes(fn):
     tracemalloc.start()
     try:
-        random_stretched_mixture(3, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 200_000 * 8
+
+
+def test_mixture_memory_peak():
+    """A 200k-node mixture: its grid and values plus two blocks; no weights.
+    (np.geomspace itself peaks at two grid-sized arrays.)"""
+    # the first draw of a process loads the generator's machinery, ~1 MB
+    random_stretched_mixture(3, np.random.default_rng(1), n_nodes=3)
+    peak = _peak_bytes(lambda: random_stretched_mixture(3, np.random.default_rng(1)))
+    assert peak <= 2 * 200_000 * 8 + 2 * profiles._BLOCK_NODES * 8
+
+
+#: fixed allowance of the builders at 1 000 000 nodes beyond 16 B per node:
+#: measured 67 KB for the mixture, 11 KB for the extremal profile and
+#: 356 KB for from_csv (one block of parsed rows and the reader's buffers)
+_BUILD_ALLOWANCE = 512 * 1024
+
+
+def test_builders_memory_scales_with_the_profile(tmp_path):
+    """Building or reading a 1 000 000-node profile holds its grid and
+    values, 16 B per node, plus a fixed allowance."""
+    m = 1_000_000
+    u = random_stretched_mixture(3, np.random.default_rng(2), n_nodes=m)
+    path = tmp_path / "profile.csv"
+    with open(path, "w") as fh:
+        fh.write("r,u\n")
+        fh.writelines(f"{r!r},{v!r}\n" for r, v in zip(u.grid.tolist(), u.values.tolist()))
+    built = {}
+    builders = {
+        "mixture": lambda: random_stretched_mixture(3, np.random.default_rng(2), n_nodes=m),
+        "extremal": lambda: extremal_profile(3, 2.0, 1.0, n_nodes=m),
+        "from_csv": lambda: built.update(back=RadialProfile.from_csv(path, dimension=3)),
+    }
+    for name, build in builders.items():
+        assert _peak_bytes(build) <= 16 * m + _BUILD_ALLOWANCE, name
+    back = built["back"]
+    assert np.array_equal(back.grid, u.grid) and np.array_equal(back.values, u.values)
+
+
+def test_mass_quantiles_match_whole_array():
+    """The blocked window against np.interp on the whole cumulative mass, bit
+    for bit: across block sizes, with crossings at block ends, and where u^p
+    underflows to 0 over whole blocks, so the cumulative mass is flat there."""
+    def whole(grid, values, n, p, levels):
+        cum = np.cumsum(_node_measure(grid, n) * values**p)
+        cum /= cum[-1]
+        return [float(np.interp(t, cum, np.log(grid))) for t in levels]
+
+    levels = (0.0, 1e-300, 0.02, 0.5, 0.98, 0.999999)
+    for n_nodes in BLOCK_SIZES:
+        u = random_stretched_mixture(3, np.random.default_rng(n_nodes), n_nodes=n_nodes)
+        for p in (1.2, 2.0):
+            got = _mass_quantiles(u.grid, u.values, 3, p, levels)
+            assert got == whole(u.grid, u.values, 3, p, levels), (n_nodes, p)
+    m = 5 * BLOCK
+    grid = np.geomspace(1e-3, 10.0, m)
+    values = np.full(m, 1e-200)
+    values[BLOCK // 2] = values[3 * BLOCK + 5] = 1.0
+    values[-1] = 0.5
+    cum = np.cumsum(_node_measure(grid, 3) * values**2)
+    # every level that the cumulative mass takes at a node, and at block ends
+    at = sorted({float(c) for c in cum / cum[-1] if c < cum[-1]}
+                | {float(cum[k - 1] / cum[-1]) for k in range(BLOCK, m, BLOCK)})
+    assert _mass_quantiles(grid, values, 3, 2.0, at) == whole(grid, values, 3, 2.0, at)
+
+
+@pytest.mark.parametrize("values, message", [
+    (1e200, "leaves the float range"),   # u^p overflows
+    (1e-200, "no mass"),                 # u^p underflows to 0 everywhere
+])
+def test_mass_quantiles_refuse_a_total_out_of_range(values, message):
+    grid = np.geomspace(1e-3, 10.0, 3 * BLOCK)
+    with pytest.raises(DomainError, match=message):
+        _mass_quantiles(grid, np.full(len(grid), values), 3, 2.0, (0.02,))
 
 
 def test_entropy_and_grad_consistency():
