@@ -51,7 +51,7 @@ from ._searches import bounded_brent, nelder_mead
 from .constants import InequalityParams, derived_exponents, entropy_best_constant
 from .errors import DomainError, Record
 from .profiles import (RadialProfile, _discrete_functional, _profile_sums, _projected_descent,
-                       derivative_matrix, lp_norm)
+                       lp_norm)
 from .special_fn import log_gamma, sphere_area, stretched_exp_moment
 
 __all__ = [
@@ -296,9 +296,8 @@ def _ascent(u0: RadialProfile, params: InequalityParams, theta: float, max_iters
     # + (p(1-theta)/(theta q)) ln int u^q, the package's discrete functional at C = 0
     p, q, r = params.p, params.q, params.r
     mw = u0.cell_measure()
-    objective, gradient = _discrete_functional(
-        mw, derivative_matrix(u0.grid), p, 0.0,
-        ((r, -p / (theta * r)), (q, p * (1.0 - theta) / (theta * q))))
+    objective, gradient, _ = _discrete_functional(
+        u0.grid, mw, p, 0.0, ((r, -p / (theta * r)), (q, p * (1.0 - theta) / (theta * q))))
     _, neg_val, iters, reason = _projected_descent(objective, gradient, u0.values / lp_norm(u0, q),
                                                    mw, max_iters, armijo=1e-4)
     return math.exp(-neg_val), iters, reason

@@ -28,10 +28,12 @@ coordinate: the polar angle on the sphere, one periodic coordinate on
 the torus.  A SymmetricManifoldProfile derives its grid and volume
 weights from its model and node count; its _ln_functional_pair is ln J_q,
 extended scale-invariantly, as the package's one discrete functional
-(profiles._discrete_functional), whose objective and adjoint gradient
-the Gagliardo-Nirenberg ascent of gn_estimator runs too.  The minimizer
-descends it by the one Armijo driver (profiles._projected_descent),
-retracts each accepted trial to unit Lp norm by rescaling the trial's
+(profiles._discrete_functional), which builds its stencil and exact
+adjoint from the profile's grid and period, and whose objective and
+adjoint gradient the Gagliardo-Nirenberg ascent of gn_estimator runs too.
+The minimizer descends it by the one Armijo descent loop
+(profiles._projected_descent), retracts each accepted trial to unit Lp
+norm by the functional's own retraction, which rescales the trial's
 cached sums, scalars only (the trial's derivative is kept, with the
 factor 1/s that the gradient applies), and always keeps the exact
 constant profile as a candidate.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,7 @@ from .constants import InequalityParams, _exp_in_range, derived_exponents, entro
 from .errors import DomainError, Record
 from .gn_estimator import estimate_gn_constant
 from .manifold_geometry import ManifoldModel
-from .profiles import (_discrete_functional, _projected_descent, _weak_residual_ratio, bump_basis,
-                       derivative_matrix)
+from .profiles import _discrete_functional, _projected_descent, _weak_residual_ratio, bump_basis
 
 __all__ = [
     "SymmetricManifoldProfile",
@@ -122,11 +122,6 @@ class SymmetricManifoldProfile:
     def metric(self) -> float:
         return 1.0 if self.period else 1.0 / self.model.scale
 
-    @cached_property
-    def derivative_operator(self):
-        """Second-order derivative operator D in the coordinate; D.T is its adjoint."""
-        return derivative_matrix(self.grid, self.period)
-
     def with_values(self, values: np.ndarray) -> "SymmetricManifoldProfile":
         return SymmetricManifoldProfile(model=self.model, values=values)
 
@@ -134,14 +129,16 @@ class SymmetricManifoldProfile:
         return float(np.sum(self.weights * self.values**p)) ** (1.0 / p)
 
     def _ln_functional_pair(self, p: float, q: float, C: float, kappa: float) -> tuple:
-        """(objective, gradient) of ln J_q(u/||u||_p) = ln(energy)
-        - (1 + q kappa/p) ln int u^p + kappa ln int u^q on u's grid, with
-        energy = int |grad u|^p + C int u^p.  objective(values) is (ln J_q,
-        or None where an integral in it is not positive, and terms =
-        (int u^p, int u^q, energy, du, |du|, 1.0)), the cache of
-        profiles._discrete_functional."""
-        return _discrete_functional(self.weights, self.derivative_operator, p, C,
-                                    ((p, -(1.0 + q * kappa / p)), (q, kappa)), self.metric)
+        """(objective, gradient, retract) of ln J_q(u/||u||_p) = ln(energy)
+        - (1 + q kappa/p) ln int u^p + kappa ln int u^q, with energy =
+        int |grad u|^p + C int u^p: profiles._discrete_functional on u's
+        grid, weights, metric and period.  objective(values) is (ln J_q, or
+        None where an integral in it is not positive, and terms = (int u^p,
+        int u^q, energy, du, |du|, 1.0)), the functional's cache, and
+        retract rescales a point and its cache to unit Lp norm."""
+        return _discrete_functional(self.grid, self.weights, p, C,
+                                    ((p, -(1.0 + q * kappa / p)), (q, kappa)), self.metric,
+                                    self.period)
 
 
 def symmetric_profile(model: ManifoldModel, values, n_nodes: int = None) -> SymmetricManifoldProfile:
@@ -240,13 +237,13 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     Euler identity makes the extended gradient tangent to the constraint),
     preconditioned by the volume weights, with Armijo backtracking
     (profiles._projected_descent), each accepted point rescaled back to
-    unit Lp norm by a retraction that rescales the trial's cached sums and
-    keeps its derivative with the factor 1/s, instead of evaluating the
-    objective again.  The exact constant profile solves the discrete
-    optimality system and is always kept as a candidate, so the returned
-    value never exceeds it.  The result's stop_reason says why the descent
-    stopped; it has converged only on "gtol" (the preconditioned gradient
-    fell below _GTOL).  C = 0 returns the exact infimum 0 at the constant
+    unit Lp norm by the functional's retraction, which rescales the
+    trial's cached sums and keeps its derivative with the factor 1/s,
+    instead of evaluating the objective again.  The exact constant profile
+    solves the discrete optimality system and is always kept as a
+    candidate, so the returned value never exceeds it.  The result's
+    stop_reason says why the descent stopped; it has converged only on
+    "gtol" (the preconditioned gradient fell below _GTOL).  C = 0 returns the exact infimum 0 at the constant
     with stop_reason "exact"; a C whose constant value leaves the float
     range is a DomainError.  seed, which draws the perturbation of the
     constant that starts the descent, must be nonnegative.
@@ -255,7 +252,7 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
         raise DomainError(f"seed must be nonnegative, got {seed}")
     _, kappa = _exponents(model.dimension, p, q, C)
     base = constant_profile(model, p, n_nodes)
-    objective, gradient = base._ln_functional_pair(p, q, C, kappa)
+    objective, gradient, retract = base._ln_functional_pair(p, q, C, kappa)
     ln_const, const_terms = objective(base.values)
     if C == 0:
         # constants are admissible and drive both terms to zero, so the
@@ -276,18 +273,6 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     for k in range(1, 4):
         bump += rng.normal(0, 1.0 / k) * np.cos(math.pi * k * x + rng.uniform(0, 2 * math.pi))
     u = np.maximum(base.values * (1.0 + 0.25 * bump / max(np.max(np.abs(bump)), 1e-12)), 0.0)
-
-
-    def retract(vals: np.ndarray, cache) -> tuple:
-        # the objective is 0-homogeneous, so scaling by 1/s keeps its value,
-        # and each cached sum scales by s to the power of its degree; the
-        # trial's du and |du| are kept, with the factor 1/s that the
-        # gradient applies, so no array but the point itself is rescaled; s
-        # is the norm computed from the same sum as a fresh normalization,
-        # so the retracted point is that normalization to the bit
-        mass_p, mass_q, energy, du, a, factor = cache
-        s = mass_p ** (1.0 / p)
-        return vals / s, (1.0, mass_q / s**q, energy / s**p, du, a, factor / s)
 
     seed_u = u / base.with_values(u).lp_norm(p)
     u, _, iters, reason = _projected_descent(objective, gradient, seed_u, w, max_iters,

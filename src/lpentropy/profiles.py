@@ -25,18 +25,21 @@ of sampled profiles are always taken by the three-point second-order
 stencil on the nonuniform grid: centered in the interior, one-sided at
 the ends, or centered everywhere on a periodic grid.  Its weights are
 written once (_centered_coefficients, _one_sided_coefficients), gathered
-for a grid by _stencil and applied by one slice helper, _apply_stencil:
-radial_derivative calls it on each block, and derivative_matrix wraps it
-as an operator D on numpy arrays alone, whose D.T applies the exact
-adjoint by transposed slices (_apply_adjoint), each entry summed in the
-row order of the sparse CSR product it replaced.  The package's two
+for a grid by _stencil and applied by one slice helper, _apply_stencil,
+which radial_derivative calls on each block.  The package's two
 optimizers, the gradient ascent of gn_estimator and the manifold
-minimizer, share that operator, one objective and its gradient through
-D.T, _discrete_functional, and one Armijo driver, _projected_descent.  Their
-cost is Python overhead per numpy call on arrays of a few hundred nodes,
-so each line-search trial is one stacked pass (every sum of the objective
-from one multiplication and one row-wise reduction), the gradient reuses
-that pass's derivative, and the driver builds each trial in place.
+minimizer, share one discrete functional, _discrete_functional, and one
+Armijo descent loop, _projected_descent.  The functional builds its own
+discretization from the grid: the stencil, applied by _apply_stencil,
+and its exact adjoint, applied by transposed slices (_apply_adjoint),
+each entry summed by ascending stencil row, as the product of the
+transposed CSR matrix with the same rows sums it.  It returns its
+objective, its gradient through the adjoint, and the retraction onto
+its first mass's unit sphere.  The optimizers' cost is Python overhead
+per numpy call on arrays of a few hundred nodes, so each line-search
+trial is one stacked pass (every sum of the objective from one
+multiplication and one row-wise reduction), the gradient reuses that
+pass's derivative, and the descent loop builds each trial in place.
 bump_basis supplies the smooth compactly supported test functions of the
 two weak-form residuals, limit_pde_residual of euclidean_inequalities and
 euler_lagrange_residual of manifold_minimizer, as two (tests, nodes)
@@ -125,7 +128,6 @@ __all__ = [
     "extremal_integrals",
     "random_stretched_mixture",
     "radial_derivative",
-    "derivative_matrix",
     "bump_basis",
     "plogp",
 ]
@@ -294,43 +296,10 @@ def radial_derivative(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Second-order finite-difference derivative on a nonuniform grid.
 
     Three-point centered stencil in the interior, three-point one-sided
-    stencils at both ends; equal to derivative_matrix(grid) @ values.
+    stencils at both ends (_stencil, applied by _apply_stencil); the
+    package's one public finite-difference entry point.
     """
     return _apply_stencil(values, *_stencil(grid))
-
-
-@dataclass(frozen=True, eq=False)
-class DerivativeOperator:
-    """The stencil of radial_derivative on one grid as a linear operator D.
-
-    D @ u applies the stencil (_apply_stencil), D.T @ g its exact adjoint
-    (_apply_adjoint); D.T.T acts as D.
-    """
-
-    inner: tuple
-    ends: tuple
-    passes: tuple
-    transposed: bool = False
-
-    @property
-    def T(self) -> "DerivativeOperator":
-        return DerivativeOperator(self.inner, self.ends, self.passes, not self.transposed)
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        if self.transposed:
-            return _apply_adjoint(v, self.passes)
-        return _apply_stencil(v, self.inner, self.ends)
-
-
-def derivative_matrix(grid: np.ndarray, period: float = None) -> DerivativeOperator:
-    """The stencil of radial_derivative on the grid as an operator D.
-
-    D @ u reproduces radial_derivative exactly, and D.T is the exact
-    adjoint.  With a period the grid samples one period [x_0, x_0 + period)
-    and every node gets the centered stencil, wrapping across the seam.
-    """
-    inner, ends = _stencil(np.asarray(grid, dtype=float), period)
-    return DerivativeOperator(inner, ends, _adjoint_passes(inner, ends))
 
 
 def bump_basis(coord: np.ndarray, centers, width: float, jacobian=1.0,
@@ -642,39 +611,51 @@ def _mass_quantiles(grid: np.ndarray, values: np.ndarray, n: int, p: float,
     return quantiles
 
 
-def _discrete_functional(w, operator, p: float, C: float, terms, metric: float = 1.0) -> tuple:
-    """(objective, gradient) of the one discrete functional of both optimizers,
+def _discrete_functional(grid: np.ndarray, w, p: float, C: float, terms, metric: float = 1.0,
+                         period: float = None) -> tuple:
+    """(objective, gradient, retract) of the one discrete functional of both
+    optimizers,
 
         F(u) = ln( sum_i w_i |metric (D u)_i|^p + C M_p ) + sum_k c_k ln M_k,
 
     M_t = sum_i w_i u_i^t, terms = ((t_1, c_1), ...), t_1 = p if C != 0,
-    p > 1.  objective(u) is (F(u), or None if the energy or a mass is not
-    positive, and the cache (M_{t_1}, ..., energy, du, |du|, 1.0)).  D acts
-    on u - u[-1], the same in exact arithmetic, so a constant's derivative
-    is 0, not rounding that |Du|^{p-1} amplifies as p -> 1.  Not u - u[0]:
-    that also zeroes a flat radial core, where |Du|^p (p < 2) has unbounded
-    curvature and the ascent's line search stalls (seen at p <= 1.35).
+    p > 1, and D the stencil of _stencil(grid, period): one-sided at the
+    ends, or with a period centered across the seam.  objective(u) is
+    (F(u), or None if the energy or a mass is not positive, and the cache
+    (M_{t_1}, ..., energy, du, |du|, 1.0)).  D acts on u - u[-1], the same
+    in exact arithmetic, so a constant's derivative is 0, not rounding that
+    |Du|^{p-1} amplifies as p -> 1.  Not u - u[0]: that also zeroes a flat
+    radial core, where |Du|^p (p < 2) has unbounded curvature and the
+    ascent's line search stalls (seen at p <= 1.35).
 
     Each evaluation is one stacked pass: |du|^p and every u^t are written
     into the rows of one array, multiplied by the stacked weights
     (w metric^p, w, ...) in one call and summed row by row in another, each
     row pairwise as np.sum sums it, so M_t is np.sum(w * u**t) to the bit.
 
-    gradient(u, cache) goes through the adjoint D.T and reuses the cached
-    du and |du|.  The cache's last entry is a factor f > 0 such that the
-    derivative at u is f du: a 0-homogeneous F keeps its value under
-    u -> u/s, so a retraction may hand over the trial's du and |du| with
-    f = 1/s and rescale only the scalar sums; the gradient applies
+    gradient(u, cache) goes through the exact adjoint of D (_apply_adjoint)
+    and reuses the cached du and |du|.  The cache's last entry is a factor
+    f > 0 such that the derivative at u is f du; the gradient applies
     f^{p-1} to the flux through its scalar.
+
+    retract(u, cache) -> (u / s, cache) rescales u to unit M_{t_1}, with
+    s = M_{t_1}^{1/t_1}, for a 0-homogeneous F (p + sum_k c_k t_k = 0),
+    which keeps its value under u -> u/s.  Only the cache's scalars are
+    rescaled, each sum by s to the power of its degree: M_{t_1} becomes
+    exactly 1.0, each other M_{t_k} is divided by s^{t_k}, the energy by
+    s^p, and the factor by s, so the trial's du and |du| are kept.  s comes
+    from the same sum as a fresh normalization, so the retracted point is
+    that normalization to the bit.
     """
-    adjoint = operator.T
+    inner, ends = _stencil(grid, period)
+    passes = _adjoint_passes(inner, ends)
     exponents = [t for t, _ in terms]
     lowered = np.array(exponents)[:, None] - 1.0
     slopes = [c * t for t, c in terms]
     stacked = np.vstack([w * metric**p, np.broadcast_to(w, (len(terms), len(w)))])
 
     def objective(u: np.ndarray) -> tuple:
-        du = operator @ (u - u[-1])
+        du = _apply_stencil(u - u[-1], inner, ends)
         a = np.abs(du)
         rows = np.empty(stacked.shape)
         np.power(a, p, out=rows[0])
@@ -694,7 +675,7 @@ def _discrete_functional(w, operator, p: float, C: float, terms, metric: float =
         flux = np.power(a, p - 1.0)
         np.copysign(flux, du, out=flux)
         flux *= stacked[0]
-        g = adjoint @ flux
+        g = _apply_adjoint(flux, passes)
         g *= p * factor ** (p - 1.0) / energy
         coefs = [s / m for s, m in zip(slopes, masses)]
         if C:
@@ -703,7 +684,13 @@ def _discrete_functional(w, operator, p: float, C: float, terms, metric: float =
         g += w * np.dot(coefs, u ** lowered)
         return g
 
-    return objective, gradient
+    def retract(u: np.ndarray, cache) -> tuple:
+        first, *masses, energy, du, a, factor = cache
+        s = first ** (1.0 / exponents[0])
+        rescaled = [m / s**t for m, t in zip(masses, exponents[1:])]
+        return u / s, (1.0, *rescaled, energy / s**p, du, a, factor / s)
+
+    return objective, gradient, retract
 
 
 def _projected_descent(objective, gradient, u, weights, max_iters: int, armijo: float,

@@ -795,13 +795,14 @@ import json, sys
 import numpy as np
 from lpentropy import gn_estimator
 from lpentropy.constants import InequalityParams
-from lpentropy.profiles import derivative_matrix
+from lpentropy.profiles import _adjoint_passes, _apply_adjoint, _apply_stencil, _stencil
 on_import = "scipy" in sys.modules
 grid = np.sort(np.random.default_rng(5).uniform(0.05, 8.0, 200))
-mat = derivative_matrix(grid)
+inner, ends = _stencil(grid)
 v = np.random.default_rng(6).standard_normal(len(grid))
-dense = np.stack([mat @ e for e in np.eye(len(grid))], axis=1).T @ v
-gap = float(np.max(np.abs(mat.T @ v - dense)) / np.max(np.abs(dense)))
+dense = np.stack([_apply_stencil(e, inner, ends) for e in np.eye(len(grid))], axis=1).T @ v
+adjoint = _apply_adjoint(v, _adjoint_passes(inner, ends))
+gap = float(np.max(np.abs(adjoint - dense)) / np.max(np.abs(dense)))
 after_operator = "scipy" in sys.modules
 gn_estimator.estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.5, r=1.8), n_nodes=500,
                                   ascent_iters=5)

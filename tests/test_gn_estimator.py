@@ -217,6 +217,17 @@ def test_ascent_does_not_lose_ground():
     assert est.ascent_iterations > 0
 
 
+@pytest.mark.xfail(strict=True, reason="the coarse-grid ascent overshoots the sharp constant "
+                   "(ROADMAP item 17)")
+@pytest.mark.parametrize("n_nodes", [5, 10])
+def test_coarse_grid_estimate_stays_below_the_entropy_ceiling(n_nodes):
+    # on r = p the constant is below the entropy constant A0; through the
+    # ascent on 5 and 10 nodes the estimate reads 0.2947 and 0.2246, and at
+    # 20 nodes, where the stretched family wins, 0.0680
+    est = estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.5, r=2.0), n_nodes=n_nodes)
+    assert est.value <= entropy_best_constant(3, 2.0) * (1 + 1e-3)
+
+
 def test_ascent_reports_its_stop_reason():
     # on r = p the ascent runs to its cap at the defaults
     est = estimate_gn_constant(InequalityParams(n=3, p=2.0, q=1.8, r=2.0))

@@ -20,6 +20,9 @@ from lpentropy.manifold_minimizer import symmetric_profile
 from lpentropy.profiles import (
     DEFAULT_R_MIN,
     RadialProfile,
+    _adjoint_passes,
+    _apply_adjoint,
+    _apply_stencil,
     _blocked_sums,
     _discrete_functional,
     _extremal_quadrature,
@@ -27,9 +30,9 @@ from lpentropy.profiles import (
     _missed,
     _node_measure,
     _projected_descent,
+    _stencil,
     _tanh_sinh,
     bump_basis,
-    derivative_matrix,
     entropy_integral,
     extremal_integrals,
     extremal_profile,
@@ -89,16 +92,17 @@ def test_radial_derivative_second_order():
     assert 3.2 < ratio < 4.8  # second-order scheme halves the step, quarters the error
 
 
-def test_derivative_matrix_matches_vector_form():
+def test_functional_derivative_matches_radial_derivative():
+    # the derivative the functional caches is radial_derivative of u - u[-1]
     rng = np.random.default_rng(3)
     grid = np.sort(rng.uniform(0.05, 8.0, 500))
-    mat = derivative_matrix(grid)
+    objective, _, _ = _discrete_functional(grid, _node_measure(grid, 3), 2.0, 0.0, ((2.0, -1.0),))
     vals = np.cos(grid) + 0.3 * grid
-    assert np.array_equal(mat @ vals, radial_derivative(grid, vals))
+    assert np.array_equal(objective(vals)[1][-3], radial_derivative(grid, vals - vals[-1]))
     # bit-for-bit equality also needs the stencil summed in the same order
     for _ in range(20):
         vals = rng.standard_normal(len(grid))
-        assert np.array_equal(mat @ vals, radial_derivative(grid, vals))
+        assert np.array_equal(objective(vals)[1][-3], radial_derivative(grid, vals - vals[-1]))
 
 
 def _csr_stencil(grid, period=None):
@@ -126,7 +130,8 @@ def _csr_stencil(grid, period=None):
 @pytest.mark.parametrize("m", [*range(3, 13), 600, 4000])
 @pytest.mark.parametrize("period", [None, 6.0])
 def test_derivative_operator_matches_csr(m, period):
-    """D @ v and D.T @ v against scipy's CSR product and its transposed (CSC)
+    """The stencil D and its adjoint D.T, applied by _apply_stencil and
+    _apply_adjoint, against scipy's CSR product and its transposed (CSC)
     product, np.array_equal: at m <= 6 the stencils of the two end nodes
     meet the same nodes, and at every m the adjoint's end entries sum node
     0's or node m-1's stencil with the centered rows."""
@@ -138,24 +143,27 @@ def test_derivative_operator_matches_csr(m, period):
             grid = (np.linspace(0.0, period, m, endpoint=False) if trial == 0
                     else np.sort(rng.uniform(0.0, period, m)))
         assert np.all(np.diff(grid) > 0)
-        D, S = derivative_matrix(grid, period), _csr_stencil(grid, period)
+        inner, ends = _stencil(grid, period)
+        passes = _adjoint_passes(inner, ends)
+        S = _csr_stencil(grid, period)
         for _ in range(5):
             v = rng.standard_normal(m)
-            assert np.array_equal(D @ v, S @ v)
-            assert np.array_equal(D.T @ v, S.T @ v)
+            assert np.array_equal(_apply_stencil(v, inner, ends), S @ v)
+            assert np.array_equal(_apply_adjoint(v, passes), S.T @ v)
         if m <= 600:  # the dense matrices, column by column and row by row
             eye = np.eye(m)
-            assert np.array_equal(np.stack([D @ e for e in eye], axis=1), S.toarray())
-            assert np.array_equal(np.stack([D.T @ e for e in eye]), S.toarray())
+            assert np.array_equal(np.stack([_apply_stencil(e, inner, ends) for e in eye], axis=1),
+                                  S.toarray())
+            assert np.array_equal(np.stack([_apply_adjoint(e, passes) for e in eye]), S.toarray())
 
 
-def test_periodic_derivative_matrix():
+def test_periodic_stencil_second_order():
     side = 6.0
     errs = []
     for m in (200, 400):
         x = np.linspace(0.0, side, m, endpoint=False)
         f = 2.0 + np.sin(2.0 * math.pi * x / side)
-        d = derivative_matrix(x, period=side) @ f
+        d = _apply_stencil(f, *_stencil(x, side))
         rolled = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * (x[1] - x[0]))
         assert np.max(np.abs(d - rolled)) <= 1e-12 * np.max(np.abs(rolled))
         exact = (2.0 * math.pi / side) * np.cos(2.0 * math.pi * x / side)
@@ -175,7 +183,7 @@ def test_bump_basis_derivatives_second_order():
         x = np.linspace(0.0, side, m // 4, endpoint=False)
         (v,), (dv,) = bump_basis(x, [0.3], 1.5, period=side)
         assert v[-1] > 0.1
-        periodic_errs.append(np.max(np.abs(derivative_matrix(x, period=side) @ v - dv)))
+        periodic_errs.append(np.max(np.abs(_apply_stencil(v, *_stencil(x, side)) - dv)))
     for errs in (log_errs, periodic_errs):
         assert 3.2 < errs[0] / errs[1] < 4.8
 
@@ -876,8 +884,8 @@ def _functional_setups(p: float) -> list:
         # the ascent's -ln Q on a radial grid, at q = 1.2
         theta = derived_exponents(InequalityParams(n=n, p=p, q=1.2, r=r)).theta
         grid = np.geomspace(1e-2, 6.0, 160)
-        objective, gradient = _discrete_functional(
-            _node_measure(grid, n), derivative_matrix(grid), p, 0.0,
+        objective, gradient, _ = _discrete_functional(
+            grid, _node_measure(grid, n), p, 0.0,
             ((r, -p / (theta * r)), (1.2, p * (1.0 - theta) / (theta * 1.2))))
         setups.append((f"radial r={r}", objective, gradient, np.exp(-grid**2)))
     # a sphere of radius 2 (metric 1/2) and a periodic torus, both at C > 0;
@@ -888,7 +896,7 @@ def _functional_setups(p: float) -> list:
                           lambda g: 1.0 + 0.3 * np.cos(math.pi * g / 3.0))):
         u = symmetric_profile(model, shape, n_nodes=120)
         _, kappa = manifold_minimizer._exponents(3, p, 1.2, 2.0)
-        objective, gradient = u._ln_functional_pair(p, 1.2, 2.0, kappa)
+        objective, gradient, _ = u._ln_functional_pair(p, 1.2, 2.0, kappa)
         setups.append((model.kind, objective, gradient, u.values))
     return setups
 
@@ -917,7 +925,7 @@ def test_discrete_functional_sums_match_np_sum_bit_for_bit(m):
     np.sum(w metric^p * |Du|^p)."""
     rng = np.random.default_rng(m)
     grid = np.linspace(0.0, 6.0, m, endpoint=False)
-    D = derivative_matrix(grid, period=6.0)
+    stencil = _stencil(grid, 6.0)
     metric = 0.7
     for p, terms in ((2.0, ((2.0, -1.5), (1.9, 0.3), (1.0, 0.2))),
                      (1.5, ((1.5, -1.2), (1.2, 0.4), (3.0, 0.1)))):
@@ -925,11 +933,41 @@ def test_discrete_functional_sums_match_np_sum_bit_for_bit(m):
             w = rng.uniform(0.0, 2.0, m)
             u = rng.uniform(0.0, 3.0, m)
             u[rng.integers(0, m, m // 20)] = 0.0  # nodes held at the bound
-            objective, _ = _discrete_functional(w, D, p, 0.0, terms, metric)
+            objective, _, _ = _discrete_functional(grid, w, p, 0.0, terms, metric, period=6.0)
             *masses, energy, du, a, factor = objective(u)[1]
             assert masses == [float(np.sum(w * u**t)) for t, _ in terms]
-            assert np.array_equal(du, D @ (u - u[-1])) and np.array_equal(a, np.abs(du))
+            assert np.array_equal(du, _apply_stencil(u - u[-1], *stencil))
+            assert np.array_equal(a, np.abs(du))
             assert energy == float(np.sum(w * metric**p * np.abs(du) ** p)) and factor == 1.0
+
+
+def test_discrete_functional_retracts_to_its_first_mass():
+    """The functional's retraction on the GN terms at C = 0, r != p, where
+    the first mass is M_r: the retracted cache matches a fresh evaluation at
+    the retracted point.  Its M_r is exactly 1.0, M_q, the energy and the
+    value agree to 1e-13, factor * du to 1e-10 of max |du| (a 1/h stencil
+    rounds at about 7e-12 of it on this grid), and the gradients to 1e-12
+    of their size."""
+    n, p, q, r = 3, 2.0, 1.5, 2.5
+    theta = derived_exponents(InequalityParams(n=n, p=p, q=q, r=r)).theta
+    grid = np.geomspace(1e-3, 8.0, 400)
+    objective, gradient, retract = _discrete_functional(
+        grid, _node_measure(grid, n), p, 0.0,
+        ((r, -p / (theta * r)), (q, p * (1.0 - theta) / (theta * q))))
+    u = 3.7 * np.exp(-grid**2) * (1.0 + 0.3 * np.sin(grid))
+    value, cache = objective(u)
+    v, moved = retract(u, cache)
+    fresh_value, fresh = objective(v)
+    assert moved[0] == 1.0
+    assert fresh[0] == pytest.approx(1.0, rel=1e-13, abs=0.0)
+    assert moved[1] == pytest.approx(fresh[1], rel=1e-13, abs=0.0)
+    assert moved[2] == pytest.approx(fresh[2], rel=1e-13, abs=0.0)  # the energy
+    assert fresh_value == pytest.approx(value, rel=1e-13, abs=0.0)
+    assert fresh[-1] == 1.0
+    du = fresh[3]
+    assert float(np.max(np.abs(moved[-1] * moved[3] - du))) <= 1e-10 * float(np.max(np.abs(du)))
+    got, want = gradient(v, moved), gradient(v, fresh)
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
 
 def test_tanh_sinh_rule():
