@@ -114,10 +114,12 @@ def _cmd_constants(args) -> tuple:
         sobolev_bound_constant,
     )
 
+    if (args.q is None) != (args.r is None):
+        raise DomainError("--q and --r set the exponents together: give both or neither")
     result = {"entropy_constant": entropy_best_constant(args.n, args.p)}
     if args.p < args.n:
         result["sobolev_constant"] = sobolev_bound_constant(args.n, args.p)
-    if args.q is not None and args.r is not None:
+    if args.q is not None:
         params = InequalityParams(n=args.n, p=args.p, q=args.q, r=args.r)
         exps = derived_exponents(params)
         result["exponents"] = {

@@ -31,18 +31,19 @@ analytically.  Where the core has underflowed by delta/2 the cutoff panel
 package's tanh-sinh rule (profiles._tanh_sinh), the cutoff panel judged
 against the scale of the core's integrals, and n_nodes caps their
 evaluations (AccuracyNotMet).  Two exponentials per node give all three
-integrands.  An eps grid is integrated together (_bubble_grid), one pass
-of the rule per level for every bubble still running, each bubble
-exactly as it would be alone, and comes back as arrays, one row per eps.
-bubble_integrals builds its BubbleIntegrals record from a one-eps grid,
-and fit_expansion and lower_bound_witness take their columns and rows
-from a whole grid.
+integrands, weighted by the geodesic sphere area f(r)^{n-1}, f the model's
+warp (ManifoldModel.warp, which geodesic_density reads too).  An eps grid
+is integrated together (_bubble_grid) as one array, one pass of the rule
+per level for every bubble still running, each bubble exactly as it would
+be alone, and comes back as arrays, one row per eps.  bubble_integrals
+builds its BubbleIntegrals record from a one-eps grid, and fit_expansion
+and lower_bound_witness take their columns and rows from a whole grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,22 +119,23 @@ class ManifoldModel:
             return math.pi * self.scale
         return self.scale / 2.0
 
+    def warp(self, r: np.ndarray) -> np.ndarray:
+        """f(r) in the metric dr^2 + f(r)^2 g_{S^{n-1}}: radius sin(r/radius), or r (torus)."""
+        return r if self.kind == "torus" else self.scale * np.sin(r / self.scale)
+
 
 def geodesic_density(model: ManifoldModel, r) -> np.ndarray:
     """Jacobian of the exponential map: geodesic sphere area = area(S^{n-1}) r^{n-1} * density.
 
-    Only valid strictly inside the injectivity radius.
+    It is (f(r)/r)^{n-1}, f the model's warp, valid strictly inside the injectivity radius.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(r >= model.injectivity_radius * (1 + 1e-12)):
         raise DomainError(
             f"geodesic radius must lie in [0, {model.injectivity_radius:.6g})"
         )
-    if model.kind == "torus":
-        return np.ones_like(r)
-    x = r / model.scale
-    safe = np.where(x > 0, x, 1.0)
-    return np.where(x > 0, (np.sin(safe) / safe) ** (model.dimension - 1), 1.0)
+    safe = np.where(r > 0, r, 1.0)
+    return np.where(r > 0, (model.warp(safe) / safe) ** (model.dimension - 1), 1.0)
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,10 @@ _LN_Y_DEAD = math.log(746.0)
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
+def _bubble_quadrature(model: ManifoldModel, base: ExtremalSpec, delta: float,
+                       eps: np.ndarray, n_nodes: int) -> tuple:
     """(integrals, error estimates, cutoff-panel parts, nodes used) of the
-    bubbles specs, all of one (model, base, delta) family.
+    (model, base, delta) bubbles at each eps of the array eps.
 
     The first three are (bubbles, 3) arrays over (mass, entropy, gradient),
     and nodes has one count per bubble.  With A = eps^{-n/p} a,
@@ -203,7 +206,7 @@ def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
 
     one exp for y, taken of the node's ln x, and one for e^{-y} serve all
     three integrands, and a node where e^{-y} underflows adds exactly 0 to
-    each.  Each integrand is weighted by the geodesic sphere area.
+    each.  Each integrand is weighted by the geodesic sphere area f(r)^{n-1}.
 
     The core panel [r_0, min(delta/2, r_dead)] is integrated in u = ln x by
     tanh-sinh, which clusters its nodes at the ends: near p = 1 the
@@ -232,16 +235,13 @@ def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
     that leave the float range come out inf or nan.  _bubble_grid raises
     for both.
     """
-    model, base, delta = specs[0].model, specs[0].base, specs[0].delta
     n, p, b, pp = model.dimension, base.p, base.b, base.shape_power
     ln_pb = math.log(p * b)
     # the constants of each bubble, each computed as for that bubble alone
-    eps = np.array([spec.eps for spec in specs])
     ln_amp = np.array([p * math.log(base.amplitude) - n * math.log(e) for e in eps])  # p ln A
     amp_p = sphere_area(n) * np.float64(base.amplitude) ** p
     mass_scale = np.array([amp_p * np.float64(e) ** -n for e in eps])
     grad_ratio = np.array([np.float64(b * pp / e) ** p / (p * b) for e in eps])
-    rho = model.scale if model.kind == "sphere" else None
 
     def density(r: np.ndarray, ln_x: np.ndarray, m: np.ndarray) -> tuple:
         """y and the r-density omega A^p area^{n-1} e^{-y} of u^p where eta = 1,
@@ -250,7 +250,7 @@ def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
         y += ln_pb
         np.minimum(y, _LN_Y_DEAD, out=y)
         np.exp(y, out=y)
-        area = r if rho is None else rho * np.sin(r / rho)
+        area = model.warp(r)
         w = np.exp(-y)
         for _ in range(n - 1):
             w *= area
@@ -289,8 +289,8 @@ def _bubble_quadrature(specs: list, n_nodes: int) -> tuple:
     ln_half = np.array([math.log(0.5 * delta / e) for e in eps])
     ln_dead = (_LN_Y_DEAD - ln_pb) / pp
     rounding = _ROUNDING * pp
-    head = core(np.full((len(specs), 1), ln_x0), np.arange(len(specs)))[:, :, 0].T / n
-    sums, err, used = _tanh_sinh(lambda ln_x, _, m: core(ln_x, m), np.full(len(specs), ln_x0),
+    head = core(np.full((len(eps), 1), ln_x0), np.arange(len(eps)))[:, :, 0].T / n
+    sums, err, used = _tanh_sinh(lambda ln_x, _, m: core(ln_x, m), np.full(len(eps), ln_x0),
                                  np.minimum(ln_half, ln_dead), n_nodes - 1, rounding=rounding)
     used += 1
     cut, cut_err = np.zeros_like(sums), np.zeros_like(sums)
@@ -321,32 +321,31 @@ def _bubble_grid(model: ManifoldModel, base: ExtremalSpec, delta: float, eps,
     at every node (zero mass), and DomainError for an invalid BubbleSpec,
     once every eps before it has passed these checks.  eps is not empty.
     """
-    specs, invalid = [], None
+    valid, invalid = [], None
     for e in eps:
         try:
-            specs.append(BubbleSpec(model=model, base=base, delta=delta, eps=float(e)))
+            valid.append(BubbleSpec(model=model, base=base, delta=delta, eps=float(e)).eps)
         except DomainError as exc:
             invalid = exc
             break
-    if not specs:
+    if not valid:
         raise invalid
+    eps = np.array(valid)
     # constants outside the float range come out inf or nan, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, errors, cut, nodes = _bubble_quadrature(specs, n_nodes)
-    for spec, row, errs, used in zip(specs, sums, errors, nodes):
+        sums, errors, cut, nodes = _bubble_quadrature(model, base, delta, eps, n_nodes)
+    for e, row, errs, used in zip(valid, sums, errors, nodes):
         if used > n_nodes:
-            raise _missed(f"the bubble integrals at eps = {spec.eps}", n_nodes, errs)
+            raise _missed(f"the bubble integrals at eps = {e}", n_nodes, errs)
         if not np.isfinite(row).all():
-            raise DomainError(f"the bubble integrals at eps = {spec.eps} leave the float range")
+            raise DomainError(f"the bubble integrals at eps = {e} leave the float range")
         if not row[0] > 0:
             # the core eps^{-n/p} a exp(-b (r/eps)^{p'}) underflows at every node
-            raise DomainError(
-                f"the bubble at eps = {spec.eps}, b = {spec.base.b} has no mass on its grid: "
-                f"its core underflows at every node"
-            )
+            raise DomainError(f"the bubble at eps = {e}, b = {base.b} has no mass on its grid: "
+                              f"its core underflows at every node")
     if invalid is not None:
         raise invalid
-    return np.array([spec.eps for spec in specs]), sums, errors, cut, nodes
+    return eps, sums, errors, cut, nodes
 
 
 #: the columns of _bubble_grid's arrays, as BubbleIntegrals names them

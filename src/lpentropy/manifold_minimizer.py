@@ -192,12 +192,13 @@ def gn_functional(u: SymmetricManifoldProfile, p: float, q: float, C: float) -> 
 class MinimizeResult(Record):
     """Outcome of the functional minimization.
 
-    value is nu = J_q at the returned profile; energy_weight and
-    qnorm_weight are the Lagrange-type weights A_q and B_q, satisfying
-    qnorm_weight * int u^q = value up to floating point, with
-    identity_gap = |qnorm_weight * int u^q - value|.  el_residual is
-    euler_lagrange_residual at the profile.  constant_value is J_q at the
-    unit-norm constant, the ceiling of value.  stop_reason is why the
+    value is nu, the J_q of gn_functional at the returned profile that the
+    choice between constant and descent compared; energy_weight and
+    qnorm_weight are the Lagrange-type weights A_q = value / energy and
+    B_q = value / int u^q, with identity_gap = |B_q int u^q - value|, a
+    rounding.  el_residual is euler_lagrange_residual at the profile.
+    constant_value is J_q at the unit-norm constant, the ceiling of value,
+    which value equals exactly when used_constant.  stop_reason is why the
     descent stopped (profiles._projected_descent), or "exact" at C = 0,
     where no descent runs; converged means the descent met its gradient
     tolerance or the value is exact.  as_dict holds every field but the
@@ -237,16 +238,16 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     Euler identity makes the extended gradient tangent to the constraint),
     preconditioned by the volume weights, with Armijo backtracking
     (profiles._projected_descent), each accepted point rescaled back to
-    unit Lp norm by the functional's retraction, which rescales the
-    trial's cached sums and keeps its derivative with the factor 1/s,
-    instead of evaluating the objective again.  The exact constant profile
-    solves the discrete optimality system and is always kept as a
-    candidate, so the returned value never exceeds it.  The result's
-    stop_reason says why the descent stopped; it has converged only on
-    "gtol" (the preconditioned gradient fell below _GTOL).  C = 0 returns the exact infimum 0 at the constant
-    with stop_reason "exact"; a C whose constant value leaves the float
-    range is a DomainError.  seed, which draws the perturbation of the
-    constant that starts the descent, must be nonnegative.
+    unit Lp norm by the functional's retraction (module docstring).  The
+    exact constant profile solves the discrete optimality system and is
+    always kept as a candidate: value is the J_q, gn_functional's formula,
+    that chose between it and the descent, so it never exceeds the
+    constant's, and the weights are value / energy and value / int u^q.
+    It has converged only on "gtol" (the preconditioned gradient fell below
+    _GTOL).  C = 0 returns the exact infimum 0 at the constant with
+    stop_reason "exact"; a C whose constant value leaves the float range is
+    a DomainError.  seed, which draws the perturbation of the constant that
+    starts the descent, must be nonnegative.
     """
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
@@ -284,12 +285,12 @@ def minimize_gn_functional(model: ManifoldModel, p: float, q: float, C: float,
     # the descent value only ties it (discretization-level difference),
     # the constant is the better-certified minimizer
     if v_descent < v_const - 1e-8 * max(1.0, abs(v_const)):
-        best, used_const, terms = base.with_values(u), False, descent_terms
+        best, used_const, terms, nu = base.with_values(u), False, descent_terms, v_descent
     else:
-        best, used_const, terms = base, True, const_terms
+        best, used_const, terms, nu = base, True, const_terms, v_const
 
     _, mass_q, energy, *_ = terms
-    a_q, b_q, nu = mass_q**kappa, energy * mass_q ** (kappa - 1.0), energy * mass_q**kappa
+    a_q, b_q = nu / energy, nu / mass_q
     return MinimizeResult(
         value=nu,
         profile=best,

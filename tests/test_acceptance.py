@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from lpentropy.constants import InequalityParams, entropy_best_constant
 from lpentropy.euclidean_inequalities import entropy_deficit, log_norm_derivative
@@ -225,7 +224,7 @@ def test_criterion_10_minimizer_identities():
         norm_gap <= 1e-10
         and identity_gap <= 1e-10
         and res.el_residual <= 1e-6
-        and res.value <= ceiling * (1.0 + 1e-12)
+        and res.value <= ceiling
         and zero.value == 0.0
     )
     _report(

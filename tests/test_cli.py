@@ -190,6 +190,20 @@ def test_usage_error_exit_code():
     assert res.returncode == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bubble", "--model", "sphere", "--n", "3", "--p", "2", "--delta", "1.0",
+      "--eps-grid", "0.1,abc"),
+     "argument --eps-grid: expected comma-separated numbers, got '0.1,abc'"),
+    (("gn-limit", "--n", "3", "--p", "2", "--q-list", ","),
+     "argument --q-list: expected at least one number"),
+])
+def test_number_list_usage_errors(argv, message):
+    res = run_cli(*argv)
+    assert res.returncode == 64
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].endswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     (("constants", "--n", "3", "--p", "2"), 0),
     (("constants", "--n", "3", "--p", "0.5"), 1),
@@ -349,7 +363,7 @@ def test_minimize_with_profile_output(tmp_path):
     assert (result["stop_reason"], result["converged"]) == ("max_iters", False)
     assert result["identity_gap"] < 1e-10 * max(1.0, result["value"])
     assert abs(result["constant_value"] - (2 * math.pi**2) ** (2.0 / 3.0)) < 1e-10
-    assert result["value"] <= result["constant_value"] * (1 + 1e-12)
+    assert result["value"] <= result["constant_value"]
     with open(out, newline="") as fh:
         table = list(csv.DictReader(fh))
     assert len(table) == 120
@@ -500,6 +514,8 @@ def test_output_is_strict_json():
     ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.01", "--p-from", "1.5"),
     ("hc", "--n", "3", "--A", "0.0781", "--B", "1", "--t-grid", "0.01", "--q-to", "3"),
     ("deficit", "--n", "3", "--p", "2", "--C", "5"),
+    ("constants", "--n", "3", "--p", "2", "--q", "1.5"),
+    ("constants", "--n", "3", "--p", "2", "--r", "2"),
 ], ids=("hc-lambda-out", "extremal-huge-b", "bubble-huge-b", "deficit-tiny-b",
         "hc-huge-a-lambda", "minimize-negative-seed", "nu-scan-negative-seed",
         "minimize-volume-underflow", "minimize-volume-overflow", "minimize-huge-C",
@@ -508,7 +524,8 @@ def test_output_is_strict_json():
         "constants-sobolev-overflow", "constants-infinite-p", "heat-norm-tiny-side",
         "heat-norm-high-dimension", "heat-norm-subnormal-t", "heat-norm-tiny-t",
         "heat-norm-huge-n", "deficit-huge-b", "hc-t-grid-lambda-p-from-out",
-        "hc-t-grid-lambda", "hc-t-grid-p-from", "hc-t-grid-q-to", "deficit-C-without-residual"))
+        "hc-t-grid-lambda", "hc-t-grid-p-from", "hc-t-grid-q-to", "deficit-C-without-residual",
+        "constants-q-without-r", "constants-r-without-q"))
 def test_one_line_domain_error(argv, tmp_path):
     res = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     assert res.returncode == 1, (res.stdout, res.stderr)

@@ -192,6 +192,15 @@ def test_degenerate_parameters_rejected():
                              ascent_iters=-5)
 
 
+def test_quotient_of_a_zero_profile_is_undefined():
+    u = extremal_profile(3, 2.0, 1.0, n_nodes=2000)
+    with pytest.raises(DomainError, match="zero gradient energy"):
+        gn_quotient(u.with_values(0.0 * u.values), InequalityParams(n=3, p=2.0, q=1.5, r=2.0))
+    # int u^6 underflows to 0 at 1e-60 times the extremal, its gradient energy does not
+    with pytest.raises(DomainError, match="zero mass"):
+        gn_quotient(u.with_values(1e-60 * u.values), InequalityParams(n=3, p=2.0, q=1.5, r=6.0))
+
+
 def test_limit_scan_validates_q():
     with pytest.raises(DomainError):
         limit_scan(3, 2.0, [2.5])

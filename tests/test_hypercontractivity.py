@@ -150,6 +150,19 @@ def test_budget_disagreement_is_raised(monkeypatch):
         bakry_integrals(3, 0.0781, 1.0, 5.0)
 
 
+def test_time_disagreement_is_raised(monkeypatch):
+    rule = hypercontractivity._tanh_sinh
+
+    def drifted(*args, **kwargs):
+        sums, err, nodes = rule(*args, **kwargs)
+        sums[0, 0] *= 1.0 + 1e-9
+        return sums, err, nodes
+
+    monkeypatch.setattr(hypercontractivity, "_tanh_sinh", drifted)
+    with pytest.raises(OracleDisagreement, match="^time integral"):
+        bakry_integrals(3, 0.0781, 1.0, 5.0)
+
+
 def test_path_that_misses_the_node_cap_raises(monkeypatch):
     # a path takes 225 nodes, two levels: at a cap of 224 the rule reports
     # the miss before any estimate, and bakry_integrals raises it

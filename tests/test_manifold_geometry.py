@@ -226,11 +226,10 @@ def test_bubble_integrals_core_underflow(monkeypatch):
     # a grid placed by the core width leaves no valid spec whose core
     # underflows at every node, so the zero-mass guard is fed zero sums:
     # a typed error, not mass 0
-    import lpentropy.manifold_geometry as mg
-
     zeros = np.zeros((1, 3))
     monkeypatch.setattr(mg, "_bubble_quadrature",
-                        lambda specs, n_nodes: (zeros, zeros, zeros, np.ones(1, dtype=int)))
+                        lambda model, base, delta, eps, n_nodes:
+                        (zeros, zeros, zeros, np.ones(1, dtype=int)))
     spec = BubbleSpec(model=ManifoldModel.sphere(3), base=extremal_spec(3, 2.0, 1.0),
                       delta=1.0, eps=0.05)
     with pytest.raises(DomainError, match="underflows"):
@@ -568,3 +567,9 @@ def test_grid_raises_for_the_first_failing_eps_in_its_own_order(monkeypatch):
         fit_expansion(sph, 2.0, 1.0, 1.0, [0.01, 0.02, 0.04, 0.3, 0.6], n_nodes=1000)
     with pytest.raises(DomainError, match="got eps=0.6"):
         fit_expansion(sph, 2.0, 1.0, 1.0, [0.01, 0.02, 0.04, 0.3, 0.6])
+
+
+def test_grid_with_no_valid_eps_raises_for_the_first():
+    # every 2 eps exceeds delta = 1, so no bubble is integrated
+    with pytest.raises(DomainError, match="got eps=0.6"):
+        fit_expansion(ManifoldModel.sphere(3), 2.0, 1.0, 1.0, [0.6, 0.7, 0.8, 0.9])

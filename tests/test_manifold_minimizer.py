@@ -110,7 +110,7 @@ def test_minimize_sphere_identities():
     assert res.qnorm_weight * mass_q == pytest.approx(res.value, rel=1e-10)
     assert res.el_residual <= 1e-6
     ceiling = gn_functional(constant_profile(SPHERE3, 2.0, 200), 2.0, 1.9, 1.0)
-    assert res.value <= ceiling * (1.0 + 1e-12)
+    assert res.value <= ceiling
     assert res.used_constant  # descent cannot beat the constant here
 
 
@@ -129,12 +129,35 @@ def test_result_ceiling_and_identity_gap_match_a_recomputation(model, p, q, C):
                                                                   res.identity_gap)
 
 
+@pytest.mark.parametrize("model", [SPHERE3, ManifoldModel.sphere(4, radius=1.3), TORUS3,
+                                   ManifoldModel.torus(4, side=6.0)],
+                         ids=("S3", "S4-radius-1.3", "T3-side-2", "T4-side-6"))
+@pytest.mark.parametrize("q", [1.5, 1.9])
+@pytest.mark.parametrize("C", [1.0, 4.0])
+def test_value_is_the_functional_the_choice_compared(model, q, C):
+    # value is the J_q that chose between the constant and the descent, by
+    # gn_functional's formula, so it is the constant's own value when the
+    # constant wins and never above it; the weights are value over the
+    # energy and over int u^q, so the identity holds to rounding
+    res = minimize_gn_functional(model, 2.0, q, C, n_nodes=120, max_iters=200)
+    assert res.value == gn_functional(res.profile, 2.0, q, C)
+    assert res.value <= res.constant_value
+    if res.used_constant:
+        assert res.value == res.constant_value
+    assert res.identity_gap <= 2 * np.spacing(res.value)
+
+
 def test_minimize_torus_identities():
     res = minimize_gn_functional(TORUS3, 2.0, 1.5, 2.0, n_nodes=600, max_iters=3000)
     u = res.profile
     assert u.lp_norm(2.0) == pytest.approx(1.0, abs=1e-10)
     assert res.value == pytest.approx(8.0, rel=1e-10)
     assert res.el_residual <= 1e-6
+
+
+def test_residual_of_the_constant_at_zero_C():
+    # no gradient energy and no zeroth-order term: every term vanishes
+    assert euler_lagrange_residual(constant_profile(SPHERE3, 2.0, 64), 2.0, 1.9, 0.0) == 0.0
 
 
 def test_minimize_zero_constant():
@@ -302,6 +325,16 @@ def test_one_node_artifact_is_not_converged():
     assert not res.converged
 
 
+@pytest.mark.xfail(strict=True, reason="the odd/even null mode passes the gradient tolerance "
+                   "(ROADMAP items 2 and 13)")
+def test_odd_even_mode_is_not_converged():
+    # on 16 torus nodes the descent stops on gtol after 80 steps at the
+    # constant on every other node (imbalance 1.0, value 2^(-2/3) of the
+    # constant's), which the centred periodic stencil does not see
+    res = minimize_gn_functional(TORUS3, 2.0, 1.9, 2.0, n_nodes=16)
+    assert not res.converged
+
+
 def test_non_minimizer_residual_is_large():
     u = symmetric_profile(SPHERE3, lambda g: 1.0 + 0.5 * np.cos(2.0 * g), n_nodes=300)
     u = u.with_values(u.values / u.lp_norm(2.0))
@@ -343,7 +376,7 @@ def test_infimum_scan_rows():
     rows = infimum_scan(SPHERE3, 2.0, [1.5, 1.9], 1.0, n_nodes=200, max_iters=2000)
     assert len(rows) == 2
     for row in rows:
-        assert row["nu"] <= row["constant_value"] * (1.0 + 1e-12)
+        assert row["nu"] <= row["constant_value"]
         assert row["el_residual"] <= 1e-6
         assert row["inv_entropy_constant"] == pytest.approx(
             1.0 / entropy_best_constant(3, 2.0), rel=1e-13

@@ -842,6 +842,19 @@ def test_projected_descent_retraction_reuses_the_trial():
     assert val == pytest.approx(objective(u)[0], abs=1e-14)
 
 
+def test_projected_descent_at_a_stationary_seed():
+    # the gradient of |u - c|^2 / 2 vanishes at u = c, so the direction
+    # does not descend and no iteration runs
+    c = np.array([1.0, 2.0])
+
+    def objective(u):
+        return 0.5 * float(np.sum((u - c) ** 2)), None
+
+    _, val, iters, reason = _projected_descent(objective, lambda u, _: u - c, c.copy(),
+                                               np.ones(2), 100, armijo=0.25)
+    assert (val, iters, reason) == (0.0, 0, "no_descent")
+
+
 def test_projected_descent_degenerate_seed():
     with pytest.raises(DomainError, match="seed profile is degenerate"):
         _projected_descent(lambda u: (None, None), None, np.ones(4), np.ones(4), 10, 1e-4)
